@@ -31,6 +31,7 @@ from .bounds import (
     gaussian_interval_product,
     log_asymptote,
     lp_interval_bound,
+    lp_interval_bounds,
     lp_measurable_bound,
     report,
 )
@@ -128,6 +129,7 @@ __all__ = [
     "angular_target",
     "lp_measurable_bound",
     "lp_interval_bound",
+    "lp_interval_bounds",
     "log_asymptote",
     "donoho_stark_bound",
     "elementary_bound",

@@ -12,12 +12,16 @@ bounds are closed forms used for comparison.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+from numpy.typing import NDArray
+
 from .errors import BoundDivergenceError, DomainError
-from .numerics import erf_inverse
-from .slepian import DEFAULT_ORDER, lambda0_inverse
+from .numerics import _check_hbar, erf_inverse
+from .slepian import DEFAULT_ORDER, lambda0_inverse_batch
 
 __all__ = [
     "Region",
@@ -27,6 +31,7 @@ __all__ = [
     "angular_target",
     "lp_measurable_bound",
     "lp_interval_bound",
+    "lp_interval_bounds",
     "log_asymptote",
     "donoho_stark_bound",
     "elementary_bound",
@@ -45,12 +50,6 @@ class Region(Enum):
 
     TRIVIAL = "trivial"
     BOUNDED = "bounded"
-
-
-def _check_hbar(hbar: float) -> float:
-    if not (math.isfinite(hbar) and hbar > 0):
-        raise DomainError(f"hbar must be positive and finite, got {hbar}")
-    return float(hbar)
 
 
 @dataclass(frozen=True)
@@ -109,6 +108,37 @@ def lp_measurable_bound(
     return 2.0 * math.pi * _check_hbar(hbar) * angular_target(pair)
 
 
+def lp_interval_bounds(
+    pairs: Sequence[ConfidencePair | tuple[float, float]],
+    hbar: float = 1.0,
+    order: int = DEFAULT_ORDER,
+) -> NDArray[np.float64]:
+    """Tight lower bounds 4*hbar*lambda0_inverse(T), one per pair.
+
+    Zero in the trivial region (T = 0). The remaining targets are
+    inverted together in one ascending sweep, which makes dense maps
+    much cheaper than pair-by-pair inversion. Returns the bounds in
+    input order.
+
+    Raises
+    ------
+    BoundDivergenceError
+        If any pair sits at full confidence in both variables (T = 1),
+        where a state supported on one interval cannot be fully
+        band-limited and the bound grows without limit.
+    """
+    h = _check_hbar(hbar)
+    targets = np.array([angular_target(p) for p in pairs], dtype=np.float64)
+    if np.any(targets >= 1.0):
+        raise BoundDivergenceError(
+            "the interval bound diverges at full confidence in both variables"
+        )
+    bounded = targets > 0.0
+    out = np.zeros(targets.size)
+    out[bounded] = 4.0 * h * lambda0_inverse_batch(targets[bounded], order=order)
+    return out
+
+
 def lp_interval_bound(
     pair: ConfidencePair | tuple[float, float],
     hbar: float = 1.0,
@@ -116,25 +146,11 @@ def lp_interval_bound(
 ) -> float:
     """Tight lower bound 4*hbar*lambda0_inverse(T) on the interval product.
 
-    Strictly larger than the measurable-set bound in the interior of the
-    bounded region. Zero in the trivial region (T = 0).
-
-    Raises
-    ------
-    BoundDivergenceError
-        At full confidence in both variables (T = 1), where a state
-        supported on one interval cannot be fully band-limited and the
-        bound grows without limit.
+    The one-pair case of :func:`lp_interval_bounds`: zero in the trivial
+    region, BoundDivergenceError at (1, 1). Strictly larger than the
+    measurable-set bound in the interior of the bounded region.
     """
-    h = _check_hbar(hbar)
-    target = angular_target(pair)
-    if target == 0.0:
-        return 0.0
-    if target >= 1.0:
-        raise BoundDivergenceError(
-            "the interval bound diverges at full confidence in both variables"
-        )
-    return 4.0 * h * float(lambda0_inverse(target, order=order))
+    return float(lp_interval_bounds([pair], hbar=hbar, order=order)[0])
 
 
 def log_asymptote(theta_p: float, hbar: float = 1.0) -> float:

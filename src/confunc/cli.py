@@ -16,7 +16,7 @@ Output is CSV with one header row (default) or a JSON array of the same
 records. Numbers carry 6 significant digits; eigenvalue tables also
 report 1 - lambda0 in scientific notation so near-unity values stay
 resolvable. Exit codes: 0 success, 1 a verification check failed,
-2 usage or parameter error.
+2 usage or parameter error, or ``--out`` could not be written.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TextIO
 
 import numpy as np
 
@@ -41,16 +42,16 @@ from .bounds import (
     donoho_stark_bound,
     elementary_bound,
     gaussian_interval_product,
+    lp_interval_bounds,
     lp_measurable_bound,
     report,
 )
 from .errors import ConfuncError, DomainError
-from .numerics import largest_eigenpair
+from .numerics import _check_hbar, largest_eigenpair
 from .slepian import (
     DEFAULT_ORDER,
     a_matrix,
     lambda0,
-    lambda0_inverse_batch,
     lambda0_large_c,
     lambda0_small_c,
 )
@@ -71,6 +72,8 @@ __all__ = ["RunConfig", "main"]
 
 _ENV_ORDER = "CONFUNC_ORDER"
 _COMPARE_DEFAULT = (0.55, 0.60, 0.70, 0.80, 0.90, 0.95, 0.99)
+# cells of the grids behind the lenard suite and the Gaussian state dump
+_GRID_POINTS = 4096
 
 
 @dataclass(frozen=True)
@@ -79,18 +82,14 @@ class RunConfig:
 
     hbar: float = 1.0
     quadrature_order: int = DEFAULT_ORDER
-    grid_points: int = 4096
     output_format: str = "csv"
     output_path: str | None = None
     seed: int = 42
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.hbar) and self.hbar > 0):
-            raise DomainError(f"hbar must be positive, got {self.hbar}")
+        _check_hbar(self.hbar)
         if self.quadrature_order < 2:
             raise DomainError(f"order must be at least 2, got {self.quadrature_order}")
-        if self.grid_points < 16:
-            raise DomainError(f"grid_points must be at least 16, got {self.grid_points}")
         if self.output_format not in ("csv", "json"):
             raise DomainError(f"format must be csv or json, got {self.output_format}")
 
@@ -127,31 +126,34 @@ def _json_value(value: object) -> object:
     return float(f"{v:.6g}")
 
 
-def _emit(rows: list[dict], config: RunConfig) -> None:
-    if not rows:
-        return
+def _write(rows: list[dict], output_format: str, target: TextIO) -> None:
     fields = list(rows[0].keys())
-    if config.output_format == "csv":
-        text_rows = [{k: _fmt(r[k]) for k in fields} for r in rows]
-        target = (
-            open(config.output_path, "w", newline="", encoding="ascii")
-            if config.output_path
-            else sys.stdout
-        )
-        try:
-            writer = csv.DictWriter(target, fieldnames=fields, lineterminator="\n")
-            writer.writeheader()
-            writer.writerows(text_rows)
-        finally:
-            if config.output_path:
-                target.close()
+    if output_format == "csv":
+        writer = csv.writer(target, lineterminator="\n")
+        writer.writerow(fields)
+        for row in rows:
+            writer.writerow([_fmt(row[k]) for k in fields])
     else:
         payload = [{k: _json_value(r[k]) for k in fields} for r in rows]
-        text = json.dumps(payload, indent=1)
-        if config.output_path:
-            Path(config.output_path).write_text(text + "\n", encoding="ascii")
-        else:
-            sys.stdout.write(text + "\n")
+        target.write(json.dumps(payload, indent=1) + "\n")
+
+
+def _emit(rows: list[dict], config: RunConfig) -> None:
+    """Write rows to stdout, or to --out through a temporary file that is
+    renamed over the target only once it is complete."""
+    if not rows:
+        return
+    if not config.output_path:
+        _write(rows, config.output_format, sys.stdout)
+        return
+    path = Path(config.output_path)
+    temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(temporary, "x", newline="", encoding="ascii") as handle:
+            _write(rows, config.output_format, handle)
+        os.replace(temporary, path)
+    finally:
+        temporary.unlink(missing_ok=True)
 
 
 def _note(message: str) -> None:
@@ -198,33 +200,25 @@ def _cmd_lambda0(args: argparse.Namespace, config: RunConfig) -> tuple[list[dict
     return rows, 0
 
 
-def _interval_cell(pair: ConfidencePair, hbar: float, c_over_t: float | None) -> object:
-    """Landscape cell value: 0 in the trivial region, 'divergent' at (1,1)."""
-    if classify_region(pair) is Region.TRIVIAL:
-        return 0.0
-    if c_over_t is None:
-        return "divergent"
-    return 4.0 * hbar * c_over_t
-
-
-def _bounds_points(
-    pairs: list[ConfidencePair], config: RunConfig
-) -> tuple[list[float | None], list[float]]:
-    """Inverse eigenvalues for every bounded nondivergent pair, batched."""
-    targets = [angular_target(p) for p in pairs]
-    solvable = [
-        i
-        for i, (p, t) in enumerate(zip(pairs, targets))
-        if classify_region(p) is Region.BOUNDED and t < 1.0
-    ]
-    inverses: list[float | None] = [None] * len(pairs)
-    if solvable:
-        solved = lambda0_inverse_batch(
-            np.array([targets[i] for i in solvable]), order=config.quadrature_order
-        )
-        for i, c in zip(solvable, solved):
-            inverses[i] = float(c)
-    return inverses, targets
+def _point_row(pair: ConfidencePair, config: RunConfig) -> dict:
+    """Every bound at one pair; at (1, 1) the interval bound diverges."""
+    h = config.hbar
+    try:
+        rep = report(pair, hbar=h, order=config.quadrature_order)
+        interval, gaussian = rep.lp_interval or 0.0, rep.gaussian_product
+    except BoundDivergenceError:
+        interval, gaussian = "divergent", math.inf
+    return {
+        "theta_x": pair.theta_x,
+        "theta_p": pair.theta_p,
+        "region": classify_region(pair).value,
+        "angular_target": angular_target(pair),
+        "lp_measurable": lp_measurable_bound(pair, hbar=h),
+        "lp_interval": interval,
+        "donoho_stark": donoho_stark_bound(pair, hbar=h),
+        "elementary": elementary_bound(pair),
+        "gaussian_product": gaussian,
+    }
 
 
 def _cmd_bounds(args: argparse.Namespace, config: RunConfig) -> tuple[list[dict], int]:
@@ -233,46 +227,15 @@ def _cmd_bounds(args: argparse.Namespace, config: RunConfig) -> tuple[list[dict]
             raise DomainError(f"--grid must be a positive cell count, got {args.grid}")
         levels = [i / (args.grid + 1) for i in range(1, args.grid + 1)]
         pairs = [ConfidencePair(tx, tp) for tx in levels for tp in levels]
-        inverses, _ = _bounds_points(pairs, config)
+        bounds = lp_interval_bounds(pairs, hbar=config.hbar, order=config.quadrature_order)
         rows = [
-            {
-                "theta_x": p.theta_x,
-                "theta_p": p.theta_p,
-                "lp_interval": _interval_cell(p, config.hbar, inv),
-            }
-            for p, inv in zip(pairs, inverses)
+            {"theta_x": p.theta_x, "theta_p": p.theta_p, "lp_interval": bound}
+            for p, bound in zip(pairs, bounds)
         ]
         return rows, 0
     if args.tx is None or args.tp is None:
         raise DomainError("bounds needs --tx and --tp, or --grid")
-    pair = ConfidencePair(args.tx, args.tp)
-    try:
-        rep = report(pair, hbar=config.hbar, order=config.quadrature_order)
-        interval: object = 0.0 if rep.lp_interval is None else rep.lp_interval
-        row = {
-            "theta_x": pair.theta_x,
-            "theta_p": pair.theta_p,
-            "region": rep.region.value,
-            "angular_target": rep.angular_target,
-            "lp_measurable": rep.lp_measurable,
-            "lp_interval": interval,
-            "donoho_stark": rep.donoho_stark,
-            "elementary": rep.elementary,
-            "gaussian_product": rep.gaussian_product,
-        }
-    except BoundDivergenceError:
-        row = {
-            "theta_x": pair.theta_x,
-            "theta_p": pair.theta_p,
-            "region": classify_region(pair).value,
-            "angular_target": angular_target(pair),
-            "lp_measurable": lp_measurable_bound(pair, hbar=config.hbar),
-            "lp_interval": "divergent",
-            "donoho_stark": donoho_stark_bound(pair, hbar=config.hbar),
-            "elementary": elementary_bound(pair),
-            "gaussian_product": math.inf,
-        }
-    return [row], 0
+    return [_point_row(ConfidencePair(args.tx, args.tp), config)], 0
 
 
 def _cmd_compare(args: argparse.Namespace, config: RunConfig) -> tuple[list[dict], int]:
@@ -280,13 +243,9 @@ def _cmd_compare(args: argparse.Namespace, config: RunConfig) -> tuple[list[dict
     for theta in thetas:
         if not 0.0 < theta < 1.0:
             raise DomainError(f"compare requires 0 < theta < 1, got {theta}")
-    targets = np.array([(2.0 * t - 1.0) ** 2 for t in thetas])
-    positive = targets > 0.0
-    slepian = np.zeros(len(thetas))
-    if np.any(positive):
-        slepian[positive] = 4.0 * config.hbar * lambda0_inverse_batch(
-            targets[positive], order=config.quadrature_order
-        )
+    slepian = lp_interval_bounds(
+        [(t, t) for t in thetas], hbar=config.hbar, order=config.quadrature_order
+    )
     rows = []
     for theta, product in zip(thetas, slepian):
         gaussian = gaussian_interval_product(theta, hbar=config.hbar)
@@ -364,11 +323,10 @@ def _suite_dominance(config: RunConfig) -> list[dict]:
         for tp in spots
         if tx + tp > 1.0
     ]
-    inverses, targets = _bounds_points(pairs, config)
+    intervals = lp_interval_bounds(pairs, hbar=config.hbar, order=config.quadrature_order)
     worst = math.inf
-    for pair, inv, target in zip(pairs, inverses, targets):
-        diff = 4.0 * config.hbar * inv - 2.0 * math.pi * config.hbar * target
-        worst = min(worst, diff)
+    for pair, interval in zip(pairs, intervals):
+        worst = min(worst, interval - lp_measurable_bound(pair, config.hbar))
     rows.append(
         _check("dominance", "interval_minus_measurable_spot_grid", worst, 0.0, worst > 0.0)
     )
@@ -377,7 +335,7 @@ def _suite_dominance(config: RunConfig) -> list[dict]:
 
 def _suite_lenard(config: RunConfig) -> list[dict]:
     rows = []
-    grid = Grid.symmetric(20.0, config.grid_points)
+    grid = Grid.symmetric(20.0, _GRID_POINTS)
     slack = 1e-6
     for k in range(50):
         seed = config.seed + k
@@ -443,7 +401,7 @@ def _cmd_state(args: argparse.Namespace, config: RunConfig) -> tuple[list[dict],
     h = config.hbar
     if args.kind == "gaussian":
         sigma = args.sigma if args.sigma is not None else 1.0
-        grid = Grid.symmetric(16.0 * sigma, config.grid_points)
+        grid = Grid.symmetric(16.0 * sigma, _GRID_POINTS)
         state = gaussian_state(grid, sigma, hbar=h)
         momentum = fourier_transform(state)
         hx = differential_entropy(state)
@@ -598,17 +556,21 @@ def main(argv: list[str] | None = None) -> int:
         config = RunConfig(
             hbar=args.hbar,
             quadrature_order=_resolve_order(args.order),
-            grid_points=4096,
             output_format=args.format,
             output_path=args.out,
             seed=args.seed,
         )
         rows, code = args.handler(args, config)
-        _emit(rows, config)
-        return code
     except ConfuncError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    try:
+        _emit(rows, config)
+    except OSError as exc:
+        target = config.output_path or "stdout"
+        print(f"error: cannot write {target}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
+    return code
 
 
 if __name__ == "__main__":

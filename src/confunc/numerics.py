@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.typing import NDArray
@@ -35,6 +36,12 @@ __all__ = [
     "largest_eigenpair",
     "bisect_monotone",
 ]
+
+
+def _check_hbar(hbar: float) -> float:
+    if not (math.isfinite(hbar) and hbar > 0):
+        raise DomainError(f"hbar must be positive and finite, got {hbar}")
+    return float(hbar)
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,13 +95,15 @@ def _legendre_and_derivative(
     return p, dp
 
 
+@lru_cache(maxsize=64)
 def gauss_legendre(order: int) -> QuadratureRule:
     """Compute the Gauss-Legendre rule of the given order.
 
     Roots of the Legendre polynomial are found by Newton iteration from
     the classical cosine initial guesses; only the positive half is
     iterated and the rule is mirrored, which makes the symmetry
-    ``node[i] = -node[N-1-i]`` exact by construction.
+    ``node[i] = -node[N-1-i]`` exact by construction. Rules are cached
+    per order; their arrays are read-only, so sharing them is safe.
 
     Parameters
     ----------
@@ -289,6 +298,8 @@ def bisect_monotone(
     ------
     BracketError
         If f evaluated at the bracket ends does not straddle the target.
+    ConvergenceError
+        If neither test is met within 200 halvings.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     if not lo < hi:
@@ -305,7 +316,6 @@ def bisect_monotone(
             f"f(lo)-target={flo:.3e}, f(hi)-target={fhi:.3e}"
         )
     increasing = fhi > 0
-    mid = 0.5 * (lo + hi)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         fmid = f(mid) - target
@@ -315,4 +325,4 @@ def bisect_monotone(
             lo = mid
         else:
             hi = mid
-    return mid
+    raise ConvergenceError(f"bisection stalled on ({lo}, {hi}) above tolerance {tol}")

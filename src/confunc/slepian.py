@@ -9,6 +9,9 @@ it, evaluates the two closed-form asymptotic approximants, extends the
 principal eigenfunction off the quadrature nodes, and provides the
 independent Fourier-coefficient matrix route whose operator norm equals
 pi * lambda0(c), used as a cross-check of the whole engine.
+Newton's step in the inversion takes d lambda0/dc = 2 lambda0 psi0(1)^2 / c
+(Slepian-Pollak, psi0 of unit norm on [-1, 1]) from one kernel row, and
+stops on a tolerance relative to 1 - theta, so theta near 1 stays exact.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import DomainError
+from .errors import ConvergenceError, DomainError
 from .numerics import QuadratureRule, gauss_legendre, largest_eigenpair
 
 __all__ = [
@@ -44,21 +47,9 @@ DEFAULT_ORDER = 400
 # because 1 - lambda0 is formed by subtraction from eigenvalues near 1
 _THETA_RESOLUTION = 1e-12
 
-
-@dataclass(frozen=True)
-class ConcentrationParameter:
-    """Dimensionless concentration parameter c = L*W/(4*hbar)."""
-
-    c: float
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.c) or self.c < 0:
-            raise DomainError(
-                f"concentration parameter must be finite and >= 0, got {self.c}"
-            )
-
-    def __float__(self) -> float:
-        return float(self.c)
+# largest double below 1: rounding in the eigensolve can push lambda0 of
+# a large c just above 1, outside its range [0, 1)
+_BELOW_ONE = math.nextafter(1.0, 0.0)
 
 
 def _as_c(c: float | ConcentrationParameter) -> float:
@@ -68,6 +59,19 @@ def _as_c(c: float | ConcentrationParameter) -> float:
             f"concentration parameter must be finite and >= 0, got {value}"
         )
     return value
+
+
+@dataclass(frozen=True)
+class ConcentrationParameter:
+    """Dimensionless concentration parameter c = L*W/(4*hbar)."""
+
+    c: float
+
+    def __post_init__(self) -> None:
+        _as_c(self.c)
+
+    def __float__(self) -> float:
+        return float(self.c)
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,9 +96,14 @@ class ProlateSolution:
         self.principal_function.setflags(write=False)
 
 
-@lru_cache(maxsize=64)
-def _rule(order: int) -> QuadratureRule:
-    return gauss_legendre(order)
+def _sinc(c: float, u: NDArray[np.float64], v: NDArray[np.float64]) -> NDArray[np.float64]:
+    """Sinc kernel sin(c (u_i - v_j)) / (pi (u_i - v_j)) on all pairs,
+    taking the limit value c / pi where the points coincide."""
+    du = u[:, None] - v[None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kern = np.sin(c * du) / (np.pi * du)
+    kern[np.abs(du) < 1e-14] = c / np.pi
+    return kern
 
 
 def kernel_matrix(
@@ -106,30 +115,15 @@ def kernel_matrix(
     the diagonal takes the kernel's limit value, giving w_i * c / pi.
     Its largest eigenvalue converges spectrally to lambda0(c).
     """
-    cc = _as_c(c)
-    u = rule.nodes
-    du = u[:, None] - u[None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        kern = np.sin(cc * du) / (np.pi * du)
-    np.fill_diagonal(kern, cc / np.pi)
-    sw = np.sqrt(rule.weights)
-    return sw[:, None] * kern * sw[None, :]
-
-
-def _kernel_derivative(c: float, rule: QuadratureRule) -> NDArray[np.float64]:
-    """Entrywise derivative of kernel_matrix with respect to c."""
-    u = rule.nodes
-    du = u[:, None] - u[None, :]
-    kern = np.cos(c * du) / np.pi
+    kern = _sinc(_as_c(c), rule.nodes, rule.nodes)
     sw = np.sqrt(rule.weights)
     return sw[:, None] * kern * sw[None, :]
 
 
 @lru_cache(maxsize=4096)
 def _eigenpair(c: float, order: int) -> tuple[float, NDArray[np.float64]]:
-    rule = _rule(order)
-    value, vector = largest_eigenpair(kernel_matrix(c, rule))
-    return value, vector
+    value, vector = largest_eigenpair(kernel_matrix(c, gauss_legendre(order)))
+    return min(value, _BELOW_ONE), vector
 
 
 def lambda0(c: float | ConcentrationParameter, order: int = DEFAULT_ORDER) -> float:
@@ -179,31 +173,48 @@ def _invert(
 ) -> float:
     """Solve lambda0(c) = theta on a bracket known to straddle it.
 
-    Newton iteration on ln(1 - lambda0), whose graph is close to linear
-    in c, with the eigenvalue derivative obtained from the eigenvector
-    (first-order perturbation); any step leaving the bracket falls back
-    to bisection, so convergence is guaranteed.
+    Newton iteration on ln(1 - lambda0), nearly linear in c, with the
+    Slepian-Pollak derivative d lambda0/dc = 2 lambda0 psi0(1)^2 / c and
+    psi0(1) = sum_j K(1, u_j) sqrt(w_j) v_j / lambda0 from one kernel row;
+    steps leaving the bracket fall back to bisection. It stops once
+    |lambda0(c) - theta| <= tol * (1 - theta), or once the bracket is
+    narrower than tol. An absolute tolerance would accept a c far too
+    large once 1 - theta nears tol, overstating every bound built on it.
+
+    Raises
+    ------
+    ConvergenceError
+        If neither test is met within 200 iterations.
     """
-    rule = _rule(order)
+    rule = gauss_legendre(order)
+    sw = np.sqrt(rule.weights)
     c = start if start is not None and lo < start < hi else 0.5 * (lo + hi)
+    best_c, best_gap = c, math.inf
     for _ in range(200):
         value, vector = _eigenpair(c, order)
-        if abs(value - theta) <= tol or (hi - lo) <= tol:
+        gap = abs(value - theta)
+        if gap < best_gap:
+            best_c, best_gap = c, gap
+        if gap <= tol * (1.0 - theta):
             return c
+        if hi - lo <= tol:
+            # rounding in the eigenvalue, not c, now sets the residual
+            return best_c
         if value < theta:
             lo = c
         else:
             hi = c
-        deriv = float(vector @ (_kernel_derivative(c, rule) @ vector))
+        edge = float(_sinc(c, np.ones(1), rule.nodes)[0] @ (sw * vector)) / value
+        deriv = 2.0 * value * edge * edge / c
         c_next = c
-        if deriv > 0 and value < 1.0:
+        if deriv > 0:
             # Newton step for ln(1-lambda0(c)) = ln(1-theta)
             h = math.log1p(-value) - math.log1p(-theta)
             c_next = c + h * (1.0 - value) / deriv
         if not lo < c_next < hi:
             c_next = 0.5 * (lo + hi)
         c = c_next
-    return c
+    raise ConvergenceError(f"lambda0_inverse did not converge for theta={theta}")
 
 
 def lambda0_inverse(
@@ -211,8 +222,9 @@ def lambda0_inverse(
 ) -> ConcentrationParameter:
     """Concentration c with lambda0(c) = theta, for theta in (0, 1).
 
-    The result satisfies |lambda0(c) - theta| <= tol (or the enclosing
-    bracket has shrunk below tol). Monotone in theta.
+    The result satisfies |lambda0(c) - theta| <= tol * (1 - theta) (or
+    the enclosing bracket has shrunk below tol). Monotone in theta. The
+    one-target case of :func:`lambda0_inverse_batch`.
 
     Raises
     ------
@@ -220,15 +232,7 @@ def lambda0_inverse(
         If theta is outside (0, 1), or so close to 1 that 1 - theta is
         below the double-precision resolution of the eigenvalues.
     """
-    if not 0.0 < theta < 1.0:
-        raise DomainError(f"lambda0_inverse requires 0 < theta < 1, got {theta}")
-    if 1.0 - theta < _THETA_RESOLUTION:
-        raise DomainError(
-            f"1 - theta = {1.0 - theta:.3e} is below the {_THETA_RESOLUTION:.0e} "
-            "resolution of the eigenvalue engine"
-        )
-    lo, hi = _inverse_bracket(theta)
-    return ConcentrationParameter(_invert(theta, order, tol, lo, hi))
+    return ConcentrationParameter(float(lambda0_inverse_batch([theta], order, tol)[0]))
 
 
 def lambda0_inverse_batch(
@@ -240,12 +244,25 @@ def lambda0_inverse_batch(
     solution and use it as a lower bracket end, which makes dense maps
     (many nearby targets) far cheaper than independent inversions while
     meeting the same tolerance. Returns results in input order.
+
+    Raises
+    ------
+    DomainError
+        If a target is outside (0, 1), or so close to 1 that 1 - theta is
+        below the double-precision resolution of the eigenvalues.
     """
     t = np.asarray(thetas, dtype=np.float64)
     if t.ndim != 1:
         raise DomainError("expected a one-dimensional sequence of targets")
-    if t.size and (t.min() <= 0.0 or 1.0 - t.max() < _THETA_RESOLUTION):
-        raise DomainError("all targets must lie in (0, 1) and be resolvable")
+    outside = t[~((t > 0.0) & (t < 1.0))]
+    if outside.size:
+        raise DomainError(f"lambda0_inverse requires 0 < theta < 1, got {outside[0]}")
+    unresolved = t[1.0 - t < _THETA_RESOLUTION]
+    if unresolved.size:
+        raise DomainError(
+            f"1 - theta = {1.0 - unresolved[0]:.3e} is below the "
+            f"{_THETA_RESOLUTION:.0e} resolution of the eigenvalue engine"
+        )
     unique, positions = np.unique(t, return_inverse=True)
     solved = np.empty_like(unique)
     prev_c = 0.0
@@ -286,7 +303,7 @@ def a_matrix(lw_over_hbar: float, truncation: int = 64) -> NDArray[np.float64]:
         splits |= {2 * math.pi * k, -2 * math.pi * k}
         k += 1
     edges = sorted(p for p in splits if -half <= p <= half)
-    rule = _rule(32)
+    rule = gauss_legendre(32)
     pts, wts = [], []
     for a, b in zip(edges[:-1], edges[1:]):
         nsub = max(1, math.ceil((b - a) / 1.0))
@@ -320,7 +337,7 @@ def principal_slepian(
     cc = _as_c(c)
     if cc == 0.0:
         raise DomainError("the principal eigenfunction is undefined at c = 0")
-    rule = _rule(order)
+    rule = gauss_legendre(order)
     value, vector = _eigenpair(cc, order)
     samples = vector / np.sqrt(rule.weights)
     if samples[order // 2] < 0:
@@ -342,10 +359,6 @@ def evaluate_principal(solution: ProlateSolution, points) -> NDArray[np.float64]
     it, for |u| > 1, to the band-limited continuation).
     """
     u = np.atleast_1d(np.asarray(points, dtype=np.float64))
-    rule = _rule(solution.quadrature_order)
-    cc = float(solution.c)
-    du = u[:, None] - rule.nodes[None, :]
-    near = np.abs(du) < 1e-14
-    safe = np.where(near, 1.0, du)
-    kern = np.where(near, cc / np.pi, np.sin(cc * safe) / (np.pi * safe))
+    rule = gauss_legendre(solution.quadrature_order)
+    kern = _sinc(float(solution.c), u, rule.nodes)
     return (kern @ (rule.weights * solution.principal_function)) / solution.lambda0

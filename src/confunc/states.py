@@ -35,7 +35,7 @@ from typing import TextIO
 import numpy as np
 
 from .errors import DomainError, GridError, MassDeficitError
-from .numerics import sine_integral
+from .numerics import _check_hbar, sine_integral
 from .slepian import DEFAULT_ORDER, evaluate_principal, lambda0, principal_slepian
 
 __all__ = [
@@ -65,12 +65,6 @@ _NORM_TOL = 1e-8
 # slack when a requested confidence exceeds total mass, matching the
 # norm tolerance of GriddedState
 _MASS_SLACK = 1e-7
-
-
-def _check_hbar(hbar: float) -> float:
-    if not (math.isfinite(hbar) and hbar > 0):
-        raise DomainError(f"hbar must be positive and finite, got {hbar}")
-    return float(hbar)
 
 
 @dataclass(frozen=True)
@@ -434,6 +428,13 @@ def gaussian_state(grid: Grid, sigma: float, hbar: float = 1.0) -> GriddedState:
     return _normalised(grid, raw, h)
 
 
+def _check_rect_sinc(length: float, width: float, weight: float) -> None:
+    if not (length > 0 and width > 0):
+        raise DomainError("length and width must be positive")
+    if not 0.0 <= weight <= 1.0:
+        raise DomainError(f"weight must lie in [0, 1], got {weight}")
+
+
 @dataclass(frozen=True)
 class RectSincPrediction:
     """Closed-form expectations for the rectangle/sinc superposition.
@@ -460,10 +461,7 @@ def rect_sinc_prediction(
     the same formulas under (L, W, P) -> (W, L, 1-P).
     """
     h = _check_hbar(hbar)
-    if not (length > 0 and width > 0):
-        raise DomainError("length and width must be positive")
-    if not 0.0 <= weight <= 1.0:
-        raise DomainError(f"weight must lie in [0, 1], got {weight}")
+    _check_rect_sinc(length, width, weight)
     c = length * width / (4.0 * h)
     s = math.sqrt(2.0 / (math.pi * c)) * sine_integral(c)
     m_in = (2.0 / math.pi) * (sine_integral(2.0 * c) - math.sin(c) ** 2 / c)
@@ -497,10 +495,7 @@ def rect_sinc_state(
     narrower grids raise GridError rather than silently aliasing.
     """
     h = _check_hbar(hbar)
-    if not (length > 0 and width > 0):
-        raise DomainError("length and width must be positive")
-    if not 0.0 <= weight <= 1.0:
-        raise DomainError(f"weight must lie in [0, 1], got {weight}")
+    _check_rect_sinc(length, width, weight)
     if not 0.0 < tail_tol < 1.0:
         raise DomainError(f"tail_tol must lie in (0, 1), got {tail_tol}")
 

@@ -22,6 +22,7 @@ from confunc.bounds import (
     gaussian_interval_product,
     log_asymptote,
     lp_interval_bound,
+    lp_interval_bounds,
     lp_measurable_bound,
     report,
 )
@@ -152,6 +153,27 @@ class TestLpIntervalBound:
         base = lp_interval_bound((0.8, 0.8), order=120)
         scaled = lp_interval_bound((0.8, 0.8), hbar=3.5, order=120)
         assert abs(scaled - 3.5 * base) <= 1e-9 * scaled
+
+
+class TestLpIntervalBounds:
+    def test_matches_one_pair_route_in_input_order(self):
+        pairs = [(0.9, 0.9), (0.3, 0.5), (0.8, 0.7), (0.9, 0.9)]
+        values = lp_interval_bounds(pairs, order=120)
+        expected = [lp_interval_bound(p, order=120) for p in pairs]
+        assert list(values) == pytest.approx(expected, rel=1e-9)
+        assert values[1] == 0.0
+
+    def test_empty(self):
+        assert lp_interval_bounds([]).size == 0
+
+    def test_divergent_pair_raises(self):
+        with pytest.raises(BoundDivergenceError):
+            lp_interval_bounds([(0.9, 0.9), (1.0, 1.0)], order=120)
+
+    def test_high_confidence_edge_not_overstated(self):
+        # 4*hbar*c with c = 13.11817 at 1 - theta = 1e-10; a stopping
+        # rule absolute in lambda0 returned c = 23.22 here
+        assert abs(lp_interval_bound((1.0, 1.0 - 1e-10)) / 52.4727 - 1.0) <= 1e-5
 
 
 class TestReport:

@@ -13,6 +13,7 @@ import re
 
 import pytest
 
+from confunc.bounds import lp_interval_bound
 from confunc.cli import main
 
 
@@ -160,6 +161,27 @@ class TestCompareCommand:
         assert code == 2
         assert "error:" in err
 
+    def test_below_half_has_no_bound(self, capsys):
+        # below 1/2 both confidences can be met at once, so the interval
+        # bound is 0, as the library says
+        code, out, _ = run(capsys, ["compare", "--theta", "0.3"])
+        assert code == 0
+        row = parse_csv(out)[0]
+        assert float(row["slepian"]) == lp_interval_bound((0.3, 0.3)) == 0.0
+        assert row["ratio"] == "inf"
+
+    def test_gaussian_never_below_bound_across_half(self, capsys):
+        thetas = ["0.2", "0.3", "0.45", "0.5", "0.52", "0.6", "0.8", "0.95"]
+        argv = ["compare", "--order", "120"]
+        for theta in thetas:
+            argv += ["--theta", theta]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        rows = parse_csv(out)
+        assert [r["theta"] for r in rows] == thetas
+        for row in rows:
+            assert float(row["gaussian"]) >= float(row["slepian"])
+
 
 class TestVerifyCommand:
     def test_two_route_suite_passes(self, capsys):
@@ -242,6 +264,26 @@ class TestOutputPlumbing:
         assert out == ""
         rows = parse_csv(path.read_text())
         assert rows[0]["lambda0"] == "0.88056"
+
+    def test_out_into_missing_directory_is_a_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "table.csv"
+        code, out, err = run(capsys, ["lambda0", "--c", "1.0", "--out", str(path)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+        assert not path.parent.exists()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_out_leaves_no_temporary_file(self, capsys, tmp_path, fmt):
+        path = tmp_path / "table.out"
+        path.write_text("stale\n")
+        argv = ["lambda0", "--c", "1.0", "--format", fmt, "--out", str(path)]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        assert out == ""
+        assert [p.name for p in tmp_path.iterdir()] == ["table.out"]
+        _, stdout, _ = run(capsys, argv[:-2])
+        assert path.read_text() == stdout
 
     def test_deterministic_output(self, capsys):
         _, first, _ = run(capsys, ["bounds", "--grid", "5", "--order", "120"])

@@ -204,6 +204,13 @@ class TestBisectMonotone:
         with pytest.raises(BracketError):
             bisect_monotone(lambda x: x, 0.5, (1.0, 0.0))
 
+    def test_raises_at_iteration_cap(self):
+        # a step never meets its target and, with tol = 0, the bracket
+        # stalls at one ulp instead of shrinking below tol
+        step = lambda x: 0.0 if x < 0.5 else 1.0
+        with pytest.raises(ConvergenceError):
+            bisect_monotone(step, 0.5, (0.0, 1.0), tol=0.0)
+
     @given(
         st.floats(min_value=-5.0, max_value=5.0),
         st.floats(min_value=0.01, max_value=4.0),

@@ -14,7 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from confunc.errors import DomainError
+from confunc import slepian
+from confunc.errors import ConvergenceError, DomainError
 from confunc.numerics import gauss_legendre, largest_eigenpair
 from confunc.slepian import (
     ConcentrationParameter,
@@ -208,3 +209,37 @@ def test_lambda0_monotone_property(c1, c2):
     if hi - lo < 1e-6:
         return
     assert lambda0(lo, order=120) < lambda0(hi, order=120)
+
+
+class TestHighConfidence:
+    def test_lambda0_stays_below_one(self):
+        assert lambda0(40.0) < 1.0
+        assert principal_slepian(40.0).lambda0 < 1.0
+
+    def test_inversion_raises_at_iteration_cap(self, monkeypatch):
+        # an eigenvalue that steps over the target at c = 0.5 never meets
+        # it, and with tol = 0 the bracket stalls at one ulp around 0.5,
+        # so the solver must give up rather than return
+        true_pair = slepian._eigenpair
+        monkeypatch.setattr(
+            slepian,
+            "_eigenpair",
+            lambda c, order: (0.2 if c < 0.5 else 0.4, true_pair(c, order)[1]),
+        )
+        with pytest.raises(ConvergenceError):
+            lambda0_inverse(0.3, order=40, tol=0.0)
+
+
+def test_batch_rejects_nan_target():
+    with pytest.raises(DomainError):
+        lambda0_inverse_batch([0.5, math.nan])
+
+
+@given(st.floats(min_value=math.log(2e-12), max_value=math.log(0.5)))
+@settings(deadline=None, max_examples=6)
+def test_inverse_round_trip_in_log_complement(log_eps):
+    # the stopping rule is relative in 1 - theta, so the complement
+    # 1 - lambda0 is matched even where theta is within 1e-11 of 1
+    theta = 1.0 - math.exp(log_eps)
+    c = float(lambda0_inverse(theta))
+    assert abs(math.log1p(-lambda0(c)) - math.log1p(-theta)) <= 1e-4
