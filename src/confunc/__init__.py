@@ -8,9 +8,10 @@ the concentration eigenvalue lambda0(c) of the sinc-kernel operator:
 
 * :mod:`confunc.numerics` -- quadrature, special functions, and the
   symmetric-eigenpair and bisection primitives;
-* :mod:`confunc.slepian`  -- lambda0(c), its inverse, the principal
-  eigenfunction, and an independent Fourier-coefficient route to the
-  same number;
+* :mod:`confunc.slepian`  -- lambda0(c) from the tridiagonal prolate
+  matrix, its inverse, the principal eigenfunction, and two independent
+  routes to the same number (the sinc-kernel Nystrom matrix and the
+  Fourier-coefficient matrix);
 * :mod:`confunc.bounds`   -- the bound formulas over the confidence
   square, with region classification and a per-pair report;
 * :mod:`confunc.states`   -- gridded wavefunctions, the unitary

@@ -74,6 +74,10 @@ _ENV_ORDER = "CONFUNC_ORDER"
 _COMPARE_DEFAULT = (0.55, 0.60, 0.70, 0.80, 0.90, 0.95, 0.99)
 # cells of the grids behind the lenard suite and the Gaussian state dump
 _GRID_POINTS = 4096
+# count caps, checked before any list is built: the largest landscape
+# side (its square of pairs) and the most c values one --range may give
+_MAX_LANDSCAPE_SIDE = 500
+_MAX_RANGE_VALUES = 100_000
 
 
 @dataclass(frozen=True)
@@ -173,9 +177,15 @@ def _parse_range(spec: str) -> list[float]:
         start, stop, step = (float(p) for p in parts)
     except ValueError as exc:
         raise DomainError(f"range must be numeric, got {spec!r}") from exc
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise DomainError(f"range must be finite, got {spec!r}")
     if step <= 0 or stop < start:
         raise DomainError(f"range requires start <= stop and step > 0, got {spec!r}")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
+    count = math.floor((stop - start) / step + 1e-9) + 1
+    if count > _MAX_RANGE_VALUES:
+        raise DomainError(
+            f"range {spec!r} gives {count} values, above the cap of {_MAX_RANGE_VALUES}"
+        )
     return [start + k * step for k in range(count)]
 
 
@@ -223,8 +233,10 @@ def _point_row(pair: ConfidencePair, config: RunConfig) -> dict:
 
 def _cmd_bounds(args: argparse.Namespace, config: RunConfig) -> tuple[list[dict], int]:
     if args.grid is not None:
-        if args.grid < 1:
-            raise DomainError(f"--grid must be a positive cell count, got {args.grid}")
+        if not 1 <= args.grid <= _MAX_LANDSCAPE_SIDE:
+            raise DomainError(
+                f"--grid must be a cell count in [1, {_MAX_LANDSCAPE_SIDE}], got {args.grid}"
+            )
         levels = [i / (args.grid + 1) for i in range(1, args.grid + 1)]
         pairs = [ConfidencePair(tx, tp) for tx in levels for tp in levels]
         bounds = lp_interval_bounds(pairs, hbar=config.hbar, order=config.quadrature_order)
@@ -485,7 +497,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "--order",
         type=int,
         default=None,
-        help=f"quadrature order (default {DEFAULT_ORDER}; env {_ENV_ORDER} overrides)",
+        help=(
+            f"sample count of the principal function in state slepian "
+            f"(default {DEFAULT_ORDER}; env {_ENV_ORDER} overrides)"
+        ),
     )
     common.add_argument("--format", choices=("csv", "json"), default="csv")
     common.add_argument("--out", default=None, help="output path (default stdout)")
@@ -505,7 +520,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "--grid",
         type=int,
         default=None,
-        help="emit the tight-bound landscape on an N x N interior grid",
+        help=(
+            "emit the tight-bound landscape on an N x N interior grid "
+            f"(N <= {_MAX_LANDSCAPE_SIDE})"
+        ),
     )
     p.set_defaults(handler=_cmd_bounds)
 

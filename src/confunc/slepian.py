@@ -3,14 +3,28 @@
 The largest eigenvalue lambda0(c) of the sinc-kernel integral operator on
 [-1, 1] measures the maximal fraction of band-limited energy a function
 confined to an interval can carry; c = L*W/(4*hbar) is the dimensionless
-product of the position window L and momentum window W. This module
-computes lambda0 by Gauss-Legendre discretisation of the kernel, inverts
-it, evaluates the two closed-form asymptotic approximants, extends the
-principal eigenfunction off the quadrature nodes, and provides the
-independent Fourier-coefficient matrix route whose operator norm equals
-pi * lambda0(c), used as a cross-check of the whole engine.
-Newton's step in the inversion takes d lambda0/dc = 2 lambda0 psi0(1)^2 / c
-(Slepian-Pollak, psi0 of unit norm on [-1, 1]) from one kernel row, and
+product of the position window L and momentum window W.
+
+The prolate differential operator commutes with the sinc kernel, so the
+two share their eigenfunctions; on the even normalised Legendre
+polynomials it is a symmetric tridiagonal matrix (Bouwkamp 1947;
+Slepian & Pollak 1961; Xiao, Rokhlin & Yarvin 2001). Its ground
+eigenvector gives the Legendre coefficients of the principal
+eigenfunction psi0, and lambda0 = (c / 2 pi) mu0^2 with
+mu0 = sqrt(2) beta0 / psi0(0), from integrating the eigenvalue relation
+of the Fourier operator at the origin. The matrix has floor(c/2) + 40
+rows, so the eigenvalue needs no quadrature and does not depend on an
+order; ``order`` only sets how many Gauss-Legendre samples of psi0
+:func:`principal_slepian` returns. The engine supports c in [0, 1000].
+
+This module also inverts lambda0, evaluates the two closed-form
+asymptotic approximants, extends the principal eigenfunction off its
+sample nodes through the sinc kernel, and keeps two independent
+cross-checks of the engine: the Nystrom matrix of the sinc kernel and
+the Fourier-coefficient matrix whose operator norm equals
+pi * lambda0(c). Newton's step in the inversion takes
+d lambda0/dc = 2 lambda0 psi0(1)^2 / c (Slepian-Pollak, psi0 of unit
+norm on [-1, 1]) with psi0(1) summed from the same coefficients, and
 stops on a tolerance relative to 1 - theta, so theta near 1 stays exact.
 """
 
@@ -43,13 +57,18 @@ __all__ = [
 
 DEFAULT_ORDER = 400
 
-# theta closer to 1 than this cannot be resolved in double precision,
-# because 1 - lambda0 is formed by subtraction from eigenvalues near 1
+# theta closer to 1 than this cannot be resolved in double precision:
+# lambda0 near 1 carries a rounding error of a few ulps of 1 (1.1e-16
+# each), so 1 - lambda0 formed by subtraction is no finer than that
 _THETA_RESOLUTION = 1e-12
 
 # largest double below 1: rounding in the eigensolve can push lambda0 of
 # a large c just above 1, outside its range [0, 1)
 _BELOW_ONE = math.nextafter(1.0, 0.0)
+
+# largest supported concentration; the prolate matrix has c/2 + 40 rows,
+# and 1 - lambda0 is below one ulp of 1 from c = 20 on
+_C_MAX = 1000.0
 
 
 def _as_c(c: float | ConcentrationParameter) -> float:
@@ -78,9 +97,9 @@ class ConcentrationParameter:
 class ProlateSolution:
     """Principal eigenpair of the sinc kernel at one concentration c.
 
-    ``principal_function`` holds samples of the unit-norm, even ground
-    eigenfunction on the Gauss-Legendre nodes of [-1, 1] used to
-    discretise the operator (norm taken under the quadrature weights).
+    ``principal_function`` holds samples of the even ground
+    eigenfunction, of unit L2 norm on [-1, 1], on the
+    ``quadrature_order`` Gauss-Legendre nodes of [-1, 1].
     """
 
     c: ConcentrationParameter
@@ -120,18 +139,78 @@ def kernel_matrix(
     return sw[:, None] * kern * sw[None, :]
 
 
+def _prolate_matrix(c: float) -> NDArray[np.float64]:
+    """Prolate operator -d/du (1 - u^2) d/du + c^2 u^2 on the normalised
+    even Legendre polynomials sqrt(k + 1/2) P_k, k = 0, 2, 4, ...
+
+    Symmetric tridiagonal with floor(c/2) + 40 rows; its eigenvalues are
+    the even prolate characteristic values, the smallest belonging to
+    psi0, and the truncation leaves the ground eigenvector exact to
+    double precision for every supported c.
+    """
+    k = 2.0 * np.arange(int(c // 2) + 40)
+    cc = c * c
+    diag = k * (k + 1) + cc * (2 * k * (k + 1) - 1) / ((2 * k + 3) * (2 * k - 1))
+    j = k[:-1]
+    off = cc * (j + 2) * (j + 1) / ((2 * j + 3) * np.sqrt((2 * j + 1) * (2 * j + 5)))
+    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+
+
+def _legendre_series(
+    coeffs: NDArray[np.float64], u: NDArray[np.float64]
+) -> NDArray[np.float64]:
+    """sum_j coeffs[j] * P_2j(u), by the three-term recurrence."""
+    p_prev, p = np.zeros_like(u), np.ones_like(u)
+    total = coeffs[0] * p
+    for n in range(1, 2 * len(coeffs) - 1):
+        p_prev, p = p, ((2 * n - 1) * u * p - (n - 1) * p_prev) / n
+        if n % 2 == 0:
+            total += coeffs[n // 2] * p
+    return total
+
+
 @lru_cache(maxsize=4096)
 def _eigenpair(c: float, order: int) -> tuple[float, NDArray[np.float64]]:
-    value, vector = largest_eigenpair(kernel_matrix(c, gauss_legendre(order)))
-    return min(value, _BELOW_ONE), vector
+    """lambda0(c) and the coefficients a of psi0(u) = sum_j a_j P_2j(u).
+
+    psi0 has unit norm on [-1, 1] and psi0(0) > 0, so psi0(1) = sum(a).
+    ``order`` does not enter: it is part of the key only because every
+    caller already carries it.
+    """
+    if c > _C_MAX:
+        raise DomainError(
+            f"c = {c:.6g} is outside the supported range [0, {_C_MAX:g}] "
+            "of the eigenvalue engine"
+        )
+    matrix = _prolate_matrix(c)
+    # psi0 belongs to the smallest eigenvalue; the infinity norm scales
+    # the residual check of the eigensolve to the matrix
+    _, beta = largest_eigenpair(-matrix / np.max(np.sum(np.abs(matrix), axis=1)))
+    coeffs = beta * np.sqrt(2.0 * np.arange(len(beta)) + 0.5)
+    j = np.arange(1, len(beta))
+    # P_2j(0) = (-1)^j (2j - 1)!! / (2j)!!
+    at_zero = float(coeffs @ np.cumprod(np.concatenate(([1.0], (1 - 2 * j) / (2 * j)))))
+    # (c / 2 pi) mu0^2 with mu0 = sqrt(2) beta0 / psi0(0)
+    ratio = float(beta[0]) / at_zero
+    value = min(c / math.pi * ratio * ratio, _BELOW_ONE)
+    if at_zero < 0:
+        coeffs = -coeffs
+    coeffs.setflags(write=False)
+    return value, coeffs
 
 
 def lambda0(c: float | ConcentrationParameter, order: int = DEFAULT_ORDER) -> float:
     """Largest sinc-kernel eigenvalue lambda0(c), in [0, 1).
 
-    The default order 400 resolves 1 - lambda0 well below 1e-8 for
-    c <= 10; convergence in the order is spectral, so halving it does
-    not change the value within 1e-9 there.
+    Computed from the ground state of the tridiagonal prolate matrix; a
+    40-digit solve of the same matrix puts its rounding error at no more
+    than 14 ulps of lambda0 for c in [1, 15]. ``order`` is accepted for
+    the callers' sake and does not change the value.
+
+    Raises
+    ------
+    DomainError
+        If c is negative, not finite, or above the supported 1000.
     """
     cc = _as_c(c)
     if cc == 0.0:
@@ -175,9 +254,9 @@ def _invert(
 
     Newton iteration on ln(1 - lambda0), nearly linear in c, with the
     Slepian-Pollak derivative d lambda0/dc = 2 lambda0 psi0(1)^2 / c and
-    psi0(1) = sum_j K(1, u_j) sqrt(w_j) v_j / lambda0 from one kernel row;
-    steps leaving the bracket fall back to bisection. It stops once
-    |lambda0(c) - theta| <= tol * (1 - theta), or once the bracket is
+    psi0(1) the sum of psi0's Legendre coefficients, since every
+    P_k(1) = 1; steps leaving the bracket fall back to bisection. It
+    stops once |lambda0(c) - theta| <= tol * (1 - theta), or once the bracket is
     narrower than tol. An absolute tolerance would accept a c far too
     large once 1 - theta nears tol, overstating every bound built on it.
 
@@ -186,12 +265,10 @@ def _invert(
     ConvergenceError
         If neither test is met within 200 iterations.
     """
-    rule = gauss_legendre(order)
-    sw = np.sqrt(rule.weights)
     c = start if start is not None and lo < start < hi else 0.5 * (lo + hi)
     best_c, best_gap = c, math.inf
     for _ in range(200):
-        value, vector = _eigenpair(c, order)
+        value, coeffs = _eigenpair(c, order)
         gap = abs(value - theta)
         if gap < best_gap:
             best_c, best_gap = c, gap
@@ -204,7 +281,7 @@ def _invert(
             lo = c
         else:
             hi = c
-        edge = float(_sinc(c, np.ones(1), rule.nodes)[0] @ (sw * vector)) / value
+        edge = float(np.sum(coeffs))
         deriv = 2.0 * value * edge * edge / c
         c_next = c
         if deriv > 0:
@@ -328,24 +405,24 @@ def principal_slepian(
 ) -> ProlateSolution:
     """Principal eigenfunction samples and eigenvalue at concentration c.
 
-    The symmetrised Nystrom eigenvector v is converted back to function
-    samples f_i = v_i / sqrt(w_i), which carry unit L2 norm under the
-    quadrature weights. The sign convention makes the function positive
-    at the midpoint; the ground state has no interior nodes, so this
-    fixes it globally.
+    The Legendre series of psi0 from the prolate matrix is evaluated on
+    the ``order`` Gauss-Legendre nodes of [-1, 1]. psi0 has unit L2 norm
+    and is positive at the midpoint; the ground state has no interior
+    zeros, so this fixes its sign globally.
+
+    Raises
+    ------
+    DomainError
+        If c is 0, where psi0 is undefined, or outside [0, 1000].
     """
     cc = _as_c(c)
     if cc == 0.0:
         raise DomainError("the principal eigenfunction is undefined at c = 0")
-    rule = gauss_legendre(order)
-    value, vector = _eigenpair(cc, order)
-    samples = vector / np.sqrt(rule.weights)
-    if samples[order // 2] < 0:
-        samples = -samples
+    value, coeffs = _eigenpair(cc, order)
     return ProlateSolution(
         c=ConcentrationParameter(cc),
         lambda0=value,
-        principal_function=samples.copy(),
+        principal_function=_legendre_series(coeffs, gauss_legendre(order).nodes),
         quadrature_order=order,
     )
 
@@ -354,9 +431,11 @@ def evaluate_principal(solution: ProlateSolution, points) -> NDArray[np.float64]
     """Evaluate the principal eigenfunction at arbitrary points.
 
     Uses the eigenvalue relation itself: applying the sinc kernel to the
-    node samples and dividing by lambda0 interpolates the eigenfunction
-    with the same spectral accuracy as the discretisation (and extends
-    it, for |u| > 1, to the band-limited continuation).
+    node samples by their Gauss-Legendre rule and dividing by lambda0
+    interpolates the eigenfunction with the rule's spectral accuracy (and
+    extends it, for |u| > 1, to the band-limited continuation). It does
+    not use the Legendre series the samples come from, so it also
+    cross-checks them.
     """
     u = np.atleast_1d(np.asarray(points, dtype=np.float64))
     rule = gauss_legendre(solution.quadrature_order)

@@ -13,6 +13,7 @@ import re
 
 import pytest
 
+from confunc import cli
 from confunc.bounds import lp_interval_bound
 from confunc.cli import main
 
@@ -324,3 +325,42 @@ class TestParserBasics:
     def test_no_arguments(self, capsys):
         code, _, _ = run(capsys, [])
         assert code == 2
+
+
+class TestSizeCaps:
+    def test_lambda0_above_supported_c(self, capsys):
+        code, out, err = run(capsys, ["lambda0", "--c", "1e6"])
+        assert code == 2
+        assert out == ""
+        assert "supported range [0, 1000]" in err
+
+    def test_state_slepian_above_supported_c(self, capsys):
+        code, _, err = run(capsys, ["state", "slepian", "--c", "1e6"])
+        assert code == 2
+        assert "supported range" in err
+
+    def test_grid_cap(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_MAX_LANDSCAPE_SIDE", 3)
+        code, out, err = run(capsys, ["bounds", "--grid", "4"])
+        assert code == 2
+        assert out == ""
+        assert "[1, 3]" in err
+        code, out, _ = run(capsys, ["bounds", "--grid", "3", "--order", "120"])
+        assert code == 0
+        assert len(parse_csv(out)) == 9
+
+    def test_range_cap(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_MAX_RANGE_VALUES", 5)
+        code, out, err = run(capsys, ["lambda0", "--range", "0:1:0.2"])
+        assert code == 2
+        assert out == ""
+        assert "gives 6 values" in err
+        code, out, _ = run(capsys, ["lambda0", "--range", "0:0.8:0.2"])
+        assert code == 0
+        assert len(parse_csv(out)) == 5
+
+    @pytest.mark.parametrize("spec", ["0:inf:1", "0:1:nan", "0:1e400:1"])
+    def test_non_finite_range(self, capsys, spec):
+        code, _, err = run(capsys, ["lambda0", "--range", spec])
+        assert code == 2
+        assert "finite" in err

@@ -1,10 +1,12 @@
 """Concentration eigenvalue engine.
 
-The eigenvalue has two independent routes here: the Nystrom
-discretisation of the sinc kernel (the production path) and the
-Fourier-coefficient matrix whose norm must equal pi times the same
-eigenvalue. Tests also pin spectral convergence, the inverse, and the
-principal eigenfunction's defining properties.
+The eigenvalue comes from the tridiagonal prolate matrix (the
+production path) and is checked against two independent routes, the
+Nystrom discretisation of the sinc kernel and the Fourier-coefficient
+matrix whose norm must equal pi times the same eigenvalue, and against
+a 40-digit solve of the prolate matrix. Tests also pin spectral
+convergence, the inverse, and the principal eigenfunction's defining
+properties.
 """
 
 import math
@@ -243,3 +245,105 @@ def test_inverse_round_trip_in_log_complement(log_eps):
     theta = 1.0 - math.exp(log_eps)
     c = float(lambda0_inverse(theta))
     assert abs(math.log1p(-lambda0(c)) - math.log1p(-theta)) <= 1e-4
+
+
+class TestProlateEngine:
+    """The tridiagonal prolate route against independent oracles."""
+
+    @pytest.mark.parametrize("c", [0.01, 0.5, 1.0, 3.0, 8.0])
+    def test_matches_dense_nystrom_route(self, c):
+        dense, _ = largest_eigenpair(kernel_matrix(c, gauss_legendre(400)))
+        assert abs(lambda0(c) - dense) <= 1e-14
+
+    @pytest.mark.parametrize("c", [0.5, 1.0, 3.0, 8.0, 40.0])
+    def test_ground_characteristic_value(self, c):
+        special = pytest.importorskip("scipy.special")
+        chi = np.linalg.eigvalsh(slepian._prolate_matrix(c))[0]
+        assert chi == pytest.approx(special.pro_cv(0, 0, c), rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("c", [0.5, 1.0, 2.0])
+    def test_edge_value_gives_the_derivative(self, c):
+        # Newton's derivative d lambda0/dc = 2 lambda0 psi0(1)^2 / c, with
+        # psi0(1) the sum of the Legendre coefficients, against a central
+        # difference of lambda0 itself
+        value, coeffs = slepian._eigenpair(c, slepian.DEFAULT_ORDER)
+        edge = float(np.sum(coeffs))
+        h = 1e-5 * c
+        difference = (lambda0(c + h) - lambda0(c - h)) / (2.0 * h)
+        assert 2.0 * value * edge * edge / c == pytest.approx(difference, rel=1e-8)
+
+    def test_samples_match_nystrom_eigenvector(self):
+        c, order = 2.5, 200
+        rule = gauss_legendre(order)
+        _, vector = largest_eigenpair(kernel_matrix(c, rule))
+        samples = vector / np.sqrt(rule.weights)
+        if samples[order // 2] < 0:
+            samples = -samples
+        solution = principal_slepian(c, order=order)
+        assert np.max(np.abs(solution.principal_function - samples)) <= 1e-10
+
+    def test_value_does_not_depend_on_order(self):
+        assert lambda0(1.3, order=7) == lambda0(1.3, order=400)
+
+    def test_stays_below_one_up_to_the_cap(self):
+        assert lambda0(40.0) < 1.0
+        assert lambda0(slepian._C_MAX) < 1.0
+
+    def test_rejects_c_above_the_cap_before_building_a_matrix(self, monkeypatch):
+        def refuse(c):
+            raise AssertionError(f"prolate matrix built for c = {c}")
+
+        monkeypatch.setattr(slepian, "_prolate_matrix", refuse)
+        above = math.nextafter(slepian._C_MAX, math.inf)
+        with pytest.raises(DomainError, match="supported range"):
+            lambda0(above)
+        with pytest.raises(DomainError, match="supported range"):
+            principal_slepian(above)
+
+
+def _lambda0_high_precision(mp, c):
+    """lambda0 of the engine's prolate matrix, built and solved by mpmath.
+
+    ``mp.eigsy`` gives the ground characteristic value chi; the ground
+    eigenvector then follows from the rows of (A - chi) b = 0 by
+    backward recurrence, which is stable because the coefficients fall
+    off with the degree. lambda0 = (c / 2 pi) (sqrt(2) b0 / psi0(0))^2
+    does not depend on the normalisation of b.
+    """
+    m = int(c // 2) + 40
+    cc = mp.mpf(c) ** 2
+    a = mp.zeros(m, m)
+    for i in range(m):
+        k = mp.mpf(2 * i)
+        a[i, i] = k * (k + 1) + cc * (2 * k * (k + 1) - 1) / ((2 * k + 3) * (2 * k - 1))
+        if i + 1 < m:
+            off = cc * (k + 2) * (k + 1) / ((2 * k + 3) * mp.sqrt((2 * k + 1) * (2 * k + 5)))
+            a[i, i + 1] = a[i + 1, i] = off
+    chi = mp.eigsy(a, eigvals_only=True)[0]
+    b = [mp.mpf(0)] * m
+    b[m - 1] = mp.mpf(1)
+    b[m - 2] = (chi - a[m - 1, m - 1]) * b[m - 1] / a[m - 2, m - 1]
+    for i in range(m - 2, 0, -1):
+        b[i - 1] = ((chi - a[i, i]) * b[i] - a[i, i + 1] * b[i + 1]) / a[i - 1, i]
+    legendre_at_zero, at_zero = mp.mpf(1), mp.mpf(0)
+    for j in range(m):
+        if j:
+            legendre_at_zero *= -mp.mpf(2 * j - 1) / (2 * j)
+        at_zero += b[j] * mp.sqrt(2 * j + mp.mpf(0.5)) * legendre_at_zero
+    mu = mp.sqrt(2) * b[0] / at_zero
+    return mp.mpf(c) / (2 * mp.pi) * mu * mu
+
+
+@pytest.mark.parametrize("c", [5.0, 10.0, 13.0])
+def test_lambda0_against_40_digit_oracle(c):
+    # 1 - lambda0 runs from 6.5e-4 down to 1.3e-10 here, so only a bound
+    # in ulps of lambda0 is meaningful; the dense Nystrom route and this
+    # engine both scatter by up to ~17 ulps over c in [1, 15]
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        exact = _lambda0_high_precision(mpmath, c)
+        error = abs(mpmath.mpf(lambda0(c)) - exact)
+        assert error <= 20 * math.ulp(float(exact)), (
+            f"c={c}: 1 - lambda0 = {mpmath.nstr(1 - exact, 12)}, "
+            f"engine off by {float(error) / math.ulp(float(exact)):.1f} ulps"
+        )
