@@ -21,7 +21,7 @@ from numpy.typing import NDArray
 
 from .errors import BoundDivergenceError, DomainError
 from .numerics import _check_hbar, erf_inverse
-from .slepian import DEFAULT_ORDER, lambda0_inverse_batch
+from .slepian import lambda0_inverse_batch
 
 __all__ = [
     "Region",
@@ -111,7 +111,6 @@ def lp_measurable_bound(
 def lp_interval_bounds(
     pairs: Sequence[ConfidencePair | tuple[float, float]],
     hbar: float = 1.0,
-    order: int = DEFAULT_ORDER,
 ) -> NDArray[np.float64]:
     """Tight lower bounds 4*hbar*lambda0_inverse(T), one per pair.
 
@@ -135,14 +134,12 @@ def lp_interval_bounds(
         )
     bounded = targets > 0.0
     out = np.zeros(targets.size)
-    out[bounded] = 4.0 * h * lambda0_inverse_batch(targets[bounded], order=order)
+    out[bounded] = 4.0 * h * lambda0_inverse_batch(targets[bounded])
     return out
 
 
 def lp_interval_bound(
-    pair: ConfidencePair | tuple[float, float],
-    hbar: float = 1.0,
-    order: int = DEFAULT_ORDER,
+    pair: ConfidencePair | tuple[float, float], hbar: float = 1.0
 ) -> float:
     """Tight lower bound 4*hbar*lambda0_inverse(T) on the interval product.
 
@@ -150,7 +147,7 @@ def lp_interval_bound(
     region, BoundDivergenceError at (1, 1). Strictly larger than the
     measurable-set bound in the interior of the bounded region.
     """
-    return float(lp_interval_bounds([pair], hbar=hbar, order=order)[0])
+    return float(lp_interval_bounds([pair], hbar=hbar)[0])
 
 
 def log_asymptote(theta_p: float, hbar: float = 1.0) -> float:
@@ -259,9 +256,7 @@ class BoundReport:
 
 
 def report(
-    pair: ConfidencePair | tuple[float, float],
-    hbar: float = 1.0,
-    order: int = DEFAULT_ORDER,
+    pair: ConfidencePair | tuple[float, float], hbar: float = 1.0
 ) -> BoundReport:
     """Evaluate every bound at one pair and package the result.
 
@@ -280,7 +275,7 @@ def report(
     if region is Region.TRIVIAL:
         interval = None
     else:
-        interval = lp_interval_bound(p, hbar=h, order=order)
+        interval = lp_interval_bound(p, hbar=h)
     if p.theta_x == 1.0 or p.theta_p == 1.0:
         gaussian = math.inf
     elif p.theta_x == 0.0 or p.theta_p == 0.0:

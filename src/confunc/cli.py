@@ -12,10 +12,14 @@ evaluators for scripted use. Five subcommands:
 * ``state``     -- sample states with position/momentum density columns
   for external plotting.
 
-Output is CSV with one header row (default) or a JSON array of the same
-records. Numbers carry 6 significant digits; eigenvalue tables also
-report 1 - lambda0 in scientific notation so near-unity values stay
-resolvable. Exit codes: 0 success, 1 a verification check failed,
+Every subcommand takes the same four options: ``--hbar``, ``--format``,
+``--out`` and ``--seed`` (the verification corpus); no environment
+variable changes a result. Output is CSV with one header row (default)
+or a JSON array of the same records. Numbers carry 6 significant digits;
+eigenvalue tables also report 1 - lambda0 in scientific notation so
+near-unity values stay resolvable. ``--out`` follows symlinks, writes a
+FIFO or device in place, and replaces a regular file only once the new
+one is complete. Exit codes: 0 success, 1 a verification check failed,
 2 usage or parameter error, or ``--out`` could not be written.
 """
 
@@ -48,13 +52,7 @@ from .bounds import (
 )
 from .errors import ConfuncError, DomainError
 from .numerics import _check_hbar, largest_eigenpair
-from .slepian import (
-    DEFAULT_ORDER,
-    a_matrix,
-    lambda0,
-    lambda0_large_c,
-    lambda0_small_c,
-)
+from .slepian import a_matrix, lambda0, lambda0_large_c, lambda0_small_c
 from .states import (
     Grid,
     differential_entropy,
@@ -70,7 +68,6 @@ from .states import (
 
 __all__ = ["RunConfig", "main"]
 
-_ENV_ORDER = "CONFUNC_ORDER"
 _COMPARE_DEFAULT = (0.55, 0.60, 0.70, 0.80, 0.90, 0.95, 0.99)
 # cells of the grids behind the lenard suite and the Gaussian state dump
 _GRID_POINTS = 4096
@@ -85,17 +82,16 @@ class RunConfig:
     """Resolved global options shared by all subcommands."""
 
     hbar: float = 1.0
-    quadrature_order: int = DEFAULT_ORDER
     output_format: str = "csv"
     output_path: str | None = None
     seed: int = 42
 
     def __post_init__(self) -> None:
         _check_hbar(self.hbar)
-        if self.quadrature_order < 2:
-            raise DomainError(f"order must be at least 2, got {self.quadrature_order}")
         if self.output_format not in ("csv", "json"):
             raise DomainError(f"format must be csv or json, got {self.output_format}")
+        if self.seed < 0:
+            raise DomainError(f"seed must be >= 0, got {self.seed}")
 
 
 # --------------------------------------------------------------------
@@ -143,14 +139,23 @@ def _write(rows: list[dict], output_format: str, target: TextIO) -> None:
 
 
 def _emit(rows: list[dict], config: RunConfig) -> None:
-    """Write rows to stdout, or to --out through a temporary file that is
-    renamed over the target only once it is complete."""
+    """Write rows to stdout or to --out.
+
+    Symlinks are followed. An existing FIFO or device is written in
+    place; a regular or new file is written to a temporary file beside
+    the resolved target, which is renamed over it only once complete.
+    """
     if not rows:
         return
     if not config.output_path:
         _write(rows, config.output_format, sys.stdout)
         return
-    path = Path(config.output_path)
+    target = Path(config.output_path)
+    if target.exists() and not target.is_file():
+        with open(target, "w", newline="", encoding="ascii") as handle:
+            _write(rows, config.output_format, handle)
+        return
+    path = Path(os.path.realpath(target))
     temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(temporary, "x", newline="", encoding="ascii") as handle:
@@ -197,7 +202,7 @@ def _cmd_lambda0(args: argparse.Namespace, config: RunConfig) -> tuple[list[dict
         raise DomainError("lambda0 needs --c or --range")
     rows = []
     for c in values:
-        lam = lambda0(c, order=config.quadrature_order)
+        lam = lambda0(c)
         rows.append(
             {
                 "c": c,
@@ -214,7 +219,7 @@ def _point_row(pair: ConfidencePair, config: RunConfig) -> dict:
     """Every bound at one pair; at (1, 1) the interval bound diverges."""
     h = config.hbar
     try:
-        rep = report(pair, hbar=h, order=config.quadrature_order)
+        rep = report(pair, hbar=h)
         interval, gaussian = rep.lp_interval or 0.0, rep.gaussian_product
     except BoundDivergenceError:
         interval, gaussian = "divergent", math.inf
@@ -239,7 +244,7 @@ def _cmd_bounds(args: argparse.Namespace, config: RunConfig) -> tuple[list[dict]
             )
         levels = [i / (args.grid + 1) for i in range(1, args.grid + 1)]
         pairs = [ConfidencePair(tx, tp) for tx in levels for tp in levels]
-        bounds = lp_interval_bounds(pairs, hbar=config.hbar, order=config.quadrature_order)
+        bounds = lp_interval_bounds(pairs, hbar=config.hbar)
         rows = [
             {"theta_x": p.theta_x, "theta_p": p.theta_p, "lp_interval": bound}
             for p, bound in zip(pairs, bounds)
@@ -255,9 +260,7 @@ def _cmd_compare(args: argparse.Namespace, config: RunConfig) -> tuple[list[dict
     for theta in thetas:
         if not 0.0 < theta < 1.0:
             raise DomainError(f"compare requires 0 < theta < 1, got {theta}")
-    slepian = lp_interval_bounds(
-        [(t, t) for t in thetas], hbar=config.hbar, order=config.quadrature_order
-    )
+    slepian = lp_interval_bounds([(t, t) for t in thetas], hbar=config.hbar)
     rows = []
     for theta, product in zip(thetas, slepian):
         gaussian = gaussian_interval_product(theta, hbar=config.hbar)
@@ -307,7 +310,7 @@ def _suite_two_route(config: RunConfig) -> list[dict]:
     rows = []
     for c in (0.5, 1.0, 1.5, 2.0):
         norm, _ = largest_eigenpair(a_matrix(4.0 * c))
-        diff = abs(norm / math.pi - lambda0(c, order=config.quadrature_order))
+        diff = abs(norm / math.pi - lambda0(c))
         rows.append(_check("two-route", f"a_matrix_vs_eigenvalue_c_{c}", diff, 1e-6, diff <= 1e-6))
     return rows
 
@@ -335,7 +338,7 @@ def _suite_dominance(config: RunConfig) -> list[dict]:
         for tp in spots
         if tx + tp > 1.0
     ]
-    intervals = lp_interval_bounds(pairs, hbar=config.hbar, order=config.quadrature_order)
+    intervals = lp_interval_bounds(pairs, hbar=config.hbar)
     worst = math.inf
     for pair, interval in zip(pairs, intervals):
         worst = min(worst, interval - lp_measurable_bound(pair, config.hbar))
@@ -364,7 +367,6 @@ def _suite_lenard(config: RunConfig) -> list[dict]:
                 (xc - 0.5 * xw, xc + 0.5 * xw),
                 (pc - 0.5 * pw, pc + 0.5 * pw),
                 slack=slack,
-                order=config.quadrature_order,
             )
             worst = min(worst, witness.margin)
         rows.append(
@@ -429,16 +431,14 @@ def _cmd_state(args: argparse.Namespace, config: RunConfig) -> tuple[list[dict],
         # a wide domain keeps the momentum grid fine enough to resolve
         # the in-band fraction: dp = 2*pi*hbar/(n*dx) shrinks with n*dx
         grid = Grid.symmetric(48.0 * length, 1 << 15)
-        state = slepian_state(
-            args.c, length, hbar=h, grid=grid, order=config.quadrature_order
-        )
+        state = slepian_state(args.c, length, hbar=h, grid=grid)
         momentum = fourier_transform(state)
         width = 4.0 * h * args.c / length
         in_band = probability_in_interval(momentum, -0.5 * width, 0.5 * width)
         _note(
             f"slepian c={args.c}, L={length}, W={width:.6g}: "
             f"in-band momentum mass={in_band:.6f}, "
-            f"lambda0={lambda0(args.c, order=config.quadrature_order):.6f}"
+            f"lambda0={lambda0(args.c):.6f}"
         )
     elif args.kind == "rect-sinc":
         if args.L is None or args.W is None:
@@ -493,15 +493,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--hbar", type=float, default=1.0, help="value of hbar (default 1)")
-    common.add_argument(
-        "--order",
-        type=int,
-        default=None,
-        help=(
-            f"sample count of the principal function in state slepian "
-            f"(default {DEFAULT_ORDER}; env {_ENV_ORDER} overrides)"
-        ),
-    )
     common.add_argument("--format", choices=("csv", "json"), default="csv")
     common.add_argument("--out", default=None, help="output path (default stdout)")
     common.add_argument("--seed", type=int, default=42, help="corpus seed (verify)")
@@ -551,18 +542,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_order(flag: int | None) -> int:
-    if flag is not None:
-        return flag
-    env = os.environ.get(_ENV_ORDER)
-    if env is None:
-        return DEFAULT_ORDER
-    try:
-        return int(env)
-    except ValueError as exc:
-        raise DomainError(f"{_ENV_ORDER} must be an integer, got {env!r}") from exc
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
@@ -573,7 +552,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = RunConfig(
             hbar=args.hbar,
-            quadrature_order=_resolve_order(args.order),
             output_format=args.format,
             output_path=args.out,
             seed=args.seed,

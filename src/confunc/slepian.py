@@ -13,16 +13,15 @@ eigenvector gives the Legendre coefficients of the principal
 eigenfunction psi0, and lambda0 = (c / 2 pi) mu0^2 with
 mu0 = sqrt(2) beta0 / psi0(0), from integrating the eigenvalue relation
 of the Fourier operator at the origin. The matrix has floor(c/2) + 40
-rows, so the eigenvalue needs no quadrature and does not depend on an
-order; ``order`` only sets how many Gauss-Legendre samples of psi0
-:func:`principal_slepian` returns. The engine supports c in [0, 1000].
+rows and needs no quadrature; psi0 anywhere in [-1, 1] is the sum of
+the same Legendre series. The engine supports c in [0, 1000].
 
 This module also inverts lambda0, evaluates the two closed-form
-asymptotic approximants, extends the principal eigenfunction off its
-sample nodes through the sinc kernel, and keeps two independent
-cross-checks of the engine: the Nystrom matrix of the sinc kernel and
-the Fourier-coefficient matrix whose operator norm equals
-pi * lambda0(c). Newton's step in the inversion takes
+asymptotic approximants, and keeps three independent cross-checks of
+the engine: the Nystrom matrix of the sinc kernel, the extension of
+psi0 off its sample nodes through that kernel, and the
+Fourier-coefficient matrix whose operator norm equals pi * lambda0(c).
+Newton's step in the inversion takes
 d lambda0/dc = 2 lambda0 psi0(1)^2 / c (Slepian-Pollak, psi0 of unit
 norm on [-1, 1]) with psi0(1) summed from the same coefficients, and
 stops on a tolerance relative to 1 - theta, so theta near 1 stays exact.
@@ -170,12 +169,10 @@ def _legendre_series(
 
 
 @lru_cache(maxsize=4096)
-def _eigenpair(c: float, order: int) -> tuple[float, NDArray[np.float64]]:
+def _eigenpair(c: float) -> tuple[float, NDArray[np.float64]]:
     """lambda0(c) and the coefficients a of psi0(u) = sum_j a_j P_2j(u).
 
     psi0 has unit norm on [-1, 1] and psi0(0) > 0, so psi0(1) = sum(a).
-    ``order`` does not enter: it is part of the key only because every
-    caller already carries it.
     """
     if c > _C_MAX:
         raise DomainError(
@@ -199,13 +196,26 @@ def _eigenpair(c: float, order: int) -> tuple[float, NDArray[np.float64]]:
     return value, coeffs
 
 
-def lambda0(c: float | ConcentrationParameter, order: int = DEFAULT_ORDER) -> float:
+def _principal_values(
+    c: float | ConcentrationParameter, u: NDArray[np.float64]
+) -> NDArray[np.float64]:
+    """psi0 at the points u of [-1, 1], summed from its Legendre series.
+
+    Raises DomainError at c = 0, where psi0 is undefined, and for a c
+    outside [0, 1000].
+    """
+    cc = _as_c(c)
+    if cc == 0.0:
+        raise DomainError("the principal eigenfunction is undefined at c = 0")
+    return _legendre_series(_eigenpair(cc)[1], u)
+
+
+def lambda0(c: float | ConcentrationParameter) -> float:
     """Largest sinc-kernel eigenvalue lambda0(c), in [0, 1).
 
     Computed from the ground state of the tridiagonal prolate matrix; a
     40-digit solve of the same matrix puts its rounding error at no more
-    than 14 ulps of lambda0 for c in [1, 15]. ``order`` is accepted for
-    the callers' sake and does not change the value.
+    than 14 ulps of lambda0 for c in [1, 15].
 
     Raises
     ------
@@ -215,7 +225,7 @@ def lambda0(c: float | ConcentrationParameter, order: int = DEFAULT_ORDER) -> fl
     cc = _as_c(c)
     if cc == 0.0:
         return 0.0
-    value, _ = _eigenpair(cc, order)
+    value, _ = _eigenpair(cc)
     return value
 
 
@@ -244,7 +254,6 @@ def _inverse_bracket(theta: float) -> tuple[float, float]:
 
 def _invert(
     theta: float,
-    order: int,
     tol: float,
     lo: float,
     hi: float,
@@ -268,7 +277,7 @@ def _invert(
     c = start if start is not None and lo < start < hi else 0.5 * (lo + hi)
     best_c, best_gap = c, math.inf
     for _ in range(200):
-        value, coeffs = _eigenpair(c, order)
+        value, coeffs = _eigenpair(c)
         gap = abs(value - theta)
         if gap < best_gap:
             best_c, best_gap = c, gap
@@ -294,9 +303,7 @@ def _invert(
     raise ConvergenceError(f"lambda0_inverse did not converge for theta={theta}")
 
 
-def lambda0_inverse(
-    theta: float, order: int = DEFAULT_ORDER, tol: float = 1e-10
-) -> ConcentrationParameter:
+def lambda0_inverse(theta: float, *, tol: float = 1e-10) -> ConcentrationParameter:
     """Concentration c with lambda0(c) = theta, for theta in (0, 1).
 
     The result satisfies |lambda0(c) - theta| <= tol * (1 - theta) (or
@@ -309,12 +316,10 @@ def lambda0_inverse(
         If theta is outside (0, 1), or so close to 1 that 1 - theta is
         below the double-precision resolution of the eigenvalues.
     """
-    return ConcentrationParameter(float(lambda0_inverse_batch([theta], order, tol)[0]))
+    return ConcentrationParameter(float(lambda0_inverse_batch([theta], tol=tol)[0]))
 
 
-def lambda0_inverse_batch(
-    thetas, order: int = DEFAULT_ORDER, tol: float = 1e-10
-) -> NDArray[np.float64]:
+def lambda0_inverse_batch(thetas, *, tol: float = 1e-10) -> NDArray[np.float64]:
     """Vector of lambda0_inverse values, solved in one ascending sweep.
 
     Sorting the targets lets each inversion start from the previous
@@ -348,7 +353,7 @@ def lambda0_inverse_batch(
         lo, hi = _inverse_bracket(float(theta))
         lo = max(lo, prev_c)
         start = prev_c + prev_step if prev_step is not None else None
-        c = _invert(float(theta), order, tol, lo, hi, start)
+        c = _invert(float(theta), tol, lo, hi, start)
         prev_step = c - prev_c if prev_c > 0 else None
         prev_c = c
         solved[k] = c
@@ -405,10 +410,11 @@ def principal_slepian(
 ) -> ProlateSolution:
     """Principal eigenfunction samples and eigenvalue at concentration c.
 
-    The Legendre series of psi0 from the prolate matrix is evaluated on
-    the ``order`` Gauss-Legendre nodes of [-1, 1]. psi0 has unit L2 norm
-    and is positive at the midpoint; the ground state has no interior
-    zeros, so this fixes its sign globally.
+    psi0 is sampled on the ``order`` Gauss-Legendre nodes of [-1, 1],
+    the sample count and the rule :func:`evaluate_principal` integrates
+    them with. psi0 has unit L2 norm and is positive at the midpoint;
+    the ground state has no interior zeros, so this fixes its sign
+    globally.
 
     Raises
     ------
@@ -416,13 +422,11 @@ def principal_slepian(
         If c is 0, where psi0 is undefined, or outside [0, 1000].
     """
     cc = _as_c(c)
-    if cc == 0.0:
-        raise DomainError("the principal eigenfunction is undefined at c = 0")
-    value, coeffs = _eigenpair(cc, order)
+    samples = _principal_values(cc, gauss_legendre(order).nodes)
     return ProlateSolution(
         c=ConcentrationParameter(cc),
-        lambda0=value,
-        principal_function=_legendre_series(coeffs, gauss_legendre(order).nodes),
+        lambda0=_eigenpair(cc)[0],
+        principal_function=samples,
         quadrature_order=order,
     )
 
@@ -434,8 +438,9 @@ def evaluate_principal(solution: ProlateSolution, points) -> NDArray[np.float64]
     node samples by their Gauss-Legendre rule and dividing by lambda0
     interpolates the eigenfunction with the rule's spectral accuracy (and
     extends it, for |u| > 1, to the band-limited continuation). It does
-    not use the Legendre series the samples come from, so it also
-    cross-checks them.
+    not use the Legendre series the samples come from, so it
+    cross-checks them and :func:`confunc.states.slepian_state`, which
+    sums that series.
     """
     u = np.atleast_1d(np.asarray(points, dtype=np.float64))
     rule = gauss_legendre(solution.quadrature_order)

@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import DomainError, GridError, MassDeficitError
 from .numerics import _check_hbar, sine_integral
-from .slepian import DEFAULT_ORDER, evaluate_principal, lambda0, principal_slepian
+from .slepian import _principal_values, lambda0
 
 __all__ = [
     "Grid",
@@ -304,8 +304,8 @@ def confidence_uncertainty(state: GriddedState, theta: float) -> ConfidenceEstim
     holds the density of that final cell (the level of the optimal set).
     """
     masses = state.density * state.grid.dx
-    order = np.argsort(masses)[::-1]
-    sorted_masses = masses[order]
+    ranking = np.argsort(masses)[::-1]
+    sorted_masses = masses[ranking]
     cum = np.cumsum(sorted_masses)
     theta = _clamp_theta(theta, float(cum[-1]))
     k = int(np.searchsorted(cum, theta, side="left"))
@@ -541,12 +541,12 @@ def slepian_state(
     length: float,
     hbar: float = 1.0,
     grid: Grid | None = None,
-    order: int = DEFAULT_ORDER,
 ) -> GriddedState:
     """Principal prolate function scaled to the window [-L/2, L/2].
 
     psi(x) = sqrt(2/L) * psi0(2x/L) inside the window and 0 outside,
-    renormalised on the grid. Holds all its position mass in the window
+    renormalised on the grid, with psi0 summed from its Legendre series
+    at every cell centre. Holds all its position mass in the window
     and a momentum fraction lambda0(c) in the band |p| <= W/2 with
     W = 4*hbar*c/L, which saturates the interval bound.
 
@@ -559,17 +559,15 @@ def slepian_state(
         raise DomainError(f"length must be positive, got {length}")
     if grid is None:
         grid = Grid.symmetric(2.0 * length, 4096)
-    solution = principal_slepian(c, order=order)
     x = grid.centers
     inside = np.abs(x) < 0.5 * length
-    if int(np.count_nonzero(inside)) < 64:
+    psi0 = _principal_values(c, 2.0 * x[inside] / length)
+    if psi0.size < 64:
         raise GridError(
             "grid puts fewer than 64 cells inside the window; refine the grid"
         )
     raw = np.zeros(grid.n, dtype=np.complex128)
-    raw[inside] = math.sqrt(2.0 / length) * evaluate_principal(
-        solution, 2.0 * x[inside] / length
-    )
+    raw[inside] = math.sqrt(2.0 / length) * psi0
     return _normalised(grid, raw, h)
 
 
@@ -620,7 +618,6 @@ def verify_lenard(
     x_interval: tuple[float, float],
     p_interval: tuple[float, float],
     slack: float = 1e-6,
-    order: int = DEFAULT_ORDER,
 ) -> LenardWitness:
     """Check the angle inequality for one state and one interval pair.
 
@@ -638,7 +635,7 @@ def verify_lenard(
     )
     c = (x2 - x1) * (p2 - p1) / (4.0 * state.hbar)
     lhs = math.acos(math.sqrt(px)) + math.acos(math.sqrt(pp))
-    rhs = math.acos(math.sqrt(lambda0(c, order=order)))
+    rhs = math.acos(math.sqrt(lambda0(c)))
     margin = lhs - rhs
     return LenardWitness(
         x_interval=(float(x1), float(x2)),

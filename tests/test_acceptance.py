@@ -217,13 +217,13 @@ class TestAsymptoticRegimes:
 class TestCorpusInvariants:
     def test_eigenvalue_monotone_and_bounded(self):
         grid = np.linspace(0.05, 8.0, 40)
-        values = np.array([lambda0(c, order=160) for c in grid])
+        values = np.array([lambda0(c) for c in grid])
         assert np.all(np.diff(values) > 0)
         assert np.all((values > 0) & (values < 1))
 
     def test_bounds_monotone_on_diagonal(self):
         thetas = (0.55, 0.65, 0.75, 0.85, 0.95)
-        tight = [lp_interval_bound((t, t), order=160) for t in thetas]
+        tight = [lp_interval_bound((t, t)) for t in thetas]
         loose = [lp_measurable_bound((t, t)) for t in thetas]
         assert tight == sorted(tight)
         assert loose == sorted(loose)
@@ -260,7 +260,6 @@ class TestCorpusInvariants:
                     state,
                     (xc - 0.5 * xw, xc + 0.5 * xw),
                     (pc - 0.5 * pw, pc + 0.5 * pw),
-                    order=160,
                 )
                 worst = min(worst, witness.margin)
                 assert witness.holds
@@ -276,7 +275,7 @@ class TestCorpusInvariants:
         pairs = [(tx, tp) for tx, tp, _ in INTERVAL_BOUND_TABLE]
         targets = {}
         for tx, tp in pairs:
-            targets[(tx, tp)] = lp_interval_bound((tx, tp), order=160)
+            targets[(tx, tp)] = lp_interval_bound((tx, tp))
         for state, momentum in corpus:
             for tx, tp in pairs:
                 loose_x = confidence_uncertainty(state, tx).measure

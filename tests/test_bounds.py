@@ -142,24 +142,24 @@ class TestLpIntervalBound:
 
     def test_dominates_measurable_bound(self):
         for pair in [(0.7, 0.7), (0.9, 0.8), (0.99, 0.6)]:
-            assert lp_interval_bound(pair, order=160) > lp_measurable_bound(pair)
+            assert lp_interval_bound(pair) > lp_measurable_bound(pair)
 
     def test_monotone_on_diagonal(self):
         thetas = (0.55, 0.7, 0.85, 0.95)
-        values = [lp_interval_bound((t, t), order=120) for t in thetas]
+        values = [lp_interval_bound((t, t)) for t in thetas]
         assert values == sorted(values)
 
     def test_hbar_scaling(self):
-        base = lp_interval_bound((0.8, 0.8), order=120)
-        scaled = lp_interval_bound((0.8, 0.8), hbar=3.5, order=120)
+        base = lp_interval_bound((0.8, 0.8))
+        scaled = lp_interval_bound((0.8, 0.8), hbar=3.5)
         assert abs(scaled - 3.5 * base) <= 1e-9 * scaled
 
 
 class TestLpIntervalBounds:
     def test_matches_one_pair_route_in_input_order(self):
         pairs = [(0.9, 0.9), (0.3, 0.5), (0.8, 0.7), (0.9, 0.9)]
-        values = lp_interval_bounds(pairs, order=120)
-        expected = [lp_interval_bound(p, order=120) for p in pairs]
+        values = lp_interval_bounds(pairs)
+        expected = [lp_interval_bound(p) for p in pairs]
         assert list(values) == pytest.approx(expected, rel=1e-9)
         assert values[1] == 0.0
 
@@ -168,7 +168,7 @@ class TestLpIntervalBounds:
 
     def test_divergent_pair_raises(self):
         with pytest.raises(BoundDivergenceError):
-            lp_interval_bounds([(0.9, 0.9), (1.0, 1.0)], order=120)
+            lp_interval_bounds([(0.9, 0.9), (1.0, 1.0)])
 
     def test_high_confidence_edge_not_overstated(self):
         # 4*hbar*c with c = 13.11817 at 1 - theta = 1e-10; a stopping
@@ -185,14 +185,14 @@ class TestReport:
         assert rep.donoho_stark == 0.0
 
     def test_bounded_region_fields(self):
-        rep = report((0.9, 0.9), order=160)
+        rep = report((0.9, 0.9))
         assert rep.region is Region.BOUNDED
         assert rep.lp_interval is not None
         assert rep.lp_interval >= rep.lp_measurable >= rep.donoho_stark
         assert abs(rep.angular_target - 0.64) <= 1e-15
 
     def test_gaussian_product_edge_cases(self):
-        assert report((1.0, 0.9), order=120).gaussian_product == math.inf
+        assert report((1.0, 0.9)).gaussian_product == math.inf
         assert report((0.0, 0.9)).gaussian_product == 0.0
 
     def test_divergent_pair_raises(self):

@@ -9,7 +9,9 @@ import csv
 import io
 import json
 import math
+import os
 import re
+import stat
 
 import pytest
 
@@ -51,12 +53,10 @@ class TestLambda0Command:
         assert float(row["one_minus_lambda0"]) == 1.0
 
     def test_repeatable_and_range(self, capsys):
-        code, out, _ = run(
-            capsys, ["lambda0", "--c", "0.25", "--c", "0.5", "--order", "160"]
-        )
+        code, out, _ = run(capsys, ["lambda0", "--c", "0.25", "--c", "0.5"])
         assert code == 0
         assert len(parse_csv(out)) == 2
-        code, out, _ = run(capsys, ["lambda0", "--range", "0.5:2:0.5", "--order", "160"])
+        code, out, _ = run(capsys, ["lambda0", "--range", "0.5:2:0.5"])
         assert code == 0
         values = [float(r["lambda0"]) for r in parse_csv(out)]
         assert len(values) == 4
@@ -113,7 +113,7 @@ class TestBoundsCommand:
         assert "error:" in err
 
     def test_landscape_grid(self, capsys):
-        code, out, _ = run(capsys, ["bounds", "--grid", "7", "--order", "120"])
+        code, out, _ = run(capsys, ["bounds", "--grid", "7"])
         assert code == 0
         rows = parse_csv(out)
         assert len(rows) == 49
@@ -173,7 +173,7 @@ class TestCompareCommand:
 
     def test_gaussian_never_below_bound_across_half(self, capsys):
         thetas = ["0.2", "0.3", "0.45", "0.5", "0.52", "0.6", "0.8", "0.95"]
-        argv = ["compare", "--order", "120"]
+        argv = ["compare"]
         for theta in thetas:
             argv += ["--theta", theta]
         code, out, _ = run(capsys, argv)
@@ -287,34 +287,43 @@ class TestOutputPlumbing:
         assert path.read_text() == stdout
 
     def test_deterministic_output(self, capsys):
-        _, first, _ = run(capsys, ["bounds", "--grid", "5", "--order", "120"])
-        _, second, _ = run(capsys, ["bounds", "--grid", "5", "--order", "120"])
+        _, first, _ = run(capsys, ["bounds", "--grid", "5"])
+        _, second, _ = run(capsys, ["bounds", "--grid", "5"])
         assert first == second
 
 
-class TestOrderResolution:
-    def test_env_is_used(self, capsys, monkeypatch):
-        monkeypatch.setenv("CONFUNC_ORDER", "1")
-        code, _, err = run(capsys, ["lambda0", "--c", "1.0"])
-        assert code == 2
-        assert "error:" in err
-
-    def test_flag_overrides_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("CONFUNC_ORDER", "1")
-        code, out, _ = run(capsys, ["lambda0", "--c", "1.0", "--order", "120"])
+    def test_out_writes_through_a_symlink(self, capsys, tmp_path):
+        real = tmp_path / "real.csv"
+        real.write_text("stale\n")
+        link = tmp_path / "link.csv"
+        link.symlink_to(real)
+        code, out, _ = run(capsys, ["lambda0", "--c", "1.0", "--out", str(link)])
         assert code == 0
-        assert parse_csv(out)[0]["lambda0"] == "0.572582"
+        assert out == ""
+        assert link.is_symlink()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "real.csv"]
+        _, stdout, _ = run(capsys, ["lambda0", "--c", "1.0"])
+        assert real.read_text() == stdout
 
-    def test_malformed_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("CONFUNC_ORDER", "plenty")
-        code, _, err = run(capsys, ["lambda0", "--c", "1.0"])
-        assert code == 2
-        assert "must be an integer" in err
-
-    def test_bad_flag_value(self, capsys):
-        code, _, err = run(capsys, ["lambda0", "--c", "1.0", "--order", "1"])
-        assert code == 2
-        assert "error:" in err
+    def test_out_writes_into_a_fifo_in_place(self, capsys, tmp_path):
+        fifo = tmp_path / "table.fifo"
+        os.mkfifo(fifo)
+        # a reader opened first lets the writer open at once; the table
+        # is far smaller than the pipe buffer, so no write blocks
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            code, out, _ = run(capsys, ["lambda0", "--c", "1.0", "--out", str(fifo)])
+            chunks = []
+            while chunk := os.read(reader, 1 << 16):
+                chunks.append(chunk)
+        finally:
+            os.close(reader)
+        assert code == 0
+        assert out == ""
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert [p.name for p in tmp_path.iterdir()] == ["table.fifo"]
+        _, stdout, _ = run(capsys, ["lambda0", "--c", "1.0"])
+        assert b"".join(chunks).decode("ascii") == stdout
 
 
 class TestParserBasics:
@@ -325,6 +334,25 @@ class TestParserBasics:
     def test_no_arguments(self, capsys):
         code, _, _ = run(capsys, [])
         assert code == 2
+
+    def test_order_knob_is_gone(self, capsys, monkeypatch):
+        # the eigenvalue has no quadrature order, so neither the variable
+        # nor the flag it once fell back from is read
+        monkeypatch.setenv("CONFUNC_ORDER", "1")
+        code, out, _ = run(capsys, ["lambda0", "--c", "1.0"])
+        assert code == 0
+        assert parse_csv(out)[0]["lambda0"] == "0.572582"
+        code, out, err = run(capsys, ["lambda0", "--c", "1.0", "--order", "120"])
+        assert code == 2
+        assert out == ""
+        assert "--order" in err
+
+    def test_negative_seed_is_a_usage_error(self, capsys):
+        code, out, err = run(capsys, ["verify", "lenard", "--seed", "-1"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+        assert "seed" in err
 
 
 class TestSizeCaps:
@@ -345,7 +373,7 @@ class TestSizeCaps:
         assert code == 2
         assert out == ""
         assert "[1, 3]" in err
-        code, out, _ = run(capsys, ["bounds", "--grid", "3", "--order", "120"])
+        code, out, _ = run(capsys, ["bounds", "--grid", "3"])
         assert code == 0
         assert len(parse_csv(out)) == 9
 

@@ -4,9 +4,9 @@ The eigenvalue comes from the tridiagonal prolate matrix (the
 production path) and is checked against two independent routes, the
 Nystrom discretisation of the sinc kernel and the Fourier-coefficient
 matrix whose norm must equal pi times the same eigenvalue, and against
-a 40-digit solve of the prolate matrix. Tests also pin spectral
-convergence, the inverse, and the principal eigenfunction's defining
-properties.
+a 40-digit solve of the prolate matrix. Tests also pin the inverse,
+the principal eigenfunction's defining properties, and the Legendre
+series the saturating state is sampled from.
 """
 
 import math
@@ -31,6 +31,7 @@ from confunc.slepian import (
     lambda0_small_c,
     principal_slepian,
 )
+from confunc.states import slepian_state
 
 # frozen regression anchors, computed at order 400 where the Nystrom
 # discretisation is converged far beyond the digits shown (order 200
@@ -47,10 +48,6 @@ class TestLambda0:
     def test_zero(self):
         assert lambda0(0.0) == 0.0
 
-    @pytest.mark.parametrize("c", [0.3, 1.0, 2.5, 5.0, 9.0])
-    def test_spectral_convergence_order_vs_double(self, c):
-        assert abs(lambda0(c, order=200) - lambda0(c, order=400)) <= 1e-9
-
     def test_open_unit_interval(self):
         for c in (1e-4, 0.5, 3.0, 12.0):
             value = lambda0(c)
@@ -58,7 +55,7 @@ class TestLambda0:
 
     def test_monotone_in_c(self):
         grid = np.linspace(0.05, 6.0, 60)
-        values = [lambda0(c, order=160) for c in grid]
+        values = [lambda0(c) for c in grid]
         assert np.all(np.diff(values) > 0)
 
     def test_accepts_wrapper_type(self):
@@ -109,14 +106,14 @@ class TestInverse:
 
     def test_monotone(self):
         thetas = np.linspace(0.02, 0.98, 25)
-        values = lambda0_inverse_batch(thetas, order=160)
+        values = lambda0_inverse_batch(thetas)
         assert np.all(np.diff(values) > 0)
 
     def test_batch_matches_scalar_and_preserves_order(self):
         thetas = np.array([0.9, 0.1, 0.64, 0.1])
-        batch = lambda0_inverse_batch(thetas, order=200)
+        batch = lambda0_inverse_batch(thetas)
         for theta, c in zip(thetas, batch):
-            assert abs(c - float(lambda0_inverse(theta, order=200))) <= 1e-9
+            assert abs(c - float(lambda0_inverse(theta))) <= 1e-9
         assert batch[1] == batch[3]
 
     def test_batch_empty(self):
@@ -210,7 +207,7 @@ def test_lambda0_monotone_property(c1, c2):
     lo, hi = sorted((c1, c2))
     if hi - lo < 1e-6:
         return
-    assert lambda0(lo, order=120) < lambda0(hi, order=120)
+    assert lambda0(lo) < lambda0(hi)
 
 
 class TestHighConfidence:
@@ -226,10 +223,10 @@ class TestHighConfidence:
         monkeypatch.setattr(
             slepian,
             "_eigenpair",
-            lambda c, order: (0.2 if c < 0.5 else 0.4, true_pair(c, order)[1]),
+            lambda c: (0.2 if c < 0.5 else 0.4, true_pair(c)[1]),
         )
         with pytest.raises(ConvergenceError):
-            lambda0_inverse(0.3, order=40, tol=0.0)
+            lambda0_inverse(0.3, tol=0.0)
 
 
 def test_batch_rejects_nan_target():
@@ -266,7 +263,7 @@ class TestProlateEngine:
         # Newton's derivative d lambda0/dc = 2 lambda0 psi0(1)^2 / c, with
         # psi0(1) the sum of the Legendre coefficients, against a central
         # difference of lambda0 itself
-        value, coeffs = slepian._eigenpair(c, slepian.DEFAULT_ORDER)
+        value, coeffs = slepian._eigenpair(c)
         edge = float(np.sum(coeffs))
         h = 1e-5 * c
         difference = (lambda0(c + h) - lambda0(c - h)) / (2.0 * h)
@@ -282,8 +279,22 @@ class TestProlateEngine:
         solution = principal_slepian(c, order=order)
         assert np.max(np.abs(solution.principal_function - samples)) <= 1e-10
 
-    def test_value_does_not_depend_on_order(self):
-        assert lambda0(1.3, order=7) == lambda0(1.3, order=400)
+    @pytest.mark.parametrize("c", [0.5, 1.5, 8.0])
+    def test_state_series_matches_sinc_interpolation(self, c):
+        # slepian_state sums psi0's Legendre series at the cell centres;
+        # the sinc-kernel extension of the Gauss-Legendre samples reaches
+        # the same values by another route
+        length = 3.0
+        state = slepian_state(c, length)
+        x = state.grid.centers
+        inside = np.abs(x) < 0.5 * length
+        expected = math.sqrt(2.0 / length) * evaluate_principal(
+            principal_slepian(c), 2.0 * x[inside] / length
+        )
+        # the state is renormalised on its grid, so the reference is too
+        expected /= math.sqrt(np.sum(expected**2) * state.grid.dx)
+        assert np.max(np.abs(state.amplitudes[inside] - expected)) <= 1e-13
+        assert not np.any(state.amplitudes[~inside])
 
     def test_stays_below_one_up_to_the_cap(self):
         assert lambda0(40.0) < 1.0

@@ -14,7 +14,10 @@ per side of every workload, for the per-layer metrics.
 
 The output records every run's result line and environment record and,
 per workload and end-to-end metric, each side's median and quartiles,
-the ratio of the medians and how many pairs the change won.
+the ratio of the medians and how many pairs the change won. A run that
+exits nonzero is kept with its exit code and the last lines of its
+stderr, counted per side under ``failed_runs``, and left out of the
+medians and of the pairs won.
 """
 
 from __future__ import annotations
@@ -29,14 +32,20 @@ from pathlib import Path
 
 WORKLOADS = ("landscape", "selfcheck", "statedump", "queries")
 END_TO_END = ("wall_s", "setup_s", "cpu_s", "peak_rss_mb", "latency_p50_s", "latency_tail_s")
+# stderr lines kept from a run that exits nonzero
+STDERR_TAIL = 20
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: float, trace: bool) -> dict:
-    """One perfbench run in ``root``: its result line and environment record."""
+    """One perfbench run in ``root``: its exit code, and its result line and
+    environment record, or the tail of its stderr if it exits nonzero."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)]
     argv += ["--seconds", str(seconds), "--trace", str(int(trace))]
-    done = subprocess.run(argv, cwd=root, capture_output=True, text=True, check=True)
-    result = json.loads(done.stdout.strip().splitlines()[-1])
+    done = subprocess.run(argv, cwd=root, capture_output=True, text=True)
+    if done.returncode != 0:
+        tail = done.stderr.splitlines()[-STDERR_TAIL:]
+        return {"exit_code": done.returncode, "stderr_tail": tail}
+    result = {"exit_code": 0, **json.loads(done.stdout.strip().splitlines()[-1])}
     for line in done.stderr.splitlines():
         if line.startswith('{"environment"'):
             result["environment"] = json.loads(line)["environment"]
@@ -44,24 +53,36 @@ def run_once(root: Path, workload: str, seed: int, seconds: float, trace: bool) 
     return result
 
 
-def summary(values: list[float]) -> dict:
+def summary(values: list[float]) -> dict | None:
+    """Median and quartiles, or None below the two values they need."""
+    if len(values) < 2:
+        return None
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1}
 
 
 def compare(base_runs: list[dict], change_runs: list[dict]) -> dict:
-    """Per metric: both sides' quartiles, the median ratio, pairs won."""
+    """Per metric: both sides' quartiles, the median ratio, pairs won.
+
+    The two lists hold one run per pair, in pair order; failed runs are
+    left out, and so is every pair with a failed side.
+    """
     out = {}
     for name in END_TO_END:
-        base = [r["metrics"][name]["value"] for r in base_runs]
-        change = [r["metrics"][name]["value"] for r in change_runs]
+        base = [r["metrics"][name]["value"] for r in base_runs if r["exit_code"] == 0]
+        change = [r["metrics"][name]["value"] for r in change_runs if r["exit_code"] == 0]
+        paired = [
+            (c["metrics"][name]["value"], b["metrics"][name]["value"])
+            for b, c in zip(base_runs, change_runs)
+            if b["exit_code"] == 0 and c["exit_code"] == 0
+        ]
         b, c = summary(base), summary(change)
         out[name] = {
             "base": b,
             "change": c,
-            "change_over_base": c["median"] / b["median"] if b["median"] else None,
-            "pairs_won_by_change": sum(x < y for x, y in zip(change, base)),
-            "pairs": len(base),
+            "change_over_base": c["median"] / b["median"] if b and c and b["median"] else None,
+            "pairs_won_by_change": sum(x < y for x, y in paired),
+            "pairs": len(paired),
         }
     return out
 
@@ -90,10 +111,15 @@ def main(argv: list[str] | None = None) -> int:
                 result = run_once(sides[side], workload, args.seed + i, args.seconds, False)
                 result.update(pair=i, seed=args.seed + i, started=start)
                 runs[side].append(result)
-                wall = result["metrics"]["wall_s"]["value"]
-                print(f"{workload} pair {i} {side}: wall_s {wall:.3f}", file=sys.stderr)
+                if result["exit_code"] == 0:
+                    outcome = f"wall_s {result['metrics']['wall_s']['value']:.3f}"
+                else:
+                    outcome = f"failed with exit code {result['exit_code']}"
+                print(f"{workload} pair {i} {side}: {outcome}", file=sys.stderr)
+        failed = {side: sum(r["exit_code"] != 0 for r in rs) for side, rs in runs.items()}
         record["pairs"][workload] = {
             "runs": runs,
+            "failed_runs": failed,
             "summary": compare(runs["base"], runs["change"]),
         }
     if args.trace:
