@@ -55,6 +55,7 @@ from .numerics import _check_hbar, largest_eigenpair
 from .slepian import a_matrix, lambda0, lambda0_large_c, lambda0_small_c
 from .states import (
     Grid,
+    _rect_sinc_grid,
     differential_entropy,
     fourier_transform,
     gaussian_state,
@@ -395,22 +396,6 @@ def _cmd_verify(args: argparse.Namespace, config: RunConfig) -> tuple[list[dict]
 # ---- state emission -------------------------------------------------
 
 
-def _auto_rect_sinc_grid(length: float, width: float, hbar: float) -> Grid:
-    """Power-of-two grid resolving the window (dx = L/8) and holding the
-    sinc tail below the default tolerance."""
-    dx = length / 8.0
-    reach = 2.0 * hbar / (math.pi * width * 1e-2)
-    n = 16
-    while n * dx < 2.0 * reach:
-        n *= 2
-        if n > (1 << 24):
-            raise DomainError(
-                "rect-sinc grid would exceed 2^24 cells; "
-                "increase L*W or accept a wider tail"
-            )
-    return Grid.symmetric(0.5 * n * dx, n)
-
-
 def _cmd_state(args: argparse.Namespace, config: RunConfig) -> tuple[list[dict], int]:
     h = config.hbar
     if args.kind == "gaussian":
@@ -428,10 +413,7 @@ def _cmd_state(args: argparse.Namespace, config: RunConfig) -> tuple[list[dict],
         if args.c is None:
             raise DomainError("state slepian needs --c")
         length = args.L if args.L is not None else 2.0
-        # a wide domain keeps the momentum grid fine enough to resolve
-        # the in-band fraction: dp = 2*pi*hbar/(n*dx) shrinks with n*dx
-        grid = Grid.symmetric(48.0 * length, 1 << 15)
-        state = slepian_state(args.c, length, hbar=h, grid=grid)
+        state = slepian_state(args.c, length, hbar=h)
         momentum = fourier_transform(state)
         width = 4.0 * h * args.c / length
         in_band = probability_in_interval(momentum, -0.5 * width, 0.5 * width)
@@ -444,12 +426,13 @@ def _cmd_state(args: argparse.Namespace, config: RunConfig) -> tuple[list[dict],
         if args.L is None or args.W is None:
             raise DomainError("state rect-sinc needs --L and --W")
         weight = args.P if args.P is not None else 0.5
-        grid = _auto_rect_sinc_grid(args.L, args.W, h)
+        # the prediction validates L, W and P before a grid is sized on them
+        predicted = rect_sinc_prediction(args.L, args.W, weight, hbar=h)
+        grid = _rect_sinc_grid(args.L, args.W, h)
         state = rect_sinc_state(grid, args.L, args.W, weight, hbar=h)
         momentum = fourier_transform(state)
         mass_x = probability_in_interval(state, -0.5 * args.L, 0.5 * args.L)
         mass_p = probability_in_interval(momentum, -0.5 * args.W, 0.5 * args.W)
-        predicted = rect_sinc_prediction(args.L, args.W, weight, hbar=h)
         _note(
             f"rect-sinc L={args.L}, W={args.W}, P={weight}: "
             f"position mass={mass_x:.6f} (continuum {predicted.position_mass:.6f}), "

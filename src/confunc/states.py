@@ -115,7 +115,9 @@ class Grid:
 
     def momentum_dual(self, hbar: float = 1.0) -> "Grid":
         """Momentum grid of the unitary transform: n cells of width
-        dp = 2*pi*hbar/(n*dx) spanning [-pi*hbar/dx, pi*hbar/dx)."""
+        dp = 2*pi*hbar/(n*dx) spanning [-pi*hbar/dx, pi*hbar/dx). The
+        relation is symmetric: the dual of a momentum grid is the position
+        grid of the inverse transform."""
         h = _check_hbar(hbar)
         dp = 2.0 * math.pi * h / (self.n * self.dx)
         half = 0.5 * self.n * dp
@@ -193,27 +195,37 @@ class ConfidenceEstimate:
 # --------------------------------------------------------------------
 
 
+def _centred_dft(state: GriddedState, target: Grid, sign: int) -> GriddedState:
+    """Carry ``state`` from its grid s to the dual grid t with the kernel
+    (2*pi*hbar)^(-1/2) * e^(sign*i*s*t/hbar): as n*ds*dt = 2*pi*hbar, that
+    is one FFT between a chirp carrying the target offset t0 on the input
+    and one carrying the source offset s0 on the output.
+    """
+    source, h = state.grid, state.hbar
+    ds, dt = source.dx, target.dx
+    s0 = source.x_min + 0.5 * ds
+    t0 = target.x_min + 0.5 * dt
+    j = np.arange(source.n)
+    pre = np.exp(sign * 1j * t0 * j * ds / h)
+    post = np.exp(sign * 1j * t0 * s0 / h) * np.exp(sign * 1j * j * dt * s0 / h)
+    # the unscaled sum (ifft without its 1/n), scaled in place to save an
+    # n-cell array; swapped operands would change the product's last bits
+    dft, norm = (np.fft.fft, "backward") if sign < 0 else (np.fft.ifft, "forward")
+    out = dft(state.amplitudes * pre, norm=norm)
+    np.multiply((ds / math.sqrt(2.0 * math.pi * h)) * post, out, out=out)
+    return GriddedState(target, out, h)
+
+
 def fourier_transform(state: GriddedState) -> GriddedState:
     """Unitary centered transform to the momentum representation.
 
     Discretises phi(p) = (2*pi*hbar)^(-1/2) * integral psi(x) e^(-ipx/hbar) dx
-    on cell centers via one FFT with phase corrections for the grid
-    offsets. Unitary to machine precision: sum(|phi|^2)*dp equals
-    sum(|psi|^2)*dx exactly, not only in the continuum limit.
+    on the cell centers of ``Grid.momentum_dual`` via one FFT with phase
+    corrections for the grid offsets. Unitary to machine precision:
+    sum(|phi|^2)*dp equals sum(|psi|^2)*dx exactly, not only in the
+    continuum limit.
     """
-    g = state.grid
-    h = state.hbar
-    dual = g.momentum_dual(h)
-    dx, dp = g.dx, dual.dx
-    x0 = g.x_min + 0.5 * dx
-    p0 = dual.x_min + 0.5 * dp
-    j = np.arange(g.n)
-    pre = np.exp(-1j * p0 * j * dx / h)
-    post = np.exp(-1j * p0 * x0 / h) * np.exp(-1j * j * dp * x0 / h)
-    phi = (dx / math.sqrt(2.0 * math.pi * h)) * post * np.fft.fft(
-        state.amplitudes * pre
-    )
-    return GriddedState(dual, phi, h)
+    return _centred_dft(state, state.grid.momentum_dual(state.hbar), -1)
 
 
 def inverse_fourier_transform(
@@ -222,35 +234,22 @@ def inverse_fourier_transform(
     """Inverse of :func:`fourier_transform`.
 
     ``state`` holds momentum amplitudes on their grid. When
-    ``position_grid`` is omitted, the symmetric grid [-n*dx/2, n*dx/2)
-    with dx = 2*pi*hbar/(n*dp) is used; a supplied grid must satisfy the
-    duality relation n*dx*dp = 2*pi*hbar for the transform pair to be
+    ``position_grid`` is omitted, the dual of that grid is used: the
+    symmetric grid [-n*dx/2, n*dx/2) with dx = 2*pi*hbar/(n*dp). A supplied
+    grid may be offset but must have that n and dx for the pair to be
     unitary.
     """
-    mg = state.grid
-    h = state.hbar
-    dp = mg.dx
-    n = mg.n
-    dx = 2.0 * math.pi * h / (n * dp)
+    dual = state.grid.momentum_dual(state.hbar)
     if position_grid is None:
-        position_grid = Grid.symmetric(0.5 * n * dx, n)
-    else:
-        if position_grid.n != n:
-            raise GridError("position grid must have the same cell count")
-        if abs(position_grid.dx - dx) > 1e-12 * dx:
-            raise GridError(
-                "position grid spacing incompatible with the momentum grid: "
-                f"expected dx = {dx!r}, got {position_grid.dx!r}"
-            )
-    x0 = position_grid.x_min + 0.5 * position_grid.dx
-    p0 = mg.x_min + 0.5 * dp
-    k = np.arange(n)
-    pre = np.exp(1j * k * dp * x0 / h)
-    post = np.exp(1j * p0 * x0 / h) * np.exp(1j * p0 * k * dx / h)
-    psi = (dp * n / math.sqrt(2.0 * math.pi * h)) * post * np.fft.ifft(
-        state.amplitudes * pre
-    )
-    return GriddedState(position_grid, psi, h)
+        position_grid = dual
+    elif position_grid.n != dual.n:
+        raise GridError("position grid must have the same cell count")
+    elif abs(position_grid.dx - dual.dx) > 1e-12 * dual.dx:
+        raise GridError(
+            "position grid spacing incompatible with the momentum grid: "
+            f"expected dx = {dual.dx!r}, got {position_grid.dx!r}"
+        )
+    return _centred_dft(state, position_grid, 1)
 
 
 # --------------------------------------------------------------------
@@ -429,8 +428,9 @@ def gaussian_state(grid: Grid, sigma: float, hbar: float = 1.0) -> GriddedState:
 
 
 def _check_rect_sinc(length: float, width: float, weight: float) -> None:
-    if not (length > 0 and width > 0):
-        raise DomainError("length and width must be positive")
+    for name, value in (("length", length), ("width", width)):
+        if not (math.isfinite(value) and value > 0):
+            raise DomainError(f"{name} must be positive and finite, got {value}")
     if not 0.0 <= weight <= 1.0:
         raise DomainError(f"weight must lie in [0, 1], got {weight}")
 
@@ -472,13 +472,46 @@ def rect_sinc_prediction(
     return RectSincPrediction(mass_x, mass_p, math.sqrt(norm_sq))
 
 
+def _window_cells(grid: Grid, width: float, what: str) -> tuple[np.ndarray, float]:
+    """Mask of the cells lying fully inside [-width/2, width/2], and the
+    norm sqrt(count*dx) of their indicator."""
+    # rounding of the cell centers scales with the domain span, so the
+    # inclusion tolerance must too (it stays far below one cell)
+    tol = 1e-12 * (abs(grid.x_min) + abs(grid.x_max) + grid.dx)
+    inside = np.abs(grid.centers) <= 0.5 * width - 0.5 * grid.dx + tol
+    count = int(np.count_nonzero(inside))
+    if count < 1:
+        raise GridError(
+            f"no {what} cell fits inside a width of {width} (cells are {grid.dx:.4g} wide)"
+        )
+    return inside, math.sqrt(count * grid.dx)
+
+
+def _sinc_reach(width: float, hbar: float) -> float:
+    """Half-width at which the sinc tail 2*hbar/(pi*W*|x|) of a band of
+    width W has fallen to 1e-2, the most wrap-around a grid may carry."""
+    return 2.0 * hbar / (math.pi * width * 1e-2)
+
+
+def _rect_sinc_grid(length: float, width: float, hbar: float) -> Grid:
+    """Power-of-two grid resolving the window (dx = L/8) and reaching
+    ``_sinc_reach`` on both sides."""
+    dx = length / 8.0
+    reach = _sinc_reach(width, hbar)
+    n = 16
+    while n * dx < 2.0 * reach:
+        n *= 2
+        if n > (1 << 24):
+            raise DomainError("rect-sinc grid would exceed 2^24 cells; increase L*W")
+    return Grid.symmetric(0.5 * n * dx, n)
+
+
 def rect_sinc_state(
     grid: Grid,
     length: float,
     width: float,
     weight: float,
     hbar: float = 1.0,
-    tail_tol: float = 1e-2,
 ) -> GriddedState:
     """Superposition sqrt(P)*rect + sqrt(1-P)*sinc on a grid.
 
@@ -490,47 +523,28 @@ def rect_sinc_state(
     excess over 1/2 strict on any admissible grid, not only in the
     continuum limit.
 
-    The sinc tail decays like 2*hbar/(pi*W*|x|), so holding wrap-around
-    below ``tail_tol`` requires x_max >= 2*hbar/(pi*W*tail_tol);
-    narrower grids raise GridError rather than silently aliasing.
+    The sinc tail decays like 2*hbar/(pi*W*|x|). Holding wrap-around
+    below 1e-2 needs both grid ends at least 2*hbar/(pi*W*1e-2) from the
+    origin; narrower grids raise GridError rather than silently aliasing.
     """
     h = _check_hbar(hbar)
     _check_rect_sinc(length, width, weight)
-    if not 0.0 < tail_tol < 1.0:
-        raise DomainError(f"tail_tol must lie in (0, 1), got {tail_tol}")
 
     raw = np.zeros(grid.n, dtype=np.complex128)
     if weight > 0.0:
-        # rounding of the cell centers scales with the domain span, so the
-        # inclusion tolerance must too (it stays far below one cell)
-        tol = 1e-12 * (abs(grid.x_min) + abs(grid.x_max) + grid.dx)
-        inside = np.abs(grid.centers) <= 0.5 * length - 0.5 * grid.dx + tol
-        m = int(np.count_nonzero(inside))
-        if m < 1:
-            raise GridError(
-                f"no grid cell fits inside the position window of length {length}"
-            )
-        raw[inside] += math.sqrt(weight) / math.sqrt(m * grid.dx)
+        inside, norm = _window_cells(grid, length, "position")
+        raw[inside] += math.sqrt(weight) / norm
     if weight < 1.0:
-        reach = min(abs(grid.x_min), abs(grid.x_max))
-        spill = 2.0 * h / (math.pi * width * reach)
-        if spill > tail_tol:
+        reach = _sinc_reach(width, h)
+        if min(abs(grid.x_min), abs(grid.x_max)) < reach:
             raise GridError(
-                "grid too narrow for the band-limited component: residual tail "
-                f"~{spill:.2e} exceeds tail_tol={tail_tol}; "
-                f"extend the domain to at least +-{2.0 * h / (math.pi * width * tail_tol):.4g}"
+                "grid too narrow for the band-limited component: "
+                f"extend the domain to at least +-{reach:.4g}"
             )
         dual = grid.momentum_dual(h)
-        tol_p = 1e-12 * (abs(dual.x_min) + abs(dual.x_max) + dual.dx)
-        band = np.abs(dual.centers) <= 0.5 * width - 0.5 * dual.dx + tol_p
-        mb = int(np.count_nonzero(band))
-        if mb < 1:
-            raise GridError(
-                f"no momentum cell fits inside the band of width {width}; "
-                "a longer domain refines the momentum grid"
-            )
+        band, norm = _window_cells(dual, width, "momentum")
         indicator = np.zeros(grid.n, dtype=np.complex128)
-        indicator[band] = 1.0 / math.sqrt(mb * dual.dx)
+        indicator[band] = 1.0 / norm
         sinc = inverse_fourier_transform(GriddedState(dual, indicator, h), grid)
         raw += math.sqrt(1.0 - weight) * sinc.amplitudes
     return _normalised(grid, raw, h)
@@ -550,15 +564,17 @@ def slepian_state(
     and a momentum fraction lambda0(c) in the band |p| <= W/2 with
     W = 4*hbar*c/L, which saturates the interval bound.
 
-    When ``grid`` is omitted, a symmetric grid with 4096 cells spanning
-    four window half-lengths is used. A supplied grid must put at least
-    64 cells inside the window.
+    When ``grid`` is omitted, 2^15 cells over [-64L, 64L] are used: the
+    window edges fall on cell edges, so no position mass leaks past
+    them, and the band holds about 81*c momentum cells, so its mass is
+    within 1e-5 of lambda0(c) at c = 0.5, 1.5 and 4. A supplied grid
+    must put at least 64 cells inside the window.
     """
     h = _check_hbar(hbar)
     if not (math.isfinite(length) and length > 0):
         raise DomainError(f"length must be positive, got {length}")
     if grid is None:
-        grid = Grid.symmetric(2.0 * length, 4096)
+        grid = Grid.symmetric(64.0 * length, 1 << 15)
     x = grid.centers
     inside = np.abs(x) < 0.5 * length
     psi0 = _principal_values(c, 2.0 * x[inside] / length)

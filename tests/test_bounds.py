@@ -28,7 +28,11 @@ from confunc.bounds import (
 )
 from confunc.errors import BoundDivergenceError, DomainError
 
-# frozen references for the (0.9, 0.9) pair at quadrature order 400
+# frozen references for the (0.9, 0.9) pair. LP_INTERVAL_99 came from
+# the dense 400-point Nystrom lambda0 that preceded the tridiagonal
+# engine; today's bound meets it to 3e-15, and both lie 3.5e-13 above
+# 4*c(T) from a 30-digit mpmath solve, within the inversion tolerance.
+# The other three use no lambda0 and match today's values bit for bit.
 LP_INTERVAL_99 = 4.6226058990312655
 LP_MEASURABLE_99 = 4.0212385965949355
 DONOHO_STARK_99 = 0.8487888174145405

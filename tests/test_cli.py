@@ -240,6 +240,21 @@ class TestStateCommand:
         code, _, _ = run(capsys, ["state", "plane-wave"])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "length, width, message",
+        [
+            ("1", "inf", "width must be positive and finite, got inf"),
+            ("inf", "1", "length must be positive and finite, got inf"),
+            # checked before the grid is sized: on L < 0 that runs to the 2^24 cap
+            ("-1", "1", "length must be positive and finite, got -1.0"),
+        ],
+    )
+    def test_rect_sinc_names_a_bad_window_or_band(self, capsys, length, width, message):
+        code, out, err = run(capsys, ["state", "rect-sinc", "--L", length, "--W", width])
+        assert code == 2
+        assert out == ""
+        assert f"error: {message}" in err
+
 
 class TestOutputPlumbing:
     def test_json_mirrors_csv(self, capsys):

@@ -336,6 +336,17 @@ class TestRectSinc:
         with pytest.raises(DomainError):
             rect_sinc_state(Grid.symmetric(64.0, 1024), 1.0, 1.0, weight=1.5)
 
+    @pytest.mark.parametrize(
+        "length, width, name", [(math.inf, 1.0, "length"), (1.0, math.inf, "width")]
+    )
+    def test_rejects_infinite_window_or_band(self, length, width, name):
+        with pytest.raises(DomainError, match=f"{name} must be positive and finite"):
+            rect_sinc_state(Grid.symmetric(64.0, 1024), length, width, 0.5)
+
+    def test_grid_ending_at_the_origin_is_too_narrow(self):
+        with pytest.raises(GridError, match="too narrow"):
+            rect_sinc_state(Grid(0.0, 100.0, 1024), 1.0, 1.0, 0.5)
+
 
 class TestSlepianState:
     def test_position_mass_confined_to_window(self):
@@ -350,6 +361,15 @@ class TestSlepianState:
     def test_rejects_coarse_grid(self):
         with pytest.raises(GridError):
             slepian_state(1.0, 2.0, grid=Grid.symmetric(50.0, 1024))
+
+    @pytest.mark.parametrize("c", [0.5, 1.5, 4.0])
+    def test_default_grid_resolves_the_band(self, c):
+        # with L = 2 the band is |p| <= c; a grid that is too short in x
+        # has too few momentum cells in the band, and one whose window
+        # edges fall inside cells leaks mass past them: either misses
+        # lambda0 by more than 1e-4
+        band = probability_in_interval(fourier_transform(slepian_state(c, 2.0)), -c, c)
+        assert abs(band - lambda0(c)) <= 1e-4
 
 
 class TestEntropy:
