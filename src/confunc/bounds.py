@@ -20,7 +20,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import BoundDivergenceError, DomainError
-from .numerics import _check_hbar, erf_inverse
+from .numerics import _check_positive, erf_inverse
 from .slepian import lambda0_inverse_batch
 
 __all__ = [
@@ -105,7 +105,7 @@ def lp_measurable_bound(
     Applies to confidence uncertainties over arbitrary measurable sets;
     zero in the trivial region.
     """
-    return 2.0 * math.pi * _check_hbar(hbar) * angular_target(pair)
+    return 2.0 * math.pi * _check_positive("hbar", hbar) * angular_target(pair)
 
 
 def lp_interval_bounds(
@@ -126,7 +126,7 @@ def lp_interval_bounds(
         where a state supported on one interval cannot be fully
         band-limited and the bound grows without limit.
     """
-    h = _check_hbar(hbar)
+    h = _check_positive("hbar", hbar)
     targets = np.array([angular_target(p) for p in pairs], dtype=np.float64)
     if np.any(targets >= 1.0):
         raise BoundDivergenceError(
@@ -161,7 +161,7 @@ def log_asymptote(theta_p: float, hbar: float = 1.0) -> float:
     the exact bound is still 21% above this leading term (ratio 1.2146),
     while 4*hbar*c from the two-term law is within 0.4% of it.
     """
-    h = _check_hbar(hbar)
+    h = _check_positive("hbar", hbar)
     if not 0.0 < theta_p < 1.0:
         raise DomainError(f"log_asymptote requires 0 < theta_p < 1, got {theta_p}")
     return -2.0 * h * math.log1p(-theta_p)
@@ -176,7 +176,7 @@ def donoho_stark_bound(
     measurable-set bound above; clamps to zero where the bracket goes
     negative.
     """
-    h = _check_hbar(hbar)
+    h = _check_positive("hbar", hbar)
     p = _as_pair(pair)
     root = 1.0 - math.sqrt(1.0 - p.theta_x) - math.sqrt(1.0 - p.theta_p)
     if root <= 0.0:
@@ -209,7 +209,7 @@ def gaussian_interval_product(theta: float, hbar: float = 1.0) -> float:
     DomainError
         If theta is outside (0, 1).
     """
-    h = _check_hbar(hbar)
+    h = _check_positive("hbar", hbar)
     if not 0.0 < theta < 1.0:
         raise DomainError(
             f"gaussian_interval_product requires 0 < theta < 1, got {theta}"
@@ -220,7 +220,7 @@ def gaussian_interval_product(theta: float, hbar: float = 1.0) -> float:
 
 def bbm_reference(hbar: float = 1.0) -> float:
     """Entropic floor ln(pi * e * hbar) on h(x) + h(p)."""
-    return math.log(math.pi * math.e * _check_hbar(hbar))
+    return math.log(math.pi * math.e * _check_positive("hbar", hbar))
 
 
 @dataclass(frozen=True)
@@ -270,7 +270,7 @@ def report(
         At (1, 1), propagated from the interval bound.
     """
     p = _as_pair(pair)
-    h = _check_hbar(hbar)
+    h = _check_positive("hbar", hbar)
     region = classify_region(p)
     if region is Region.TRIVIAL:
         interval = None

@@ -12,11 +12,14 @@ evaluators for scripted use. Five subcommands:
 * ``state``     -- sample states with position/momentum density columns
   for external plotting.
 
-Every subcommand takes the same four options: ``--hbar``, ``--format``,
-``--out`` and ``--seed`` (the verification corpus); no environment
-variable changes a result. Output is CSV with one header row (default)
-or a JSON array of the same records. Numbers carry 6 significant digits;
-eigenvalue tables also report 1 - lambda0 in scientific notation so
+Every subcommand takes ``--format`` and ``--out``. ``--hbar`` goes on
+``bounds``, ``compare``, ``verify`` and ``state``, the subcommands with
+dimensional output, and ``--seed`` (the verification corpus) on
+``verify`` only; an option on a subcommand that does not read it is a
+usage error, and no environment variable changes a result. Output is
+CSV with one header row (default) or a JSON array of the same records,
+finite numbers as JSON numbers. Numbers carry 6 significant digits; eigenvalue
+tables also report 1 - lambda0 in scientific notation with 7, so
 near-unity values stay resolvable. ``--out`` follows symlinks, writes a
 FIFO or device in place, and replaces a regular file only once the new
 one is complete. Exit codes: 0 success, 1 a verification check failed,
@@ -31,7 +34,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import TextIO
 
@@ -42,6 +44,7 @@ from .bounds import (
     ConfidencePair,
     Region,
     angular_target,
+    bbm_reference,
     classify_region,
     donoho_stark_bound,
     elementary_bound,
@@ -51,10 +54,11 @@ from .bounds import (
     report,
 )
 from .errors import ConfuncError, DomainError
-from .numerics import _check_hbar, largest_eigenpair
+from .numerics import _check_positive, largest_eigenpair
 from .slepian import a_matrix, lambda0, lambda0_large_c, lambda0_small_c
 from .states import (
     Grid,
+    _gaussian_grid,
     _rect_sinc_grid,
     differential_entropy,
     fourier_transform,
@@ -67,37 +71,22 @@ from .states import (
     verify_lenard,
 )
 
-__all__ = ["RunConfig", "main"]
+__all__ = ["main"]
 
 _COMPARE_DEFAULT = (0.55, 0.60, 0.70, 0.80, 0.90, 0.95, 0.99)
-# cells of the grids behind the lenard suite and the Gaussian state dump
-_GRID_POINTS = 4096
 # count caps, checked before any list is built: the largest landscape
 # side (its square of pairs) and the most c values one --range may give
 _MAX_LANDSCAPE_SIDE = 500
 _MAX_RANGE_VALUES = 100_000
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved global options shared by all subcommands."""
-
-    hbar: float = 1.0
-    output_format: str = "csv"
-    output_path: str | None = None
-    seed: int = 42
-
-    def __post_init__(self) -> None:
-        _check_hbar(self.hbar)
-        if self.output_format not in ("csv", "json"):
-            raise DomainError(f"format must be csv or json, got {self.output_format}")
-        if self.seed < 0:
-            raise DomainError(f"seed must be >= 0, got {self.seed}")
-
-
 # --------------------------------------------------------------------
 # Emission
 # --------------------------------------------------------------------
+
+
+class _Scientific(str):
+    """A number's CSV text in scientific notation, a number in JSON."""
 
 
 def _fmt(value: object) -> str:
@@ -116,6 +105,8 @@ def _fmt(value: object) -> str:
 
 
 def _json_value(value: object) -> object:
+    if isinstance(value, _Scientific):
+        return float(value)
     if value is None or isinstance(value, (str, bool)):
         return value
     if isinstance(value, (int, np.integer)):
@@ -139,7 +130,7 @@ def _write(rows: list[dict], output_format: str, target: TextIO) -> None:
         target.write(json.dumps(payload, indent=1) + "\n")
 
 
-def _emit(rows: list[dict], config: RunConfig) -> None:
+def _emit(rows: list[dict], output_format: str, output_path: str | None) -> None:
     """Write rows to stdout or to --out.
 
     Symlinks are followed. An existing FIFO or device is written in
@@ -148,19 +139,19 @@ def _emit(rows: list[dict], config: RunConfig) -> None:
     """
     if not rows:
         return
-    if not config.output_path:
-        _write(rows, config.output_format, sys.stdout)
+    if not output_path:
+        _write(rows, output_format, sys.stdout)
         return
-    target = Path(config.output_path)
+    target = Path(output_path)
     if target.exists() and not target.is_file():
         with open(target, "w", newline="", encoding="ascii") as handle:
-            _write(rows, config.output_format, handle)
+            _write(rows, output_format, handle)
         return
     path = Path(os.path.realpath(target))
     temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(temporary, "x", newline="", encoding="ascii") as handle:
-            _write(rows, config.output_format, handle)
+            _write(rows, output_format, handle)
         os.replace(temporary, path)
     finally:
         temporary.unlink(missing_ok=True)
@@ -195,7 +186,7 @@ def _parse_range(spec: str) -> list[float]:
     return [start + k * step for k in range(count)]
 
 
-def _cmd_lambda0(args: argparse.Namespace, config: RunConfig) -> tuple[list[dict], int]:
+def _cmd_lambda0(args: argparse.Namespace) -> tuple[list[dict], int]:
     values: list[float] = list(args.c or [])
     if args.range:
         values.extend(_parse_range(args.range))
@@ -208,7 +199,7 @@ def _cmd_lambda0(args: argparse.Namespace, config: RunConfig) -> tuple[list[dict
             {
                 "c": c,
                 "lambda0": lam,
-                "one_minus_lambda0": f"{1.0 - lam:.6e}",
+                "one_minus_lambda0": _Scientific(f"{1.0 - lam:.6e}"),
                 "small_c_approx": lambda0_small_c(c),
                 "large_c_approx": lambda0_large_c(c),
             }
@@ -216,9 +207,8 @@ def _cmd_lambda0(args: argparse.Namespace, config: RunConfig) -> tuple[list[dict
     return rows, 0
 
 
-def _point_row(pair: ConfidencePair, config: RunConfig) -> dict:
+def _point_row(pair: ConfidencePair, h: float) -> dict:
     """Every bound at one pair; at (1, 1) the interval bound diverges."""
-    h = config.hbar
     try:
         rep = report(pair, hbar=h)
         interval, gaussian = rep.lp_interval or 0.0, rep.gaussian_product
@@ -237,7 +227,7 @@ def _point_row(pair: ConfidencePair, config: RunConfig) -> dict:
     }
 
 
-def _cmd_bounds(args: argparse.Namespace, config: RunConfig) -> tuple[list[dict], int]:
+def _cmd_bounds(args: argparse.Namespace) -> tuple[list[dict], int]:
     if args.grid is not None:
         if not 1 <= args.grid <= _MAX_LANDSCAPE_SIDE:
             raise DomainError(
@@ -245,7 +235,7 @@ def _cmd_bounds(args: argparse.Namespace, config: RunConfig) -> tuple[list[dict]
             )
         levels = [i / (args.grid + 1) for i in range(1, args.grid + 1)]
         pairs = [ConfidencePair(tx, tp) for tx in levels for tp in levels]
-        bounds = lp_interval_bounds(pairs, hbar=config.hbar)
+        bounds = lp_interval_bounds(pairs, hbar=args.hbar)
         rows = [
             {"theta_x": p.theta_x, "theta_p": p.theta_p, "lp_interval": bound}
             for p, bound in zip(pairs, bounds)
@@ -253,18 +243,18 @@ def _cmd_bounds(args: argparse.Namespace, config: RunConfig) -> tuple[list[dict]
         return rows, 0
     if args.tx is None or args.tp is None:
         raise DomainError("bounds needs --tx and --tp, or --grid")
-    return [_point_row(ConfidencePair(args.tx, args.tp), config)], 0
+    return [_point_row(ConfidencePair(args.tx, args.tp), args.hbar)], 0
 
 
-def _cmd_compare(args: argparse.Namespace, config: RunConfig) -> tuple[list[dict], int]:
+def _cmd_compare(args: argparse.Namespace) -> tuple[list[dict], int]:
     thetas = list(args.theta) if args.theta else list(_COMPARE_DEFAULT)
     for theta in thetas:
         if not 0.0 < theta < 1.0:
             raise DomainError(f"compare requires 0 < theta < 1, got {theta}")
-    slepian = lp_interval_bounds([(t, t) for t in thetas], hbar=config.hbar)
+    slepian = lp_interval_bounds([(t, t) for t in thetas], hbar=args.hbar)
     rows = []
     for theta, product in zip(thetas, slepian):
-        gaussian = gaussian_interval_product(theta, hbar=config.hbar)
+        gaussian = gaussian_interval_product(theta, hbar=args.hbar)
         rows.append(
             {
                 "theta": theta,
@@ -289,9 +279,9 @@ def _check(suite: str, name: str, measured: float, threshold: float, ok: bool) -
     }
 
 
-def _suite_strictness(config: RunConfig) -> list[dict]:
+def _suite_strictness(args: argparse.Namespace) -> list[dict]:
     rows = []
-    h = config.hbar
+    h = args.hbar
     # the band width carries a factor hbar so the suite probes the same
     # concentration parameter c = L*W/(4*hbar) whatever --hbar says
     for length, n, half in ((0.1, 1 << 20, 6553.6), (0.01, 1 << 22, 10485.76)):
@@ -307,7 +297,7 @@ def _suite_strictness(config: RunConfig) -> list[dict]:
     return rows
 
 
-def _suite_two_route(config: RunConfig) -> list[dict]:
+def _suite_two_route(args: argparse.Namespace) -> list[dict]:
     rows = []
     for c in (0.5, 1.0, 1.5, 2.0):
         norm, _ = largest_eigenpair(a_matrix(4.0 * c))
@@ -316,8 +306,9 @@ def _suite_two_route(config: RunConfig) -> list[dict]:
     return rows
 
 
-def _suite_dominance(config: RunConfig) -> list[dict]:
+def _suite_dominance(args: argparse.Namespace) -> list[dict]:
     rows = []
+    h = args.hbar
     levels = [i / 100.0 for i in range(1, 100)]
     worst = math.inf
     for tx in levels:
@@ -325,9 +316,7 @@ def _suite_dominance(config: RunConfig) -> list[dict]:
             pair = ConfidencePair(tx, tp)
             if classify_region(pair) is Region.TRIVIAL:
                 continue
-            diff = lp_measurable_bound(pair, config.hbar) - donoho_stark_bound(
-                pair, config.hbar
-            )
+            diff = lp_measurable_bound(pair, h) - donoho_stark_bound(pair, h)
             worst = min(worst, diff)
     rows.append(
         _check("dominance", "measurable_minus_donoho_stark_grid99", worst, 0.0, worst > 0.0)
@@ -339,30 +328,31 @@ def _suite_dominance(config: RunConfig) -> list[dict]:
         for tp in spots
         if tx + tp > 1.0
     ]
-    intervals = lp_interval_bounds(pairs, hbar=config.hbar)
+    intervals = lp_interval_bounds(pairs, hbar=h)
     worst = math.inf
     for pair, interval in zip(pairs, intervals):
-        worst = min(worst, interval - lp_measurable_bound(pair, config.hbar))
+        worst = min(worst, interval - lp_measurable_bound(pair, h))
     rows.append(
         _check("dominance", "interval_minus_measurable_spot_grid", worst, 0.0, worst > 0.0)
     )
     return rows
 
 
-def _suite_lenard(config: RunConfig) -> list[dict]:
+def _suite_lenard(args: argparse.Namespace) -> list[dict]:
     rows = []
-    grid = Grid.symmetric(20.0, _GRID_POINTS)
+    h = args.hbar
+    grid = Grid.symmetric(20.0, 4096)
     slack = 1e-6
     for k in range(50):
-        seed = config.seed + k
-        state = random_smooth_state(grid, seed, hbar=config.hbar)
+        seed = args.seed + k
+        state = random_smooth_state(grid, seed, hbar=h)
         rng = np.random.default_rng(seed + 1_000_003)
         worst = math.inf
         for _ in range(20):
             xc = rng.uniform(-5.0, 5.0)
             xw = rng.uniform(0.2, 5.0)
-            pc = rng.uniform(-20.0, 20.0) * config.hbar
-            pw = rng.uniform(0.2, 5.0) * config.hbar
+            pc = rng.uniform(-20.0, 20.0) * h
+            pw = rng.uniform(0.2, 5.0) * h
             witness = verify_lenard(
                 state,
                 (xc - 0.5 * xw, xc + 0.5 * xw),
@@ -384,11 +374,15 @@ _SUITES = {
 }
 
 
-def _cmd_verify(args: argparse.Namespace, config: RunConfig) -> tuple[list[dict], int]:
+def _cmd_verify(args: argparse.Namespace) -> tuple[list[dict], int]:
+    # checked for every suite, although two-route never reads hbar
+    _check_positive("hbar", args.hbar)
+    if args.seed < 0:
+        raise DomainError(f"seed must be >= 0, got {args.seed}")
     names = list(_SUITES) if args.suite == "all" else [args.suite]
     rows: list[dict] = []
     for name in names:
-        rows.extend(_SUITES[name](config))
+        rows.extend(_SUITES[name](args))
     failed = [r for r in rows if r["status"] != "pass"]
     return rows, 1 if failed else 0
 
@@ -396,18 +390,17 @@ def _cmd_verify(args: argparse.Namespace, config: RunConfig) -> tuple[list[dict]
 # ---- state emission -------------------------------------------------
 
 
-def _cmd_state(args: argparse.Namespace, config: RunConfig) -> tuple[list[dict], int]:
-    h = config.hbar
+def _cmd_state(args: argparse.Namespace) -> tuple[list[dict], int]:
+    h = args.hbar
     if args.kind == "gaussian":
         sigma = args.sigma if args.sigma is not None else 1.0
-        grid = Grid.symmetric(16.0 * sigma, _GRID_POINTS)
-        state = gaussian_state(grid, sigma, hbar=h)
+        state = gaussian_state(_gaussian_grid(sigma), sigma, hbar=h)
         momentum = fourier_transform(state)
         hx = differential_entropy(state)
         hp = differential_entropy(momentum)
         _note(
             f"gaussian sigma={sigma}: h(x)={hx:.6f}, h(p)={hp:.6f}, "
-            f"sum={hx + hp:.6f}, entropic floor={math.log(math.pi * math.e * h):.6f}"
+            f"sum={hx + hp:.6f}, entropic floor={bbm_reference(h):.6f}"
         )
     elif args.kind == "slepian":
         if args.c is None:
@@ -475,10 +468,10 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Confidence-uncertainty bounds for position and momentum.",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--hbar", type=float, default=1.0, help="value of hbar (default 1)")
     common.add_argument("--format", choices=("csv", "json"), default="csv")
     common.add_argument("--out", default=None, help="output path (default stdout)")
-    common.add_argument("--seed", type=int, default=42, help="corpus seed (verify)")
+    with_hbar = argparse.ArgumentParser(add_help=False, parents=[common])
+    with_hbar.add_argument("--hbar", type=float, default=1.0, help="value of hbar (default 1)")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -487,7 +480,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--range", default=None, help="c range start:stop:step, inclusive")
     p.set_defaults(handler=_cmd_lambda0)
 
-    p = sub.add_parser("bounds", parents=[common], help="bound report or landscape grid")
+    p = sub.add_parser("bounds", parents=[with_hbar], help="bound report or landscape grid")
     p.add_argument("--tx", type=float, default=None, help="position confidence")
     p.add_argument("--tp", type=float, default=None, help="momentum confidence")
     p.add_argument(
@@ -501,7 +494,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(handler=_cmd_bounds)
 
-    p = sub.add_parser("compare", parents=[common], help="Gaussian vs saturating state")
+    p = sub.add_parser("compare", parents=[with_hbar], help="Gaussian vs saturating state")
     p.add_argument(
         "--theta",
         type=float,
@@ -510,11 +503,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(handler=_cmd_compare)
 
-    p = sub.add_parser("verify", parents=[common], help="self-check suites")
+    p = sub.add_parser("verify", parents=[with_hbar], help="self-check suites")
     p.add_argument("suite", choices=(*_SUITES, "all"))
+    p.add_argument("--seed", type=int, default=42, help="corpus seed (default 42)")
     p.set_defaults(handler=_cmd_verify)
 
-    p = sub.add_parser("state", parents=[common], help="sample state with densities")
+    p = sub.add_parser("state", parents=[with_hbar], help="sample state with densities")
     p.add_argument("kind", choices=("slepian", "rect-sinc", "gaussian"))
     p.add_argument("--c", type=float, default=None, help="concentration (slepian)")
     p.add_argument("--L", type=float, default=None, help="window length")
@@ -533,20 +527,14 @@ def main(argv: list[str] | None = None) -> int:
         code = exc.code
         return code if isinstance(code, int) else 2
     try:
-        config = RunConfig(
-            hbar=args.hbar,
-            output_format=args.format,
-            output_path=args.out,
-            seed=args.seed,
-        )
-        rows, code = args.handler(args, config)
+        rows, code = args.handler(args)
     except ConfuncError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        _emit(rows, config)
+        _emit(rows, args.format, args.out)
     except OSError as exc:
-        target = config.output_path or "stdout"
+        target = args.out or "stdout"
         print(f"error: cannot write {target}: {exc.strerror or exc}", file=sys.stderr)
         return 2
     return code

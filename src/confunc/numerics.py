@@ -38,10 +38,11 @@ __all__ = [
 ]
 
 
-def _check_hbar(hbar: float) -> float:
-    if not (math.isfinite(hbar) and hbar > 0):
-        raise DomainError(f"hbar must be positive and finite, got {hbar}")
-    return float(hbar)
+def _check_positive(name: str, value: float) -> float:
+    """The one rule for inputs that must be positive and finite."""
+    if not (math.isfinite(value) and value > 0):
+        raise DomainError(f"{name} must be positive and finite, got {value}")
+    return float(value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -253,12 +254,12 @@ def largest_eigenpair(
     Raises
     ------
     DomainError
-        If the matrix is not square and symmetric to 1e-12.
+        If ``tol`` is not positive and finite, or the matrix is not
+        square and symmetric to 1e-12.
     ConvergenceError
         If the residual check fails at the requested tolerance.
     """
-    if tol <= 0:
-        raise DomainError(f"tolerance must be positive, got {tol}")
+    _check_positive("tolerance", tol)
     m = np.asarray(matrix, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DomainError(f"expected a square matrix, got shape {m.shape}")

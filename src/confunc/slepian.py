@@ -37,7 +37,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import ConvergenceError, DomainError
-from .numerics import QuadratureRule, gauss_legendre, largest_eigenpair
+from .numerics import QuadratureRule, _check_positive, gauss_legendre, largest_eigenpair
 
 __all__ = [
     "ConcentrationParameter",
@@ -374,8 +374,7 @@ def a_matrix(lw_over_hbar: float, truncation: int = 64) -> NDArray[np.float64]:
     panel Gauss-Legendre quadrature split at those points is exact to
     machine accuracy. Indices run over -truncation .. truncation.
     """
-    if lw_over_hbar <= 0 or not math.isfinite(lw_over_hbar):
-        raise DomainError(f"window product must be positive, got {lw_over_hbar}")
+    _check_positive("window product", lw_over_hbar)
     if truncation < 1:
         raise DomainError(f"truncation must be >= 1, got {truncation}")
     half = lw_over_hbar / 2.0

@@ -35,7 +35,7 @@ from typing import TextIO
 import numpy as np
 
 from .errors import DomainError, GridError, MassDeficitError
-from .numerics import _check_hbar, sine_integral
+from .numerics import _check_positive, sine_integral
 from .slepian import _principal_values, lambda0
 
 __all__ = [
@@ -109,8 +109,6 @@ class Grid:
 
     @classmethod
     def symmetric(cls, half_width: float, n: int) -> "Grid":
-        if not (math.isfinite(half_width) and half_width > 0):
-            raise GridError(f"half_width must be positive, got {half_width}")
         return cls(-half_width, half_width, n)
 
     def momentum_dual(self, hbar: float = 1.0) -> "Grid":
@@ -118,7 +116,7 @@ class Grid:
         dp = 2*pi*hbar/(n*dx) spanning [-pi*hbar/dx, pi*hbar/dx). The
         relation is symmetric: the dual of a momentum grid is the position
         grid of the inverse transform."""
-        h = _check_hbar(hbar)
+        h = _check_positive("hbar", hbar)
         dp = 2.0 * math.pi * h / (self.n * self.dx)
         half = 0.5 * self.n * dp
         return Grid(-half, half, self.n)
@@ -146,7 +144,7 @@ class GriddedState:
             )
         if not np.all(np.isfinite(amps.view(np.float64))):
             raise DomainError("amplitudes must be finite")
-        _check_hbar(self.hbar)
+        _check_positive("hbar", self.hbar)
         norm = float(np.sum(np.abs(amps) ** 2)) * self.grid.dx
         if abs(norm - 1.0) > _NORM_TOL:
             raise DomainError(
@@ -414,9 +412,8 @@ def gaussian_state(grid: Grid, sigma: float, hbar: float = 1.0) -> GriddedState:
     on the grid; its momentum density is Gaussian with deviation
     hbar/(2*sigma). The grid must hold essentially all of the mass.
     """
-    h = _check_hbar(hbar)
-    if not (math.isfinite(sigma) and sigma > 0):
-        raise DomainError(f"sigma must be positive, got {sigma}")
+    h = _check_positive("hbar", hbar)
+    _check_positive("sigma", sigma)
     x = grid.centers
     raw = np.exp(-(x**2) / (4.0 * sigma * sigma)).astype(np.complex128)
     tail = 1.0 - math.erf(min(abs(grid.x_min), abs(grid.x_max)) / (sigma * math.sqrt(2)))
@@ -428,9 +425,8 @@ def gaussian_state(grid: Grid, sigma: float, hbar: float = 1.0) -> GriddedState:
 
 
 def _check_rect_sinc(length: float, width: float, weight: float) -> None:
-    for name, value in (("length", length), ("width", width)):
-        if not (math.isfinite(value) and value > 0):
-            raise DomainError(f"{name} must be positive and finite, got {value}")
+    _check_positive("length", length)
+    _check_positive("width", width)
     if not 0.0 <= weight <= 1.0:
         raise DomainError(f"weight must lie in [0, 1], got {weight}")
 
@@ -460,7 +456,7 @@ def rect_sinc_prediction(
     m = (2/pi) * (Si(2c) - sin(c)^2 / c). The momentum mass follows from
     the same formulas under (L, W, P) -> (W, L, 1-P).
     """
-    h = _check_hbar(hbar)
+    h = _check_positive("hbar", hbar)
     _check_rect_sinc(length, width, weight)
     c = length * width / (4.0 * h)
     s = math.sqrt(2.0 / (math.pi * c)) * sine_integral(c)
@@ -506,6 +502,13 @@ def _rect_sinc_grid(length: float, width: float, hbar: float) -> Grid:
     return Grid.symmetric(0.5 * n * dx, n)
 
 
+def _gaussian_grid(sigma: float) -> Grid:
+    """4096 cells over [-16*sigma, 16*sigma]: the truncated tail is far
+    below the 1e-6 that ``gaussian_state`` accepts."""
+    _check_positive("sigma", sigma)
+    return Grid.symmetric(16.0 * sigma, 4096)
+
+
 def rect_sinc_state(
     grid: Grid,
     length: float,
@@ -527,7 +530,7 @@ def rect_sinc_state(
     below 1e-2 needs both grid ends at least 2*hbar/(pi*W*1e-2) from the
     origin; narrower grids raise GridError rather than silently aliasing.
     """
-    h = _check_hbar(hbar)
+    h = _check_positive("hbar", hbar)
     _check_rect_sinc(length, width, weight)
 
     raw = np.zeros(grid.n, dtype=np.complex128)
@@ -558,30 +561,29 @@ def slepian_state(
 ) -> GriddedState:
     """Principal prolate function scaled to the window [-L/2, L/2].
 
-    psi(x) = sqrt(2/L) * psi0(2x/L) inside the window and 0 outside,
-    renormalised on the grid, with psi0 summed from its Legendre series
-    at every cell centre. Holds all its position mass in the window
-    and a momentum fraction lambda0(c) in the band |p| <= W/2 with
-    W = 4*hbar*c/L, which saturates the interval bound.
+    psi(x) = sqrt(2/L) * psi0(2x/L) on the cells lying fully inside the
+    window and 0 elsewhere, renormalised on the grid, with psi0 summed
+    from its Legendre series at every cell centre. Holds all its
+    position mass in the window on any grid, and a momentum fraction
+    lambda0(c) in the band |p| <= W/2 with W = 4*hbar*c/L, which
+    saturates the interval bound.
 
     When ``grid`` is omitted, 2^15 cells over [-64L, 64L] are used: the
-    window edges fall on cell edges, so no position mass leaks past
-    them, and the band holds about 81*c momentum cells, so its mass is
-    within 1e-5 of lambda0(c) at c = 0.5, 1.5 and 4. A supplied grid
-    must put at least 64 cells inside the window.
+    window edges fall on cell edges, so the window is filled, and the
+    band holds about 81*c momentum cells, so its mass is within 1e-5 of
+    lambda0(c) at c = 0.5, 1.5 and 4. A supplied grid must put at least
+    64 cells inside the window.
     """
-    h = _check_hbar(hbar)
-    if not (math.isfinite(length) and length > 0):
-        raise DomainError(f"length must be positive, got {length}")
+    h = _check_positive("hbar", hbar)
+    _check_positive("length", length)
     if grid is None:
         grid = Grid.symmetric(64.0 * length, 1 << 15)
-    x = grid.centers
-    inside = np.abs(x) < 0.5 * length
-    psi0 = _principal_values(c, 2.0 * x[inside] / length)
-    if psi0.size < 64:
+    inside, _ = _window_cells(grid, length, "position")
+    if np.count_nonzero(inside) < 64:
         raise GridError(
             "grid puts fewer than 64 cells inside the window; refine the grid"
         )
+    psi0 = _principal_values(c, 2.0 * grid.centers[inside] / length)
     raw = np.zeros(grid.n, dtype=np.complex128)
     raw[inside] = math.sqrt(2.0 / length) * psi0
     return _normalised(grid, raw, h)
@@ -592,7 +594,7 @@ def random_smooth_state(grid: Grid, seed: int, hbar: float = 1.0) -> GriddedStat
     average, normalised. Used as an adversarial corpus for inequality
     checks; smoothing keeps the momentum density away from the Nyquist
     edge so the cell model stays a faithful discretisation."""
-    h = _check_hbar(hbar)
+    h = _check_positive("hbar", hbar)
     rng = np.random.default_rng(seed)
     raw = rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n)
     window = np.ones(5) / 5.0

@@ -231,6 +231,14 @@ class TestStateCommand:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize("sigma", ["nan", "0", "-1", "inf"])
+    def test_gaussian_names_a_bad_sigma(self, capsys, sigma):
+        # checked before the grid is sized on it
+        code, out, err = run(capsys, ["state", "gaussian", "--sigma", sigma])
+        assert code == 2
+        assert out == ""
+        assert err == f"error: sigma must be positive and finite, got {float(sigma)}\n"
+
     def test_rect_sinc_requires_window(self, capsys):
         code, _, err = run(capsys, ["state", "rect-sinc", "--L", "1"])
         assert code == 2
@@ -264,6 +272,12 @@ class TestOutputPlumbing:
         json_row = json.loads(json_out)[0]
         assert set(json_row) == set(csv_row)
         assert json_row["lambda0"] == float(csv_row["lambda0"])
+
+    def test_json_prints_one_minus_lambda0_as_a_number(self, capsys):
+        _, csv_out, _ = run(capsys, ["lambda0", "--c", "1.0"])
+        _, json_out, _ = run(capsys, ["lambda0", "--c", "1.0", "--format", "json"])
+        assert parse_csv(csv_out)[0]["one_minus_lambda0"] == "4.274182e-01"
+        assert json.loads(json_out)[0]["one_minus_lambda0"] == 0.4274182
 
     def test_json_encodes_infinity_as_string(self, capsys):
         _, out, _ = run(
@@ -368,6 +382,55 @@ class TestParserBasics:
         assert out == ""
         assert err.startswith("error:")
         assert "seed" in err
+
+
+class TestHbarAndSeedOptions:
+    def test_hbar_scales_the_dimensional_bounds(self, capsys):
+        point = ["bounds", "--tx", "0.9", "--tp", "0.9"]
+        _, out, _ = run(capsys, point)
+        code, scaled_out, _ = run(capsys, [*point, "--hbar", "2"])
+        assert code == 0
+        base, scaled = parse_csv(out)[0], parse_csv(scaled_out)[0]
+        for name in ("lp_measurable", "lp_interval", "donoho_stark", "gaussian_product"):
+            # both sides carry 6 significant digits
+            assert math.isclose(float(scaled[name]), 2.0 * float(base[name]), rel_tol=1e-5)
+        for name in ("angular_target", "elementary"):
+            assert scaled[name] == base[name]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bounds", "--tx", "0.9", "--tp", "0.9"],
+            ["compare"],
+            # two-route never reads hbar, yet the option is checked
+            ["verify", "two-route"],
+            ["state", "gaussian"],
+        ],
+    )
+    def test_bad_hbar_is_a_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, [*argv, "--hbar", "-1"])
+        assert code == 2
+        assert out == ""
+        assert err == "error: hbar must be positive and finite, got -1.0\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["lambda0", "--c", "1", "--hbar", "2"],
+            ["bounds", "--tx", "0.9", "--tp", "0.9", "--seed", "3"],
+        ],
+    )
+    def test_option_off_its_subcommands_is_a_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in err
+
+    def test_verify_takes_a_seed(self, capsys):
+        code, out, _ = run(capsys, ["verify", "lenard", "--seed", "3"])
+        assert code == 0
+        rows = parse_csv(out)
+        assert [r["check"] for r in rows[:2]] == ["min_margin_seed_3", "min_margin_seed_4"]
 
 
 class TestSizeCaps:

@@ -177,6 +177,11 @@ class TestLargestEigenpair:
         with pytest.raises(DomainError):
             largest_eigenpair(np.zeros((2, 3)))
 
+    def test_rejects_nan_tolerance(self):
+        # a NaN tolerance would switch the residual check off
+        with pytest.raises(DomainError, match="positive and finite"):
+            largest_eigenpair(np.eye(2), tol=math.nan)
+
     def test_vector_read_only(self):
         _, vector = largest_eigenpair(np.eye(3))
         with pytest.raises(ValueError):

@@ -371,6 +371,16 @@ class TestSlepianState:
         band = probability_in_interval(fourier_transform(slepian_state(c, 2.0)), -c, c)
         assert abs(band - lambda0(c)) <= 1e-4
 
+    @pytest.mark.parametrize("c", [0.5, 1.5, 4.0])
+    def test_no_leak_when_window_edges_fall_inside_cells(self, c):
+        # span 48L puts the edges of L = 2 inside cells; a state with mass
+        # past them is not window-limited, and its band mass can then
+        # exceed lambda0, the most any window-limited state holds
+        state = slepian_state(c, 2.0, grid=Grid.symmetric(96.0, 1 << 15))
+        assert 1.0 - probability_in_interval(state, -1.0, 1.0) <= 1e-12
+        band = probability_in_interval(fourier_transform(state), -c, c)
+        assert band <= lambda0(c) + 1e-9
+
 
 class TestEntropy:
     def test_uniform_entropy_zero(self):

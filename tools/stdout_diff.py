@@ -36,6 +36,10 @@ COMMANDS = (
     "state gaussian --sigma 2",
     "state rect-sinc --L 0.1 --W 0.1",
     "state rect-sinc --L 1 --W 1 --P 0.3",
+    "bounds --grid 16 --hbar 1.3",
+    "compare --hbar 1.3",
+    "state gaussian --sigma 0.7 --hbar 1.3",
+    "bounds --tx 0.9 --tp 0.9 --hbar -1",
 )
 
 
