@@ -15,8 +15,10 @@ evaluators for scripted use. Five subcommands:
 Every subcommand takes ``--format`` and ``--out``. ``--hbar`` goes on
 ``bounds``, ``compare``, ``verify`` and ``state``, the subcommands with
 dimensional output, and ``--seed`` (the verification corpus) on
-``verify`` only; an option on a subcommand that does not read it is a
-usage error, and no environment variable changes a result. Output is
+``verify`` only. ``state`` takes every option after its kind, and each
+kind only its own; ``bounds`` takes ``--grid`` or ``--tx`` and ``--tp``.
+An option on a subcommand or kind that does not read it is a usage
+error, and no environment variable changes a result. Output is
 CSV with one header row (default) or a JSON array of the same records,
 finite numbers as JSON numbers. Numbers carry 6 significant digits; eigenvalue
 tables also report 1 - lambda0 in scientific notation with 7, so
@@ -33,6 +35,7 @@ import csv
 import json
 import math
 import os
+import re
 import sys
 from pathlib import Path
 from typing import TextIO
@@ -118,40 +121,82 @@ def _json_value(value: object) -> object:
     return float(f"{v:.6g}")
 
 
-def _write(rows: list[dict], output_format: str, target: TextIO) -> None:
-    fields = list(rows[0].keys())
-    if output_format == "csv":
-        writer = csv.writer(target, lineterminator="\n")
-        writer.writerow(fields)
-        for row in rows:
-            writer.writerow([_fmt(row[k]) for k in fields])
-    else:
-        payload = [{k: _json_value(r[k]) for k in fields} for r in rows]
+def _columns(rows: list[dict]) -> dict[str, list]:
+    """The table of a list of rows that share their keys."""
+    return {name: [row[name] for row in rows] for name in rows[0]}
+
+
+# csv's minimal quoting with a "\n" line terminator: a field is quoted when
+# it holds a comma, a quote or a newline, or when it is a row's only field
+# and empty
+_NEEDS_QUOTES = re.compile(r'[,"\n]')
+# rows formatted per write, so only a bounded number of strings are alive
+_CHUNK_ROWS = 4096
+
+
+def _csv_cells(values, lone: bool) -> list[str]:
+    cells = []
+    for value in values:
+        text = _fmt(value)
+        if _NEEDS_QUOTES.search(text) or (lone and not text):
+            text = '"' + text.replace('"', '""') + '"'
+        cells.append(text)
+    return cells
+
+
+def _write(table: dict, output_format: str, target: TextIO) -> None:
+    """Write a table of columns (name -> sequence, all of one length).
+
+    In CSV a float array column is formatted by one ``%.6g`` row template,
+    which prints exactly what ``_fmt`` does; any other column goes through
+    ``_fmt`` and csv quoting.
+    """
+    names = list(table)
+    columns = list(table.values())
+    floats = [isinstance(c, np.ndarray) and c.dtype.kind == "f" for c in columns]
+    if output_format == "json":
+        values = [c.tolist() if f else c for c, f in zip(columns, floats)]
+        payload = [
+            {name: _json_value(value) for name, value in zip(names, row)}
+            for row in zip(*values)
+        ]
         target.write(json.dumps(payload, indent=1) + "\n")
+        return
+    csv.writer(target, lineterminator="\n").writerow(names)
+    template = ",".join("%.6g" if f else "%s" for f in floats) + "\n"
+    lone = len(columns) == 1
+    for start in range(0, len(columns[0]), _CHUNK_ROWS):
+        stop = start + _CHUNK_ROWS
+        cells = [
+            c[start:stop].tolist() if f else _csv_cells(c[start:stop], lone)
+            for c, f in zip(columns, floats)
+        ]
+        target.write("".join([template % row for row in zip(*cells)]))
 
 
-def _emit(rows: list[dict], output_format: str, output_path: str | None) -> None:
-    """Write rows to stdout or to --out.
+def _emit(table: dict, output_format: str, output_path: str | None) -> None:
+    """Write a table of columns to stdout or to --out; a table without rows
+    writes nothing.
 
     Symlinks are followed. An existing FIFO or device is written in
     place; a regular or new file is written to a temporary file beside
     the resolved target, which is renamed over it only once complete.
     """
-    if not rows:
+    if not table or len(next(iter(table.values()))) == 0:
         return
     if not output_path:
-        _write(rows, output_format, sys.stdout)
+        _write(table, output_format, sys.stdout)
         return
     target = Path(output_path)
     if target.exists() and not target.is_file():
         with open(target, "w", newline="", encoding="ascii") as handle:
-            _write(rows, output_format, handle)
+            _write(table, output_format, handle)
         return
     path = Path(os.path.realpath(target))
     temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(temporary, "x", newline="", encoding="ascii") as handle:
-            _write(rows, output_format, handle)
+            _write(table, output_format, handle)
         os.replace(temporary, path)
     finally:
         temporary.unlink(missing_ok=True)
@@ -186,7 +231,7 @@ def _parse_range(spec: str) -> list[float]:
     return [start + k * step for k in range(count)]
 
 
-def _cmd_lambda0(args: argparse.Namespace) -> tuple[list[dict], int]:
+def _cmd_lambda0(args: argparse.Namespace) -> tuple[dict, int]:
     values: list[float] = list(args.c or [])
     if args.range:
         values.extend(_parse_range(args.range))
@@ -204,7 +249,7 @@ def _cmd_lambda0(args: argparse.Namespace) -> tuple[list[dict], int]:
                 "large_c_approx": lambda0_large_c(c),
             }
         )
-    return rows, 0
+    return _columns(rows), 0
 
 
 def _point_row(pair: ConfidencePair, h: float) -> dict:
@@ -227,26 +272,28 @@ def _point_row(pair: ConfidencePair, h: float) -> dict:
     }
 
 
-def _cmd_bounds(args: argparse.Namespace) -> tuple[list[dict], int]:
+def _cmd_bounds(args: argparse.Namespace) -> tuple[dict, int]:
     if args.grid is not None:
+        if args.tx is not None or args.tp is not None:
+            raise DomainError("bounds takes --grid or --tx and --tp, not both")
         if not 1 <= args.grid <= _MAX_LANDSCAPE_SIDE:
             raise DomainError(
                 f"--grid must be a cell count in [1, {_MAX_LANDSCAPE_SIDE}], got {args.grid}"
             )
         levels = [i / (args.grid + 1) for i in range(1, args.grid + 1)]
         pairs = [ConfidencePair(tx, tp) for tx in levels for tp in levels]
-        bounds = lp_interval_bounds(pairs, hbar=args.hbar)
-        rows = [
-            {"theta_x": p.theta_x, "theta_p": p.theta_p, "lp_interval": bound}
-            for p, bound in zip(pairs, bounds)
-        ]
-        return rows, 0
+        table = {
+            "theta_x": np.array([p.theta_x for p in pairs]),
+            "theta_p": np.array([p.theta_p for p in pairs]),
+            "lp_interval": lp_interval_bounds(pairs, hbar=args.hbar),
+        }
+        return table, 0
     if args.tx is None or args.tp is None:
         raise DomainError("bounds needs --tx and --tp, or --grid")
-    return [_point_row(ConfidencePair(args.tx, args.tp), args.hbar)], 0
+    return _columns([_point_row(ConfidencePair(args.tx, args.tp), args.hbar)]), 0
 
 
-def _cmd_compare(args: argparse.Namespace) -> tuple[list[dict], int]:
+def _cmd_compare(args: argparse.Namespace) -> tuple[dict, int]:
     thetas = list(args.theta) if args.theta else list(_COMPARE_DEFAULT)
     for theta in thetas:
         if not 0.0 < theta < 1.0:
@@ -263,7 +310,7 @@ def _cmd_compare(args: argparse.Namespace) -> tuple[list[dict], int]:
                 "ratio": gaussian / product if product > 0 else math.inf,
             }
         )
-    return rows, 0
+    return _columns(rows), 0
 
 
 # ---- verify suites --------------------------------------------------
@@ -374,7 +421,7 @@ _SUITES = {
 }
 
 
-def _cmd_verify(args: argparse.Namespace) -> tuple[list[dict], int]:
+def _cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
     # checked for every suite, although two-route never reads hbar
     _check_positive("hbar", args.hbar)
     if args.seed < 0:
@@ -383,14 +430,14 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[list[dict], int]:
     rows: list[dict] = []
     for name in names:
         rows.extend(_SUITES[name](args))
-    failed = [r for r in rows if r["status"] != "pass"]
-    return rows, 1 if failed else 0
+    failed = any(r["status"] != "pass" for r in rows)
+    return _columns(rows), 1 if failed else 0
 
 
 # ---- state emission -------------------------------------------------
 
 
-def _cmd_state(args: argparse.Namespace) -> tuple[list[dict], int]:
+def _cmd_state(args: argparse.Namespace) -> tuple[dict, int]:
     h = args.hbar
     if args.kind == "gaussian":
         sigma = args.sigma if args.sigma is not None else 1.0
@@ -434,27 +481,15 @@ def _cmd_state(args: argparse.Namespace) -> tuple[list[dict], int]:
     else:  # pragma: no cover - argparse choices guard this
         raise DomainError(f"unknown state kind {args.kind!r}")
 
-    momentum_grid = momentum.grid
-    density_x = state.density
-    density_p = momentum.density
-    rows = [
-        {
-            "x": x,
-            "re_psi": a.real,
-            "im_psi": a.imag,
-            "density_x": dx_,
-            "p": p,
-            "density_p": dp_,
-        }
-        for x, a, dx_, p, dp_ in zip(
-            state.grid.centers,
-            state.amplitudes,
-            density_x,
-            momentum_grid.centers,
-            density_p,
-        )
-    ]
-    return rows, 0
+    table = {
+        "x": state.grid.centers,
+        "re_psi": state.amplitudes.real,
+        "im_psi": state.amplitudes.imag,
+        "density_x": state.density,
+        "p": momentum.grid.centers,
+        "density_p": momentum.density,
+    }
+    return table, 0
 
 
 # --------------------------------------------------------------------
@@ -508,14 +543,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=42, help="corpus seed (default 42)")
     p.set_defaults(handler=_cmd_verify)
 
-    p = sub.add_parser("state", parents=[with_hbar], help="sample state with densities")
-    p.add_argument("kind", choices=("slepian", "rect-sinc", "gaussian"))
-    p.add_argument("--c", type=float, default=None, help="concentration (slepian)")
-    p.add_argument("--L", type=float, default=None, help="window length")
-    p.add_argument("--W", type=float, default=None, help="band width (rect-sinc)")
-    p.add_argument("--P", type=float, default=None, help="rectangle weight (rect-sinc)")
-    p.add_argument("--sigma", type=float, default=None, help="deviation (gaussian)")
+    p = sub.add_parser("state", help="sample state with densities")
     p.set_defaults(handler=_cmd_state)
+    # each kind takes only its own options, all after the kind
+    kinds = p.add_subparsers(dest="kind", required=True)
+    k = kinds.add_parser("slepian", parents=[with_hbar], help="principal prolate state")
+    k.add_argument("--c", type=float, default=None, help="concentration")
+    k.add_argument("--L", type=float, default=None, help="window length (default 2)")
+    k = kinds.add_parser("rect-sinc", parents=[with_hbar], help="rectangle/sinc superposition")
+    k.add_argument("--L", type=float, default=None, help="window length")
+    k.add_argument("--W", type=float, default=None, help="band width")
+    k.add_argument("--P", type=float, default=None, help="rectangle weight (default 0.5)")
+    k = kinds.add_parser("gaussian", parents=[with_hbar], help="minimum-uncertainty Gaussian")
+    k.add_argument("--sigma", type=float, default=None, help="deviation (default 1)")
     return parser
 
 
@@ -527,12 +567,12 @@ def main(argv: list[str] | None = None) -> int:
         code = exc.code
         return code if isinstance(code, int) else 2
     try:
-        rows, code = args.handler(args)
+        table, code = args.handler(args)
     except ConfuncError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        _emit(rows, args.format, args.out)
+        _emit(table, args.format, args.out)
     except OSError as exc:
         target = args.out or "stdout"
         print(f"error: cannot write {target}: {exc.strerror or exc}", file=sys.stderr)

@@ -193,24 +193,49 @@ class ConfidenceEstimate:
 # --------------------------------------------------------------------
 
 
+def _phase(n: int, *factors: float) -> np.ndarray:
+    """e^(i*j*f1*f2*...) for j = 0..n-1, from cos and sin of a real angle.
+
+    The angle is multiplied out left to right. That is how numpy rounds the
+    imaginary part of a complex exponent such as sign*1j*t0*j*ds/h (it
+    divides a complex by a real h as a product with 1/h), so the phase has
+    the bits of ``np.exp`` of that exponent at half its time and memory.
+    """
+    angle = np.arange(n, dtype=np.float64)
+    for factor in factors:
+        angle *= factor
+    phase = np.empty(n, dtype=np.complex128)
+    np.cos(angle, out=phase.real)
+    np.sin(angle, out=phase.imag)
+    return phase
+
+
 def _centred_dft(state: GriddedState, target: Grid, sign: int) -> GriddedState:
     """Carry ``state`` from its grid s to the dual grid t with the kernel
     (2*pi*hbar)^(-1/2) * e^(sign*i*s*t/hbar): as n*ds*dt = 2*pi*hbar, that
     is one FFT between a chirp carrying the target offset t0 on the input
     and one carrying the source offset s0 on the output.
+
+    Each chirp is built by ``_phase`` and applied in place, so at most
+    two n-cell complex arrays and one real one are alive at once. The
+    operand order of each complex product is fixed: swapped operands
+    change the last bits of numpy's complex product.
     """
     source, h = state.grid, state.hbar
     ds, dt = source.dx, target.dx
     s0 = source.x_min + 0.5 * ds
     t0 = target.x_min + 0.5 * dt
-    j = np.arange(source.n)
-    pre = np.exp(sign * 1j * t0 * j * ds / h)
-    post = np.exp(sign * 1j * t0 * s0 / h) * np.exp(sign * 1j * j * dt * s0 / h)
-    # the unscaled sum (ifft without its 1/n), scaled in place to save an
-    # n-cell array; swapped operands would change the product's last bits
+    pre = _phase(source.n, sign * t0, ds, 1.0 / h)
+    np.multiply(state.amplitudes, pre, out=pre)
+    # the unscaled sum (ifft without its 1/n)
     dft, norm = (np.fft.fft, "backward") if sign < 0 else (np.fft.ifft, "forward")
-    out = dft(state.amplitudes * pre, norm=norm)
-    np.multiply((ds / math.sqrt(2.0 * math.pi * h)) * post, out, out=out)
+    out = dft(pre, norm=norm)
+    del pre
+    post = _phase(source.n, sign * dt, s0, 1.0 / h)
+    np.multiply(np.exp(sign * 1j * t0 * s0 / h), post, out=post)
+    np.multiply(ds / math.sqrt(2.0 * math.pi * h), post, out=post)
+    np.multiply(post, out, out=out)
+    del post
     return GriddedState(target, out, h)
 
 

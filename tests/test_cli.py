@@ -470,3 +470,39 @@ class TestSizeCaps:
         code, _, err = run(capsys, ["lambda0", "--range", spec])
         assert code == 2
         assert "finite" in err
+
+
+class TestOptionsPerKind:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["state", "gaussian", "--c", "5", "--W", "3", "--P", "0.2", "--L", "9"],
+            ["state", "gaussian", "--sigma", "2", "--L", "9"],
+            ["state", "slepian", "--c", "1", "--W", "3"],
+            ["state", "slepian", "--c", "1", "--P", "0.2"],
+            ["state", "slepian", "--c", "1", "--sigma", "2"],
+            ["state", "rect-sinc", "--L", "1", "--W", "1", "--c", "5"],
+            ["state", "rect-sinc", "--L", "1", "--W", "1", "--sigma", "2"],
+        ],
+    )
+    def test_option_of_another_kind_is_a_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert "unrecognized arguments" in err
+
+    def test_each_kind_takes_the_common_options(self, capsys, tmp_path):
+        target = tmp_path / "state.json"
+        argv = ["state", "rect-sinc", "--L", "1", "--W", "1", "--P", "0.3"]
+        code, _, _ = run(capsys, [*argv, "--hbar", "1.3", "--format", "json", "--out", str(target)])
+        assert code == 0
+        assert len(json.loads(target.read_text())) == 2048
+
+    @pytest.mark.parametrize(
+        "point", [["--tx", "0.3", "--tp", "0.4"], ["--tx", "0.3"], ["--tp", "0.4"]]
+    )
+    def test_grid_excludes_a_point(self, capsys, point):
+        code, out, err = run(capsys, ["bounds", "--grid", "2", *point])
+        assert code == 2
+        assert out == ""
+        assert err == "error: bounds takes --grid or --tx and --tp, not both\n"

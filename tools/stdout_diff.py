@@ -40,6 +40,11 @@ COMMANDS = (
     "compare --hbar 1.3",
     "state gaussian --sigma 0.7 --hbar 1.3",
     "bounds --tx 0.9 --tp 0.9 --hbar -1",
+    "state rect-sinc --L 0.3 --W 0.2 --hbar 1.3",
+    "state slepian --c 1.5 --hbar 0.7 --format json",
+    "verify strictness --hbar 0.7",
+    "bounds --grid 4 --format json",
+    "lambda0 --c 1 --c 13 --format json",
 )
 
 
