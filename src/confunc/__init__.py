@@ -88,6 +88,7 @@ from .states import (
     save_state,
     slepian_state,
     verify_lenard,
+    verify_lenard_batch,
 )
 
 __version__ = "0.1.0"
@@ -156,6 +157,7 @@ __all__ = [
     "slepian_state",
     "random_smooth_state",
     "verify_lenard",
+    "verify_lenard_batch",
     "save_state",
     "load_state",
 ]

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -57,6 +58,7 @@ __all__ = [
     "slepian_state",
     "random_smooth_state",
     "verify_lenard",
+    "verify_lenard_batch",
     "save_state",
     "load_state",
 ]
@@ -159,10 +161,15 @@ class GriddedState:
 
 
 def _normalised(grid: Grid, raw: np.ndarray, hbar: float) -> GriddedState:
-    norm = math.sqrt(float(np.sum(np.abs(raw) ** 2)) * grid.dx)
+    """Normalise ``raw`` in place and wrap it; callers pass a fresh
+    complex array they no longer use."""
+    density = np.abs(raw)
+    np.square(density, out=density)
+    norm = math.sqrt(float(np.sum(density)) * grid.dx)
+    del density
     if norm == 0.0:
         raise DomainError("cannot normalise an identically zero state")
-    return GriddedState(grid, raw / norm, hbar)
+    return GriddedState(grid, np.divide(raw, norm, out=raw), hbar)
 
 
 class SupportKind(Enum):
@@ -216,21 +223,22 @@ def _centred_dft(state: GriddedState, target: Grid, sign: int) -> GriddedState:
     is one FFT between a chirp carrying the target offset t0 on the input
     and one carrying the source offset s0 on the output.
 
-    Each chirp is built by ``_phase`` and applied in place, so at most
-    two n-cell complex arrays and one real one are alive at once. The
-    operand order of each complex product is fixed: swapped operands
+    Each chirp is built by ``_phase`` and applied in place, and the FFT
+    writes the sum over the chirped copy of the input (``out=``), so
+    numpy allocates no array for it: besides the input, at most two
+    n-cell complex arrays and one real one are alive at once.
+    The operand order of each complex product is fixed: swapped operands
     change the last bits of numpy's complex product.
     """
     source, h = state.grid, state.hbar
     ds, dt = source.dx, target.dx
     s0 = source.x_min + 0.5 * ds
     t0 = target.x_min + 0.5 * dt
-    pre = _phase(source.n, sign * t0, ds, 1.0 / h)
-    np.multiply(state.amplitudes, pre, out=pre)
+    out = _phase(source.n, sign * t0, ds, 1.0 / h)
+    np.multiply(state.amplitudes, out, out=out)
     # the unscaled sum (ifft without its 1/n)
     dft, norm = (np.fft.fft, "backward") if sign < 0 else (np.fft.ifft, "forward")
-    out = dft(pre, norm=norm)
-    del pre
+    dft(out, norm=norm, out=out)
     post = _phase(source.n, sign * dt, s0, 1.0 / h)
     np.multiply(np.exp(sign * 1j * t0 * s0 / h), post, out=post)
     np.multiply(ds / math.sqrt(2.0 * math.pi * h), post, out=post)
@@ -288,6 +296,13 @@ def _cumulative(state: GriddedState) -> np.ndarray:
     return cum
 
 
+def _masses(state: GriddedState, intervals: Sequence[tuple[float, float]]) -> list[float]:
+    """Mass in each interval (a, b), all read from one cumulative; the
+    intervals are taken as checked."""
+    ends = np.interp(np.ravel(intervals), state.grid.edges, _cumulative(state))
+    return [float(max(hi - lo, 0.0)) for lo, hi in ends.reshape(-1, 2)]
+
+
 def probability_in_interval(state: GriddedState, a: float, b: float) -> float:
     """Probability mass in [a, b] under the piecewise-constant density.
 
@@ -299,10 +314,7 @@ def probability_in_interval(state: GriddedState, a: float, b: float) -> float:
         raise DomainError("interval endpoints must be finite")
     if a > b:
         raise DomainError(f"interval requires a <= b, got [{a}, {b}]")
-    edges = state.grid.edges
-    cum = _cumulative(state)
-    lo, hi = np.interp([a, b], edges, cum)
-    return float(max(hi - lo, 0.0))
+    return _masses(state, [(a, b)])[0]
 
 
 def _clamp_theta(theta: float, total: float) -> float:
@@ -421,8 +433,7 @@ def differential_entropy(state: GriddedState) -> float:
     integrand = np.zeros_like(rho)
     positive = rho > 0.0
     integrand[positive] = -rho[positive] * np.log(rho[positive])
-    trapezoid = getattr(np, "trapezoid", None) or np.trapz
-    return float(trapezoid(integrand, state.grid.centers))
+    return float(np.trapezoid(integrand, state.grid.centers))
 
 
 # --------------------------------------------------------------------
@@ -558,10 +569,6 @@ def rect_sinc_state(
     h = _check_positive("hbar", hbar)
     _check_rect_sinc(length, width, weight)
 
-    raw = np.zeros(grid.n, dtype=np.complex128)
-    if weight > 0.0:
-        inside, norm = _window_cells(grid, length, "position")
-        raw[inside] += math.sqrt(weight) / norm
     if weight < 1.0:
         reach = _sinc_reach(width, h)
         if min(abs(grid.x_min), abs(grid.x_max)) < reach:
@@ -570,11 +577,22 @@ def rect_sinc_state(
                 f"extend the domain to at least +-{reach:.4g}"
             )
         dual = grid.momentum_dual(h)
+        # each array is dropped once used, so the transform sets the peak
         band, norm = _window_cells(dual, width, "momentum")
         indicator = np.zeros(grid.n, dtype=np.complex128)
         indicator[band] = 1.0 / norm
+        del band
         sinc = inverse_fourier_transform(GriddedState(dual, indicator, h), grid)
-        raw += math.sqrt(1.0 - weight) * sinc.amplitudes
+        del indicator
+        raw = math.sqrt(1.0 - weight) * sinc.amplitudes
+        del sinc
+        # -0.0 + 0.0 is +0.0: the same bits as adding the sinc to zeros
+        raw += 0.0
+    else:
+        raw = np.zeros(grid.n, dtype=np.complex128)
+    if weight > 0.0:
+        inside, norm = _window_cells(grid, length, "position")
+        raw[inside] += math.sqrt(weight) / norm
     return _normalised(grid, raw, h)
 
 
@@ -666,32 +684,54 @@ def verify_lenard(
 
     Probabilities are clipped into [0, 1] before taking arccos of their
     square roots; the momentum probability is evaluated on the unitary
-    transform of the state.
+    transform of the state. The one-window case of
+    :func:`verify_lenard_batch`.
     """
-    x1, x2 = x_interval
-    p1, p2 = p_interval
-    if not (x1 < x2 and p1 < p2):
-        raise DomainError("intervals must have positive length")
-    px = min(max(probability_in_interval(state, x1, x2), 0.0), 1.0)
-    pp = min(
-        max(probability_in_interval(fourier_transform(state), p1, p2), 0.0), 1.0
-    )
-    c = (x2 - x1) * (p2 - p1) / (4.0 * state.hbar)
-    lhs = math.acos(math.sqrt(px)) + math.acos(math.sqrt(pp))
-    rhs = math.acos(math.sqrt(lambda0(c)))
-    margin = lhs - rhs
-    return LenardWitness(
-        x_interval=(float(x1), float(x2)),
-        p_interval=(float(p1), float(p2)),
-        position_probability=px,
-        momentum_probability=pp,
-        angle_sum=lhs,
-        minimal_angle=rhs,
-        concentration=c,
-        margin=margin,
-        slack=slack,
-        holds=margin >= -slack,
-    )
+    return verify_lenard_batch(state, [(x_interval, p_interval)], slack)[0]
+
+
+def verify_lenard_batch(
+    state: GriddedState,
+    windows: Sequence[tuple[tuple[float, float], tuple[float, float]]],
+    slack: float = 1e-6,
+) -> list[LenardWitness]:
+    """:func:`verify_lenard` for each ``(x_interval, p_interval)`` in
+    ``windows``, in order, from one transform of the state.
+
+    Every window is checked before any work is done; the position masses
+    come from one cumulative of the state and the momentum masses from
+    one cumulative of its transform.
+    """
+    for (x1, x2), (p1, p2) in windows:
+        if not (x1 < x2 and p1 < p2):
+            raise DomainError("intervals must have positive length")
+        if not all(math.isfinite(v) for v in (x1, x2, p1, p2)):
+            raise DomainError("interval endpoints must be finite")
+    position = _masses(state, [x for x, _ in windows])
+    momentum = _masses(fourier_transform(state), [p for _, p in windows])
+    witnesses = []
+    for ((x1, x2), (p1, p2)), mass_x, mass_p in zip(windows, position, momentum):
+        px = min(max(mass_x, 0.0), 1.0)
+        pp = min(max(mass_p, 0.0), 1.0)
+        c = (x2 - x1) * (p2 - p1) / (4.0 * state.hbar)
+        lhs = math.acos(math.sqrt(px)) + math.acos(math.sqrt(pp))
+        rhs = math.acos(math.sqrt(lambda0(c)))
+        margin = lhs - rhs
+        witnesses.append(
+            LenardWitness(
+                x_interval=(float(x1), float(x2)),
+                p_interval=(float(p1), float(p2)),
+                position_probability=px,
+                momentum_probability=pp,
+                angle_sum=lhs,
+                minimal_angle=rhs,
+                concentration=c,
+                margin=margin,
+                slack=slack,
+                holds=margin >= -slack,
+            )
+        )
+    return witnesses
 
 
 # --------------------------------------------------------------------

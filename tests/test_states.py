@@ -37,6 +37,7 @@ from confunc.states import (
     save_state,
     slepian_state,
     verify_lenard,
+    verify_lenard_batch,
 )
 
 
@@ -433,6 +434,54 @@ class TestLenardWitness:
         state = gaussian_state(Grid.symmetric(10.0, 1024), 1.0)
         with pytest.raises(DomainError):
             verify_lenard(state, (1.0, -1.0), (-1.0, 1.0))
+
+
+def corpus_windows(seed, hbar, count=20):
+    rng = np.random.default_rng(seed)
+    windows = []
+    for _ in range(count):
+        xc, xw = rng.uniform(-5.0, 5.0), rng.uniform(0.2, 5.0)
+        pc, pw = rng.uniform(-20.0, 20.0) * hbar, rng.uniform(0.2, 5.0) * hbar
+        windows.append(((xc - 0.5 * xw, xc + 0.5 * xw), (pc - 0.5 * pw, pc + 0.5 * pw)))
+    return windows
+
+
+class TestLenardBatch:
+    @pytest.fixture
+    def transform_calls(self, monkeypatch):
+        calls = []
+
+        def counted(state):
+            calls.append(state)
+            return fourier_transform(state)
+
+        monkeypatch.setattr("confunc.states.fourier_transform", counted)
+        return calls
+
+    @pytest.mark.parametrize("seed", [3, 11, 123456])
+    def test_batch_equals_each_window_alone(self, seed, transform_calls):
+        hbar = 1.3
+        state = random_smooth_state(Grid.symmetric(20.0, 4096), seed, hbar=hbar)
+        windows = corpus_windows(seed + 1, hbar)
+        batch = verify_lenard_batch(state, windows, slack=1e-6)
+        assert len(transform_calls) == 1
+        single = [verify_lenard(state, x, p, slack=1e-6) for x, p in windows]
+        assert len(transform_calls) == 1 + len(windows)
+        assert len(batch) == len(windows)
+        for got, expected in zip(batch, single):
+            assert got == expected
+
+    @pytest.mark.parametrize(
+        "bad",
+        [((1.0, -1.0), (-1.0, 1.0)), ((-1.0, 1.0), (2.0, 2.0)), ((-math.inf, 1.0), (0.0, 1.0))],
+        ids=["reversed_x", "empty_p", "infinite_x"],
+    )
+    def test_bad_window_raises_before_any_transform(self, bad, transform_calls):
+        state = random_smooth_state(Grid.symmetric(20.0, 4096), 5)
+        windows = corpus_windows(6, 1.0) + [bad]
+        with pytest.raises(DomainError):
+            verify_lenard_batch(state, windows)
+        assert transform_calls == []
 
 
 class TestSaveLoad:

@@ -5,6 +5,10 @@
 cos and sin of a real angle and applies them in place; the two must
 agree bit for bit, and one transform at 2^20 cells must stay within
 three n-cell complex arrays of traced memory (the reference needs 4.5).
+The FFT writes over the package's own chirped copy, never over the
+input state. ``rect_sinc_state`` builds one inverse transform and must
+stay within 3.6 arrays (4.65 when it allocated ``raw`` before the
+transform and kept the band mask through it).
 """
 
 import math
@@ -13,7 +17,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from confunc.states import Grid, GriddedState, fourier_transform, inverse_fourier_transform
+from confunc.states import (
+    Grid,
+    GriddedState,
+    fourier_transform,
+    inverse_fourier_transform,
+    rect_sinc_state,
+)
 
 
 def reference_centred_dft(state, target, sign):
@@ -78,3 +88,28 @@ def test_transform_peak_memory_is_three_arrays(transform):
             tracemalloc.stop()
     assert result.grid.n == n
     assert peak <= 3.0 * 16 * n, f"peak {peak / (16 * n):.3f} n-cell complex arrays"
+
+
+@pytest.mark.parametrize("transform", [fourier_transform, inverse_fourier_transform])
+def test_transform_leaves_the_input_unchanged(transform):
+    state = random_state(Grid.symmetric(51.2, 4096), 1.3, seed=5)
+    before = state.amplitudes.copy()
+    transform(state)
+    assert np.array_equal(state.amplitudes.view(np.float64), before.view(np.float64))
+
+
+def test_rect_sinc_state_peak_memory_is_within_3_6_arrays():
+    n = 1 << 18
+    grid = Grid.symmetric(1638.4, n)
+    started = not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        state = rect_sinc_state(grid, 0.1, 0.1, 0.5)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert state.grid.n == n
+    assert peak <= 3.6 * 16 * n, f"peak {peak / (16 * n):.3f} n-cell complex arrays"

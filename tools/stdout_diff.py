@@ -45,6 +45,8 @@ COMMANDS = (
     "verify strictness --hbar 0.7",
     "bounds --grid 4 --format json",
     "lambda0 --c 1 --c 13 --format json",
+    "verify lenard --seed 3 --hbar 0.7",
+    "verify all --seed 123456 --hbar 1.9",
 )
 
 
