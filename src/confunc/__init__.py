@@ -55,7 +55,6 @@ from .numerics import (
 )
 from .slepian import (
     DEFAULT_ORDER,
-    ConcentrationParameter,
     ProlateSolution,
     a_matrix,
     evaluate_principal,
@@ -112,7 +111,6 @@ __all__ = [
     "bisect_monotone",
     # slepian
     "DEFAULT_ORDER",
-    "ConcentrationParameter",
     "ProlateSolution",
     "kernel_matrix",
     "lambda0",

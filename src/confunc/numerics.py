@@ -11,8 +11,9 @@ and the bound evaluators are built from:
   rectangle-plus-sinc state family.
 * The inverse error function, needed for Gaussian interval confidence
   products.
-* A dominant-eigenpair solver and a monotone bisection root finder, the
-  two primitives behind the concentration eigenvalue and its inverse.
+* A dominant-eigenpair solver, behind the concentration eigenvalue, and
+  a monotone bisection root finder for callers with a bracketed root
+  (the eigenvalue's inverse runs its own safeguarded Newton iteration).
 
 All functions are pure and deterministic; returned arrays are read-only.
 """
@@ -240,13 +241,15 @@ def erf_inverse(theta: float) -> float:
     raise ConvergenceError(f"erf_inverse did not converge for theta={theta}")
 
 
-def largest_eigenpair(
-    matrix: NDArray[np.float64], tol: float = 1e-12
-) -> tuple[float, NDArray[np.float64]]:
+# residual ||M v - lambda v|| that largest_eigenpair must reach
+_EIGEN_RESIDUAL = 1e-12
+
+
+def largest_eigenpair(matrix: NDArray[np.float64]) -> tuple[float, NDArray[np.float64]]:
     """Largest eigenvalue and unit eigenvector of a real symmetric matrix.
 
     A dense symmetric eigensolve provides the pair; the symmetry of the
-    input and the residual ``||M v - lambda v|| <= tol`` are verified so
+    input and the residual ``||M v - lambda v|| <= 1e-12`` are verified so
     the contract does not rest on the backend. The eigenvector sign is
     fixed so its entry of largest magnitude is positive, which makes the
     result deterministic.
@@ -254,12 +257,10 @@ def largest_eigenpair(
     Raises
     ------
     DomainError
-        If ``tol`` is not positive and finite, or the matrix is not
-        square and symmetric to 1e-12.
+        If the matrix is not square and symmetric to 1e-12.
     ConvergenceError
-        If the residual check fails at the requested tolerance.
+        If the residual check fails.
     """
-    _check_positive("tolerance", tol)
     m = np.asarray(matrix, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DomainError(f"expected a square matrix, got shape {m.shape}")
@@ -273,9 +274,9 @@ def largest_eigenpair(
     value = float(eigenvalues[-1])
     vector = eigenvectors[:, -1]
     residual = float(np.linalg.norm(sym @ vector - value * vector))
-    if residual > tol:
+    if residual > _EIGEN_RESIDUAL:
         raise ConvergenceError(
-            f"eigenpair residual {residual:.3e} exceeds tolerance {tol:.3e}"
+            f"eigenpair residual {residual:.3e} exceeds tolerance {_EIGEN_RESIDUAL:.3e}"
         )
     if vector[int(np.argmax(np.abs(vector)))] < 0:
         vector = -vector

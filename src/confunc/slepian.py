@@ -40,7 +40,6 @@ from .errors import ConvergenceError, DomainError
 from .numerics import QuadratureRule, _check_positive, gauss_legendre, largest_eigenpair
 
 __all__ = [
-    "ConcentrationParameter",
     "ProlateSolution",
     "kernel_matrix",
     "lambda0",
@@ -65,31 +64,22 @@ _THETA_RESOLUTION = 1e-12
 # a large c just above 1, outside its range [0, 1)
 _BELOW_ONE = math.nextafter(1.0, 0.0)
 
+# _invert stops once |lambda0(c) - theta| is this fraction of 1 - theta,
+# or once its bracket is this narrow
+_INVERSION_TOL = 1e-10
+
 # largest supported concentration; the prolate matrix has c/2 + 40 rows,
 # and 1 - lambda0 is below one ulp of 1 from c = 20 on
 _C_MAX = 1000.0
 
 
-def _as_c(c: float | ConcentrationParameter) -> float:
+def _as_c(c: float) -> float:
     value = float(c)
     if not math.isfinite(value) or value < 0:
         raise DomainError(
             f"concentration parameter must be finite and >= 0, got {value}"
         )
     return value
-
-
-@dataclass(frozen=True)
-class ConcentrationParameter:
-    """Dimensionless concentration parameter c = L*W/(4*hbar)."""
-
-    c: float
-
-    def __post_init__(self) -> None:
-        _as_c(self.c)
-
-    def __float__(self) -> float:
-        return float(self.c)
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,7 +91,7 @@ class ProlateSolution:
     ``quadrature_order`` Gauss-Legendre nodes of [-1, 1].
     """
 
-    c: ConcentrationParameter
+    c: float
     lambda0: float
     principal_function: NDArray[np.float64]
     quadrature_order: int
@@ -124,9 +114,7 @@ def _sinc(c: float, u: NDArray[np.float64], v: NDArray[np.float64]) -> NDArray[n
     return kern
 
 
-def kernel_matrix(
-    c: float | ConcentrationParameter, rule: QuadratureRule
-) -> NDArray[np.float64]:
+def kernel_matrix(c: float, rule: QuadratureRule) -> NDArray[np.float64]:
     """Symmetrised Nystrom matrix of the sinc kernel on the rule's nodes.
 
     Entries are sqrt(w_i w_j) * sin(c (u_i - u_j)) / (pi (u_i - u_j));
@@ -196,9 +184,7 @@ def _eigenpair(c: float) -> tuple[float, NDArray[np.float64]]:
     return value, coeffs
 
 
-def _principal_values(
-    c: float | ConcentrationParameter, u: NDArray[np.float64]
-) -> NDArray[np.float64]:
+def _principal_values(c: float, u: NDArray[np.float64]) -> NDArray[np.float64]:
     """psi0 at the points u of [-1, 1], summed from its Legendre series.
 
     Raises DomainError at c = 0, where psi0 is undefined, and for a c
@@ -210,7 +196,7 @@ def _principal_values(
     return _legendre_series(_eigenpair(cc)[1], u)
 
 
-def lambda0(c: float | ConcentrationParameter) -> float:
+def lambda0(c: float) -> float:
     """Largest sinc-kernel eigenvalue lambda0(c), in [0, 1).
 
     Computed from the ground state of the tridiagonal prolate matrix; a
@@ -229,12 +215,12 @@ def lambda0(c: float | ConcentrationParameter) -> float:
     return value
 
 
-def lambda0_small_c(c: float | ConcentrationParameter) -> float:
+def lambda0_small_c(c: float) -> float:
     """Leading small-c approximant 2c/pi of lambda0(c)."""
     return 2.0 * _as_c(c) / math.pi
 
 
-def lambda0_large_c(c: float | ConcentrationParameter) -> float:
+def lambda0_large_c(c: float) -> float:
     """Leading large-c approximant 1 - 4*sqrt(pi*c)*exp(-2c) of lambda0(c)."""
     cc = _as_c(c)
     return 1.0 - 4.0 * math.sqrt(math.pi * cc) * math.exp(-2.0 * cc)
@@ -252,22 +238,17 @@ def _inverse_bracket(theta: float) -> tuple[float, float]:
     return min(small, large) / 4.0, max(small, large) * 4.0
 
 
-def _invert(
-    theta: float,
-    tol: float,
-    lo: float,
-    hi: float,
-    start: float | None = None,
-) -> float:
+def _invert(theta: float, lo: float, hi: float, start: float | None = None) -> float:
     """Solve lambda0(c) = theta on a bracket known to straddle it.
 
     Newton iteration on ln(1 - lambda0), nearly linear in c, with the
     Slepian-Pollak derivative d lambda0/dc = 2 lambda0 psi0(1)^2 / c and
     psi0(1) the sum of psi0's Legendre coefficients, since every
     P_k(1) = 1; steps leaving the bracket fall back to bisection. It
-    stops once |lambda0(c) - theta| <= tol * (1 - theta), or once the bracket is
-    narrower than tol. An absolute tolerance would accept a c far too
-    large once 1 - theta nears tol, overstating every bound built on it.
+    stops once |lambda0(c) - theta| <= _INVERSION_TOL * (1 - theta), or
+    once the bracket is narrower than _INVERSION_TOL. An absolute
+    tolerance would accept a c far too large once 1 - theta nears it,
+    overstating every bound built on it.
 
     Raises
     ------
@@ -281,9 +262,9 @@ def _invert(
         gap = abs(value - theta)
         if gap < best_gap:
             best_c, best_gap = c, gap
-        if gap <= tol * (1.0 - theta):
+        if gap <= _INVERSION_TOL * (1.0 - theta):
             return c
-        if hi - lo <= tol:
+        if hi - lo <= _INVERSION_TOL:
             # rounding in the eigenvalue, not c, now sets the residual
             return best_c
         if value < theta:
@@ -303,12 +284,13 @@ def _invert(
     raise ConvergenceError(f"lambda0_inverse did not converge for theta={theta}")
 
 
-def lambda0_inverse(theta: float, *, tol: float = 1e-10) -> ConcentrationParameter:
+def lambda0_inverse(theta: float) -> float:
     """Concentration c with lambda0(c) = theta, for theta in (0, 1).
 
-    The result satisfies |lambda0(c) - theta| <= tol * (1 - theta) (or
-    the enclosing bracket has shrunk below tol). Monotone in theta. The
-    one-target case of :func:`lambda0_inverse_batch`.
+    The result satisfies |lambda0(c) - theta| <= 1e-10 * (1 - theta), or
+    the bracket around it has shrunk below 1e-10 and c is the best point
+    met. Monotone in theta. The one-target case of
+    :func:`lambda0_inverse_batch`.
 
     Raises
     ------
@@ -316,10 +298,10 @@ def lambda0_inverse(theta: float, *, tol: float = 1e-10) -> ConcentrationParamet
         If theta is outside (0, 1), or so close to 1 that 1 - theta is
         below the double-precision resolution of the eigenvalues.
     """
-    return ConcentrationParameter(float(lambda0_inverse_batch([theta], tol=tol)[0]))
+    return float(lambda0_inverse_batch([theta])[0])
 
 
-def lambda0_inverse_batch(thetas, *, tol: float = 1e-10) -> NDArray[np.float64]:
+def lambda0_inverse_batch(thetas) -> NDArray[np.float64]:
     """Vector of lambda0_inverse values, solved in one ascending sweep.
 
     Sorting the targets lets each inversion start from the previous
@@ -353,7 +335,7 @@ def lambda0_inverse_batch(thetas, *, tol: float = 1e-10) -> NDArray[np.float64]:
         lo, hi = _inverse_bracket(float(theta))
         lo = max(lo, prev_c)
         start = prev_c + prev_step if prev_step is not None else None
-        c = _invert(float(theta), tol, lo, hi, start)
+        c = _invert(float(theta), lo, hi, start)
         prev_step = c - prev_c if prev_c > 0 else None
         prev_c = c
         solved[k] = c
@@ -404,9 +386,7 @@ def a_matrix(lw_over_hbar: float, truncation: int = 64) -> NDArray[np.float64]:
     return sign[:, None] * sign[None, :] * core
 
 
-def principal_slepian(
-    c: float | ConcentrationParameter, order: int = DEFAULT_ORDER
-) -> ProlateSolution:
+def principal_slepian(c: float, order: int = DEFAULT_ORDER) -> ProlateSolution:
     """Principal eigenfunction samples and eigenvalue at concentration c.
 
     psi0 is sampled on the ``order`` Gauss-Legendre nodes of [-1, 1],
@@ -423,7 +403,7 @@ def principal_slepian(
     cc = _as_c(c)
     samples = _principal_values(cc, gauss_legendre(order).nodes)
     return ProlateSolution(
-        c=ConcentrationParameter(cc),
+        c=cc,
         lambda0=_eigenpair(cc)[0],
         principal_function=samples,
         quadrature_order=order,
@@ -443,5 +423,5 @@ def evaluate_principal(solution: ProlateSolution, points) -> NDArray[np.float64]
     """
     u = np.atleast_1d(np.asarray(points, dtype=np.float64))
     rule = gauss_legendre(solution.quadrature_order)
-    kern = _sinc(float(solution.c), u, rule.nodes)
+    kern = _sinc(solution.c, u, rule.nodes)
     return (kern @ (rule.weights * solution.principal_function)) / solution.lambda0

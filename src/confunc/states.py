@@ -67,6 +67,9 @@ _NORM_TOL = 1e-8
 # slack when a requested confidence exceeds total mass, matching the
 # norm tolerance of GriddedState
 _MASS_SLACK = 1e-7
+# margin below zero that a Lenard witness still counts as holding, for
+# grid effects
+_LENARD_SLACK = 1e-6
 
 
 @dataclass(frozen=True)
@@ -659,7 +662,7 @@ class LenardWitness:
     For any state, arccos of the position overlap plus arccos of the
     momentum overlap is at least arccos of the largest two-projection
     cosine, which is sqrt(lambda0(|X| |P| / (4*hbar))). ``margin`` is
-    lhs - rhs; ``holds`` allows the stated slack for grid effects.
+    lhs - rhs; ``holds`` allows ``slack``, a fixed 1e-6, for grid effects.
     """
 
     x_interval: tuple[float, float]
@@ -678,7 +681,6 @@ def verify_lenard(
     state: GriddedState,
     x_interval: tuple[float, float],
     p_interval: tuple[float, float],
-    slack: float = 1e-6,
 ) -> LenardWitness:
     """Check the angle inequality for one state and one interval pair.
 
@@ -687,13 +689,12 @@ def verify_lenard(
     transform of the state. The one-window case of
     :func:`verify_lenard_batch`.
     """
-    return verify_lenard_batch(state, [(x_interval, p_interval)], slack)[0]
+    return verify_lenard_batch(state, [(x_interval, p_interval)])[0]
 
 
 def verify_lenard_batch(
     state: GriddedState,
     windows: Sequence[tuple[tuple[float, float], tuple[float, float]]],
-    slack: float = 1e-6,
 ) -> list[LenardWitness]:
     """:func:`verify_lenard` for each ``(x_interval, p_interval)`` in
     ``windows``, in order, from one transform of the state.
@@ -727,8 +728,8 @@ def verify_lenard_batch(
                 minimal_angle=rhs,
                 concentration=c,
                 margin=margin,
-                slack=slack,
-                holds=margin >= -slack,
+                slack=_LENARD_SLACK,
+                holds=margin >= -_LENARD_SLACK,
             )
         )
     return witnesses

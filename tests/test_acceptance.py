@@ -119,7 +119,7 @@ class TestComparisonTable:
     def test_reproduces_printed_row(self, theta, g_printed, s_printed, r_printed):
         gaussian = gaussian_interval_product(theta)
         target = (2.0 * theta - 1.0) ** 2
-        slepian = 4.0 * float(lambda0_inverse(target))
+        slepian = 4.0 * lambda0_inverse(target)
         assert abs(gaussian - g_printed) <= 0.01
         assert abs(slepian - s_printed) <= 0.01
         assert abs(gaussian / slepian - r_printed) <= 0.02

@@ -67,7 +67,7 @@ class TestLambda0Command:
         assert code == 2
         assert "error:" in err
 
-    @pytest.mark.parametrize("spec", ["1:2", "a:b:c", "2:1:0.5", "1:2:-1"])
+    @pytest.mark.parametrize("spec", ["1:2", "a:b:c", "2:1:0.5", "1:2:-1", "0:1e308:1e-300"])
     def test_malformed_range(self, capsys, spec):
         code, _, err = run(capsys, ["lambda0", "--range", spec])
         assert code == 2

@@ -20,7 +20,6 @@ from confunc import slepian
 from confunc.errors import ConvergenceError, DomainError
 from confunc.numerics import gauss_legendre, largest_eigenpair
 from confunc.slepian import (
-    ConcentrationParameter,
     a_matrix,
     evaluate_principal,
     kernel_matrix,
@@ -31,7 +30,7 @@ from confunc.slepian import (
     lambda0_small_c,
     principal_slepian,
 )
-from confunc.states import slepian_state
+from confunc.states import Grid, gaussian_state, slepian_state, verify_lenard
 
 # frozen regression anchors, computed by the dense 400-point Nystrom
 # eigensolve that preceded the tridiagonal engine; today's lambda0 meets
@@ -59,12 +58,10 @@ class TestLambda0:
         values = [lambda0(c) for c in grid]
         assert np.all(np.diff(values) > 0)
 
-    def test_accepts_wrapper_type(self):
-        assert lambda0(ConcentrationParameter(1.0)) == lambda0(1.0)
-
-    def test_rejects_negative(self):
+    @pytest.mark.parametrize("bad", [-0.1, math.nan, math.inf])
+    def test_rejects_negative(self, bad):
         with pytest.raises(DomainError):
-            lambda0(-0.1)
+            lambda0(bad)
 
     def test_small_c_asymptote(self):
         c = 0.02
@@ -102,7 +99,7 @@ class TestKernelMatrix:
 class TestInverse:
     @pytest.mark.parametrize("theta", [0.01, 0.16, 0.64, 0.9, 0.99, 1 - 1e-6])
     def test_round_trip(self, theta):
-        c = float(lambda0_inverse(theta))
+        c = lambda0_inverse(theta)
         assert abs(lambda0(c) - theta) <= 1e-10
 
     def test_monotone(self):
@@ -114,7 +111,7 @@ class TestInverse:
         thetas = np.array([0.9, 0.1, 0.64, 0.1])
         batch = lambda0_inverse_batch(thetas)
         for theta, c in zip(thetas, batch):
-            assert abs(c - float(lambda0_inverse(theta))) <= 1e-9
+            assert abs(c - lambda0_inverse(theta)) <= 1e-9
         assert batch[1] == batch[3]
 
     def test_batch_empty(self):
@@ -131,9 +128,9 @@ class TestInverse:
 
     def test_asymptotic_inverses(self):
         # small theta: c ~ pi*theta/2; large theta: c ~ -ln(1-theta)/2
-        assert abs(float(lambda0_inverse(0.001)) / (math.pi * 0.001 / 2) - 1) <= 0.01
+        assert abs(lambda0_inverse(0.001) / (math.pi * 0.001 / 2) - 1) <= 0.01
         theta = 1 - 1e-8
-        assert abs(float(lambda0_inverse(theta)) / (-0.5 * math.log1p(-theta)) - 1) <= 0.25
+        assert abs(lambda0_inverse(theta) / (-0.5 * math.log1p(-theta)) - 1) <= 0.25
 
 
 class TestAMatrix:
@@ -192,16 +189,6 @@ class TestPrincipalFunction:
             principal_slepian(0.0)
 
 
-class TestConcentrationParameter:
-    def test_coerces_to_float(self):
-        assert float(ConcentrationParameter(1.5)) == 1.5
-
-    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
-    def test_rejects_invalid(self, bad):
-        with pytest.raises(DomainError):
-            ConcentrationParameter(bad)
-
-
 @given(st.floats(min_value=0.01, max_value=6.0), st.floats(min_value=0.01, max_value=6.0))
 @settings(deadline=None, max_examples=25)
 def test_lambda0_monotone_property(c1, c2):
@@ -218,8 +205,9 @@ class TestHighConfidence:
 
     def test_inversion_raises_at_iteration_cap(self, monkeypatch):
         # an eigenvalue that steps over the target at c = 0.5 never meets
-        # it, and with tol = 0 the bracket stalls at one ulp around 0.5,
-        # so the solver must give up rather than return
+        # it, and with a zero tolerance the bracket stalls at one ulp
+        # around 0.5, so the solver must give up rather than return
+        monkeypatch.setattr(slepian, "_INVERSION_TOL", 0.0)
         true_pair = slepian._eigenpair
         monkeypatch.setattr(
             slepian,
@@ -227,7 +215,18 @@ class TestHighConfidence:
             lambda c: (0.2 if c < 0.5 else 0.4, true_pair(c)[1]),
         )
         with pytest.raises(ConvergenceError):
-            lambda0_inverse(0.3, tol=0.0)
+            lambda0_inverse(0.3)
+
+
+def test_fixed_tolerances_are_not_settings():
+    # a loose inversion tolerance overstated c 1.9x at theta = 0.5, and an
+    # infinite Lenard slack made every witness hold; neither can be passed
+    assert type(lambda0_inverse(0.5)) is float
+    with pytest.raises(TypeError):
+        lambda0_inverse(0.5, tol=1.0)
+    state = gaussian_state(Grid.symmetric(10.0, 1024), 1.0)
+    with pytest.raises(TypeError):
+        verify_lenard(state, (-1.0, 1.0), (-1.0, 1.0), slack=math.inf)
 
 
 def test_batch_rejects_nan_target():
@@ -241,7 +240,7 @@ def test_inverse_round_trip_in_log_complement(log_eps):
     # the stopping rule is relative in 1 - theta, so the complement
     # 1 - lambda0 is matched even where theta is within 1e-11 of 1
     theta = 1.0 - math.exp(log_eps)
-    c = float(lambda0_inverse(theta))
+    c = lambda0_inverse(theta)
     assert abs(math.log1p(-lambda0(c)) - math.log1p(-theta)) <= 1e-4
 
 

@@ -463,9 +463,9 @@ class TestLenardBatch:
         hbar = 1.3
         state = random_smooth_state(Grid.symmetric(20.0, 4096), seed, hbar=hbar)
         windows = corpus_windows(seed + 1, hbar)
-        batch = verify_lenard_batch(state, windows, slack=1e-6)
+        batch = verify_lenard_batch(state, windows)
         assert len(transform_calls) == 1
-        single = [verify_lenard(state, x, p, slack=1e-6) for x, p in windows]
+        single = [verify_lenard(state, x, p) for x, p in windows]
         assert len(transform_calls) == 1 + len(windows)
         assert len(batch) == len(windows)
         for got, expected in zip(batch, single):

@@ -47,6 +47,8 @@ COMMANDS = (
     "lambda0 --c 1 --c 13 --format json",
     "verify lenard --seed 3 --hbar 0.7",
     "verify all --seed 123456 --hbar 1.9",
+    "bounds --tx 1 --tp 1",
+    "lambda0 --range 0:1e308:1e-300",
 )
 
 
