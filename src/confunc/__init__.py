@@ -7,7 +7,7 @@ products of position and momentum confidence uncertainties, built on
 the concentration eigenvalue lambda0(c) of the sinc-kernel operator:
 
 * :mod:`confunc.numerics` -- quadrature, special functions, and the
-  symmetric-eigenpair and bisection primitives;
+  symmetric-eigenpair primitive;
 * :mod:`confunc.slepian`  -- lambda0(c) from the tridiagonal prolate
   matrix, its inverse, the principal eigenfunction, and two independent
   routes to the same number (the sinc-kernel Nystrom matrix and the
@@ -38,7 +38,6 @@ from .bounds import (
 )
 from .errors import (
     BoundDivergenceError,
-    BracketError,
     ConfuncError,
     ConvergenceError,
     DomainError,
@@ -47,7 +46,6 @@ from .errors import (
 )
 from .numerics import (
     QuadratureRule,
-    bisect_monotone,
     erf_inverse,
     gauss_legendre,
     largest_eigenpair,
@@ -97,7 +95,6 @@ __all__ = [
     # errors
     "ConfuncError",
     "DomainError",
-    "BracketError",
     "ConvergenceError",
     "BoundDivergenceError",
     "GridError",
@@ -108,7 +105,6 @@ __all__ = [
     "sine_integral",
     "erf_inverse",
     "largest_eigenpair",
-    "bisect_monotone",
     # slepian
     "DEFAULT_ORDER",
     "ProlateSolution",

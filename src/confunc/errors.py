@@ -5,7 +5,6 @@ from __future__ import annotations
 __all__ = [
     "ConfuncError",
     "DomainError",
-    "BracketError",
     "ConvergenceError",
     "BoundDivergenceError",
     "GridError",
@@ -19,10 +18,6 @@ class ConfuncError(Exception):
 
 class DomainError(ConfuncError, ValueError):
     """An argument lies outside the mathematical domain of an operation."""
-
-
-class BracketError(ConfuncError, ValueError):
-    """A root bracket does not straddle the requested target value."""
 
 
 class ConvergenceError(ConfuncError, RuntimeError):

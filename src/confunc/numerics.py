@@ -11,9 +11,7 @@ and the bound evaluators are built from:
   rectangle-plus-sinc state family.
 * The inverse error function, needed for Gaussian interval confidence
   products.
-* A dominant-eigenpair solver, behind the concentration eigenvalue, and
-  a monotone bisection root finder for callers with a bracketed root
-  (the eigenvalue's inverse runs its own safeguarded Newton iteration).
+* A dominant-eigenpair solver, behind the concentration eigenvalue.
 
 All functions are pure and deterministic; returned arrays are read-only.
 """
@@ -27,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import BracketError, ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError
 
 __all__ = [
     "QuadratureRule",
@@ -35,7 +33,6 @@ __all__ = [
     "sine_integral",
     "erf_inverse",
     "largest_eigenpair",
-    "bisect_monotone",
 ]
 
 
@@ -153,7 +150,29 @@ def gauss_legendre(order: int) -> QuadratureRule:
     return QuadratureRule(nodes=nodes, weights=weights, order=n)
 
 
-_SI_RULE_ORDER = 32
+_PANEL_RULE_ORDER = 32
+
+
+def _panel_rule(breaks, width: float) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """Nodes and weights of the composite 32-point Gauss-Legendre rule.
+
+    Each gap between consecutive ``breaks`` is cut into equal panels no
+    wider than ``width``, and every panel carries a mapped copy of the
+    rule; panel by panel, the nodes are mid + half * node and the
+    weights half * weight.
+    """
+    rule = gauss_legendre(_PANEL_RULE_ORDER)
+    gaps = zip(breaks[:-1], breaks[1:])
+    # linspace ends exactly on each break, so adjacent gaps share it
+    cuts = [np.linspace(a, b, max(1, math.ceil((b - a) / width)) + 1)[:-1] for a, b in gaps]
+    edges = np.concatenate([*cuts, breaks[-1:]])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    nodes = (mid[:, None] + half[:, None] * rule.nodes[None, :]).ravel()
+    weights = (half[:, None] * rule.weights[None, :]).ravel()
+    return nodes, weights
+
+
 _SI_PANEL = 2.0
 _SI_ASYMPTOTIC_CUT = 50.0
 
@@ -176,15 +195,8 @@ def sine_integral(y: float) -> float:
         # panel node products for subnormal arguments
         return sign * ay * (1.0 - ay * ay / 18.0)
     if ay <= _SI_ASYMPTOTIC_CUT:
-        rule = gauss_legendre(_SI_RULE_ORDER)
-        npanels = max(1, math.ceil(ay / _SI_PANEL))
-        edges = np.linspace(0.0, ay, npanels + 1)
-        half = 0.5 * (edges[1:] - edges[:-1])
-        mid = 0.5 * (edges[1:] + edges[:-1])
-        t = mid[:, None] + half[:, None] * rule.nodes[None, :]
-        vals = np.sin(t) / t
-        total = float(np.sum(half[:, None] * rule.weights[None, :] * vals))
-        return sign * total
+        t, wt = _panel_rule([0.0, ay], _SI_PANEL)
+        return sign * float(np.sum(wt * (np.sin(t) / t)))
     # Si(y) = pi/2 - cos(y) f(y) - sin(y) g(y) with asymptotic f, g
     inv2 = 1.0 / (ay * ay)
     f = 0.0
@@ -283,48 +295,3 @@ def largest_eigenpair(matrix: NDArray[np.float64]) -> tuple[float, NDArray[np.fl
     vector = vector.copy()
     vector.setflags(write=False)
     return value, vector
-
-
-def bisect_monotone(
-    f,
-    target: float,
-    bracket: tuple[float, float],
-    tol: float = 1e-10,
-) -> float:
-    """Solve f(x) = target for monotone f by bisection on a bracket.
-
-    Terminates when either ``|f(x) - target| <= tol`` or the bracket
-    width falls below ``tol``. Works for increasing and decreasing f.
-
-    Raises
-    ------
-    BracketError
-        If f evaluated at the bracket ends does not straddle the target.
-    ConvergenceError
-        If neither test is met within 200 halvings.
-    """
-    lo, hi = float(bracket[0]), float(bracket[1])
-    if not lo < hi:
-        raise BracketError(f"bracket must satisfy lo < hi, got ({lo}, {hi})")
-    flo = f(lo) - target
-    fhi = f(hi) - target
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if (flo > 0) == (fhi > 0):
-        raise BracketError(
-            f"f does not straddle target {target} on ({lo}, {hi}): "
-            f"f(lo)-target={flo:.3e}, f(hi)-target={fhi:.3e}"
-        )
-    increasing = fhi > 0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fmid = f(mid) - target
-        if abs(fmid) <= tol or (hi - lo) <= tol:
-            return mid
-        if (fmid < 0) == increasing:
-            lo = mid
-        else:
-            hi = mid
-    raise ConvergenceError(f"bisection stalled on ({lo}, {hi}) above tolerance {tol}")

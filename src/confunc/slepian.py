@@ -37,7 +37,13 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import ConvergenceError, DomainError
-from .numerics import QuadratureRule, _check_positive, gauss_legendre, largest_eigenpair
+from .numerics import (
+    QuadratureRule,
+    _check_positive,
+    _panel_rule,
+    gauss_legendre,
+    largest_eigenpair,
+)
 
 __all__ = [
     "ProlateSolution",
@@ -366,17 +372,7 @@ def a_matrix(lw_over_hbar: float, truncation: int = 64) -> NDArray[np.float64]:
         splits |= {2 * math.pi * k, -2 * math.pi * k}
         k += 1
     edges = sorted(p for p in splits if -half <= p <= half)
-    rule = gauss_legendre(32)
-    pts, wts = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        nsub = max(1, math.ceil((b - a) / 1.0))
-        sub = np.linspace(a, b, nsub + 1)
-        h = 0.5 * (sub[1:] - sub[:-1])
-        mid = 0.5 * (sub[1:] + sub[:-1])
-        pts.append((mid[:, None] + h[:, None] * rule.nodes[None, :]).ravel())
-        wts.append((h[:, None] * rule.weights[None, :]).ravel())
-    t = np.concatenate(pts)
-    wt = np.concatenate(wts)
+    t, wt = _panel_rule(edges, 1.0)
     n = np.arange(-truncation, truncation + 1)
     # 1 - cos t evaluated as 2 sin^2(t/2), exact through the double zeros
     weighted = wt * 2.0 * np.sin(t / 2.0) ** 2

@@ -368,10 +368,11 @@ def interval_confidence_uncertainty(
     Since the cumulative is piecewise linear, some optimal window has an
     endpoint on a cell edge: sliding a window between edge crossings
     changes its width linearly, so a minimum sits where an endpoint hits
-    an edge. Both families (left endpoint on an edge, right endpoint on
-    an edge) are swept and the shorter window wins. Plateaus of the
-    cumulative (runs of empty cells) are resolved towards the shorter
-    window.
+    an edge. Windows with their left endpoint on an edge are swept on the
+    state and on its mirror image, whose left-edge windows are the
+    state's right-edge windows, and the shorter window wins; a tie goes
+    to the left-edge window. Plateaus of the cumulative (runs of empty
+    cells) are resolved towards the shorter window.
     """
     edges = state.grid.edges
     cum = _cumulative(state)
@@ -379,49 +380,29 @@ def interval_confidence_uncertainty(
     dx = state.grid.dx
     theta = _clamp_theta(theta, float(cum[-1]))
 
-    def forward(targets: np.ndarray) -> np.ndarray:
-        # smallest x with cumulative(x) >= target
-        j = np.searchsorted(cum, targets, side="left")
-        j = np.clip(j, 1, len(cum) - 1)
-        prev = cum[j - 1]
+    def sweep(edges, cum, masses) -> tuple[float, float, float]:
+        # shortest (width, x1, x2) with x1 a cell edge and x2 the smallest
+        # x whose cumulative reaches cum(x1) + theta; x1 = edges[0]
+        # always qualifies, since theta is at most the total mass
+        ok = cum + theta <= cum[-1] + 1e-15
+        x1 = edges[ok]
+        targets = cum[ok] + theta
+        j = np.clip(np.searchsorted(cum, targets, side="left"), 1, len(cum) - 1)
         step = masses[j - 1]
-        frac = np.where(step > 0.0, (targets - prev) / np.where(step > 0, step, 1.0), 1.0)
-        return edges[j - 1] + np.clip(frac, 0.0, 1.0) * dx
-
-    def backward(targets: np.ndarray) -> np.ndarray:
-        # largest x with cumulative(x) <= target
-        j = np.searchsorted(cum, targets, side="right") - 1
-        j = np.clip(j, 0, len(cum) - 2)
-        step = masses[j]
-        frac = np.where(step > 0.0, (targets - cum[j]) / np.where(step > 0, step, 1.0), 0.0)
-        return edges[j] + np.clip(frac, 0.0, 1.0) * dx
-
-    best_width = math.inf
-    best: tuple[float, float] = (edges[0], edges[-1])
-
-    left_ok = cum + theta <= cum[-1] + 1e-15
-    if np.any(left_ok):
-        x1 = edges[left_ok]
-        x2 = forward(cum[left_ok] + theta)
+        frac = np.where(step > 0.0, (targets - cum[j - 1]) / np.where(step > 0, step, 1.0), 1.0)
+        x2 = edges[j - 1] + np.clip(frac, 0.0, 1.0) * dx
         i = int(np.argmin(x2 - x1))
-        if x2[i] - x1[i] < best_width:
-            best_width = float(x2[i] - x1[i])
-            best = (float(x1[i]), float(x2[i]))
+        return float(x2[i] - x1[i]), float(x1[i]), float(x2[i])
 
-    right_ok = cum - theta >= -1e-15
-    if np.any(right_ok):
-        x2 = edges[right_ok]
-        x1 = backward(cum[right_ok] - theta)
-        i = int(np.argmin(x2 - x1))
-        if x2[i] - x1[i] < best_width:
-            best_width = float(x2[i] - x1[i])
-            best = (float(x1[i]), float(x2[i]))
-
+    width, x1, x2 = sweep(edges, cum, masses)
+    mirrored = sweep(-edges[::-1], cum[-1] - cum[::-1], masses[::-1])
+    if mirrored[0] < width:
+        width, x1, x2 = mirrored[0], -mirrored[2], -mirrored[1]
     return ConfidenceEstimate(
         theta=theta,
-        measure=best_width,
+        measure=width,
         kind=SupportKind.SINGLE_INTERVAL,
-        support=best,
+        support=(x1, x2),
     )
 
 
@@ -455,7 +436,9 @@ def gaussian_state(grid: Grid, sigma: float, hbar: float = 1.0) -> GriddedState:
     _check_positive("sigma", sigma)
     x = grid.centers
     raw = np.exp(-(x**2) / (4.0 * sigma * sigma)).astype(np.complex128)
-    tail = 1.0 - math.erf(min(abs(grid.x_min), abs(grid.x_max)) / (sigma * math.sqrt(2)))
+    # mass of the Gaussian beyond each end of the grid
+    scale = sigma * math.sqrt(2)
+    tail = 0.5 * (math.erfc(-grid.x_min / scale) + math.erfc(grid.x_max / scale))
     if tail > 1e-6:
         raise GridError(
             f"grid too narrow for sigma={sigma}: truncated tail mass ~{tail:.2e}"
@@ -574,7 +557,7 @@ def rect_sinc_state(
 
     if weight < 1.0:
         reach = _sinc_reach(width, h)
-        if min(abs(grid.x_min), abs(grid.x_max)) < reach:
+        if not (grid.x_min <= -reach and grid.x_max >= reach):
             raise GridError(
                 "grid too narrow for the band-limited component: "
                 f"extend the domain to at least +-{reach:.4g}"

@@ -14,10 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from confunc import numerics
-from confunc.errors import BracketError, ConvergenceError, DomainError
+from confunc.errors import DomainError
 from confunc.numerics import (
     QuadratureRule,
-    bisect_monotone,
     erf_inverse,
     gauss_legendre,
     largest_eigenpair,
@@ -182,47 +181,6 @@ class TestLargestEigenpair:
         _, vector = largest_eigenpair(np.eye(3))
         with pytest.raises(ValueError):
             vector[0] = 2.0
-
-
-class TestBisectMonotone:
-    def test_increasing(self):
-        root = bisect_monotone(lambda x: x**3, 8.0, (0.0, 10.0), tol=1e-12)
-        assert abs(root - 2.0) <= 1e-11
-
-    def test_decreasing(self):
-        root = bisect_monotone(lambda x: -x, -3.5, (0.0, 10.0), tol=1e-12)
-        assert abs(root - 3.5) <= 1e-11
-
-    def test_target_at_bracket_end(self):
-        root = bisect_monotone(lambda x: x, 0.0, (0.0, 1.0))
-        assert root == 0.0
-
-    def test_no_straddle(self):
-        with pytest.raises(BracketError):
-            bisect_monotone(lambda x: x, 5.0, (0.0, 1.0))
-
-    def test_bad_bracket(self):
-        with pytest.raises(BracketError):
-            bisect_monotone(lambda x: x, 0.5, (1.0, 0.0))
-
-    def test_raises_at_iteration_cap(self):
-        # a step never meets its target and, with tol = 0, the bracket
-        # stalls at one ulp instead of shrinking below tol
-        step = lambda x: 0.0 if x < 0.5 else 1.0
-        with pytest.raises(ConvergenceError):
-            bisect_monotone(step, 0.5, (0.0, 1.0), tol=0.0)
-
-    @given(
-        st.floats(min_value=-5.0, max_value=5.0),
-        st.floats(min_value=0.01, max_value=4.0),
-    )
-    @settings(deadline=None)
-    def test_recovers_root_of_shifted_cubic(self, shift, halfwidth):
-        f = lambda x: (x - shift) ** 3 + (x - shift)
-        root = bisect_monotone(
-            f, 0.0, (shift - halfwidth, shift + halfwidth), tol=1e-12
-        )
-        assert abs(f(root)) <= 1e-10 or abs(root - shift) <= 1e-10
 
 
 class TestQuadratureRuleType:

@@ -275,6 +275,38 @@ class TestIntervalConfidenceUncertainty:
             assert np.min(widths) >= est.measure - 1e-9
             assert np.min(widths) <= est.measure + state.grid.dx
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_reflection_mirrors_the_window(self, seed):
+        # reversing the amplitudes on a symmetric grid turns right-edge
+        # windows into left-edge ones, so both families are exercised
+        state = random_smooth_state(Grid.symmetric(4.0, 128), seed=seed)
+        for theta in (0.3, 0.62, 0.9):
+            self.assert_mirrored(state, theta)
+
+    def test_reflection_mirrors_a_window_across_a_plateau(self):
+        # mass 0.6 on the ten left cells and 0.4 on the ten right ones:
+        # the unique best window holds the whole left lobe and bridges the
+        # gap into the right one; reflected, it ends on the grid's right end
+        grid = Grid(-0.5, 0.5, 100)
+        amps = np.zeros(100, dtype=np.complex128)
+        amps[:10] = math.sqrt(0.6 / (10 * grid.dx))
+        amps[90:] = math.sqrt(0.4 / (10 * grid.dx))
+        state = GriddedState(grid, amps)
+        for theta, support in ((0.8, (-0.5, 0.45)), (0.95, (-0.5, 0.4875))):
+            est = interval_confidence_uncertainty(state, theta)
+            assert np.allclose(est.support, support, rtol=0.0, atol=1e-12)
+            self.assert_mirrored(state, theta)
+
+    @staticmethod
+    def assert_mirrored(state, theta):
+        reflected = GriddedState(state.grid, state.amplitudes[::-1].copy())
+        est = interval_confidence_uncertainty(state, theta)
+        mirror = interval_confidence_uncertainty(reflected, theta)
+        assert abs(est.measure - mirror.measure) <= 1e-12
+        x1, x2 = est.support
+        assert abs(mirror.support[0] + x2) <= 1e-12
+        assert abs(mirror.support[1] + x1) <= 1e-12
+
     def test_never_below_measurable_set(self):
         for seed in range(6):
             state = random_smooth_state(Grid.symmetric(4.0, 128), seed=seed)
@@ -347,6 +379,10 @@ class TestRectSinc:
     def test_grid_ending_at_the_origin_is_too_narrow(self):
         with pytest.raises(GridError, match="too narrow"):
             rect_sinc_state(Grid(0.0, 100.0, 1024), 1.0, 1.0, 0.5)
+        # a grid far from the origin on either side is just as narrow
+        for grid in (Grid(200.0, 400.0, 4096), Grid(-400.0, -200.0, 4096)):
+            with pytest.raises(GridError, match="too narrow"):
+                rect_sinc_state(grid, 1.0, 1.0, 0.0)
 
 
 class TestSlepianState:
@@ -400,6 +436,10 @@ class TestEntropy:
     def test_narrow_grid_rejected(self):
         with pytest.raises(GridError):
             gaussian_state(Grid.symmetric(3.0, 64), 1.0)
+        # a grid that misses the origin holds almost none of the mass
+        for grid in (Grid(5.0, 10.0, 64), Grid(-10.0, -5.0, 64)):
+            with pytest.raises(GridError):
+                gaussian_state(grid, 1.0)
 
 
 class TestRandomSmooth:

@@ -49,6 +49,7 @@ COMMANDS = (
     "verify all --seed 123456 --hbar 1.9",
     "bounds --tx 1 --tp 1",
     "lambda0 --range 0:1e308:1e-300",
+    "state rect-sinc --L 8 --W 8",
 )
 
 
