@@ -63,6 +63,7 @@ from .states import (
     Grid,
     _gaussian_grid,
     _rect_sinc_grid,
+    _rect_sinc_masses,
     differential_entropy,
     fourier_transform,
     gaussian_state,
@@ -334,17 +335,11 @@ def _suite_strictness(args: argparse.Namespace) -> list[dict]:
     # the band width carries a factor hbar so the suite probes the same
     # concentration parameter c = L*W/(4*hbar) whatever --hbar says
     for length, n, half in ((0.1, 1 << 20, 6553.6), (0.01, 1 << 22, 10485.76)):
-        grid = Grid.symmetric(half, n)
         width = length * h
-        state = rect_sinc_state(grid, length, width, 0.5, hbar=h)
-        mass_x = probability_in_interval(state, -0.5 * length, 0.5 * length)
-        momentum = fourier_transform(state)
-        mass_p = probability_in_interval(momentum, -0.5 * width, 0.5 * width)
+        mass_x, mass_p = _rect_sinc_masses(Grid.symmetric(half, n), length, width, 0.5, h)
         tag = f"L_W_{length}"
         rows.append(_check("strictness", f"position_mass_{tag}", mass_x, 0.5, mass_x > 0.5))
         rows.append(_check("strictness", f"momentum_mass_{tag}", mass_p, 0.5, mass_p > 0.5))
-        # free this grid's arrays before the next, larger grid is built
-        del state, momentum
     return rows
 
 

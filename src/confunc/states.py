@@ -490,25 +490,62 @@ def rect_sinc_prediction(
     return RectSincPrediction(mass_x, mass_p, math.sqrt(norm_sq))
 
 
+def _centres(grid: Grid, cells: np.ndarray) -> np.ndarray:
+    """Centres of the given cells, with the bits of ``grid.centers[cells]``."""
+    return grid.x_min + (cells + 0.5) * grid.dx
+
+
+def _cell_span(grid: Grid, a: float, b: float) -> np.ndarray:
+    """Indices of the cells that [a, b] may meet, with one spare cell on
+    each side, clamped to the grid."""
+
+    def index(x: float) -> float:
+        return min(max((x - grid.x_min) / grid.dx, -1.0), grid.n + 1.0)
+
+    return np.arange(max(math.floor(index(a)) - 1, 0), min(math.ceil(index(b)) + 1, grid.n))
+
+
+def _covered_cells(grid: Grid, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of the cells that [a, b] meets, and the fraction of each
+    that it covers: the weights with which ``probability_in_interval``
+    reads their masses."""
+    cells = _cell_span(grid, a, b)
+    left = grid.x_min + cells * grid.dx
+    right = grid.x_min + (cells + 1) * grid.dx
+    covered = (np.minimum(right, b) - np.maximum(left, a)) / (right - left)
+    return cells, np.clip(covered, 0.0, 1.0)
+
+
 def _window_cells(grid: Grid, width: float, what: str) -> tuple[np.ndarray, float]:
-    """Mask of the cells lying fully inside [-width/2, width/2], and the
-    norm sqrt(count*dx) of their indicator."""
+    """Indices of the cells lying fully inside [-width/2, width/2], and
+    the norm sqrt(count*dx) of their indicator. Only the cells near the
+    window are tested, so no n-cell array is built."""
     # rounding of the cell centers scales with the domain span, so the
     # inclusion tolerance must too (it stays far below one cell)
     tol = 1e-12 * (abs(grid.x_min) + abs(grid.x_max) + grid.dx)
-    inside = np.abs(grid.centers) <= 0.5 * width - 0.5 * grid.dx + tol
-    count = int(np.count_nonzero(inside))
-    if count < 1:
+    reach = 0.5 * width - 0.5 * grid.dx + tol
+    cells = _cell_span(grid, -reach, reach)
+    cells = cells[np.abs(_centres(grid, cells)) <= reach]
+    if cells.size < 1:
         raise GridError(
             f"no {what} cell fits inside a width of {width} (cells are {grid.dx:.4g} wide)"
         )
-    return inside, math.sqrt(count * grid.dx)
+    return cells, math.sqrt(cells.size * grid.dx)
 
 
 def _sinc_reach(width: float, hbar: float) -> float:
     """Half-width at which the sinc tail 2*hbar/(pi*W*|x|) of a band of
     width W has fallen to 1e-2, the most wrap-around a grid may carry."""
     return 2.0 * hbar / (math.pi * width * 1e-2)
+
+
+def _check_sinc_reach(grid: Grid, width: float, hbar: float) -> None:
+    reach = _sinc_reach(width, hbar)
+    if not (grid.x_min <= -reach and grid.x_max >= reach):
+        raise GridError(
+            "grid too narrow for the band-limited component: "
+            f"extend the domain to at least +-{reach:.4g}"
+        )
 
 
 def _rect_sinc_grid(length: float, width: float, hbar: float) -> Grid:
@@ -556,12 +593,7 @@ def rect_sinc_state(
     _check_rect_sinc(length, width, weight)
 
     if weight < 1.0:
-        reach = _sinc_reach(width, h)
-        if not (grid.x_min <= -reach and grid.x_max >= reach):
-            raise GridError(
-                "grid too narrow for the band-limited component: "
-                f"extend the domain to at least +-{reach:.4g}"
-            )
+        _check_sinc_reach(grid, width, h)
         dual = grid.momentum_dual(h)
         # each array is dropped once used, so the transform sets the peak
         band, norm = _window_cells(dual, width, "momentum")
@@ -580,6 +612,57 @@ def rect_sinc_state(
         inside, norm = _window_cells(grid, length, "position")
         raw[inside] += math.sqrt(weight) / norm
     return _normalised(grid, raw, h)
+
+
+def _rect_sinc_masses(
+    grid: Grid, length: float, width: float, weight: float, hbar: float = 1.0
+) -> tuple[float, float]:
+    """Position mass in [-L/2, L/2] and momentum mass in [-W/2, W/2] of
+    ``rect_sinc_state(grid, L, W, P, hbar)``, read as
+    ``probability_in_interval`` reads them, without building the state.
+
+    The sinc is the inverse transform of the band indicator and the
+    rectangle is the indicator of the window cells, so the amplitude of
+    either component on a cell that an interval meets is a sum, over the
+    band or the window cells, of the cell model's kernel
+    (2*pi*hbar)^(-1/2) * e^(isp/hbar) * ds. Both components are unit
+    vectors, so the norm needs only their overlap on the window cells.
+    The work is (window cells + 2) * (band cells + 2) phases, taken as
+    x*(p/hbar) so that no angle overflows at any hbar. The validation is
+    that of ``rect_sinc_state``.
+    """
+    h = _check_positive("hbar", hbar)
+    _check_rect_sinc(length, width, weight)
+    dual = grid.momentum_dual(h)
+    # amplitudes in q = p/hbar, where the kernel is (2*pi)^(-1/2)*e^(ixq)
+    dx, dq = grid.dx, dual.dx / h
+    kernel = 1.0 / math.sqrt(2.0 * math.pi)
+    x_cells, x_cover = _covered_cells(grid, -0.5 * length, 0.5 * length)
+    p_cells, p_cover = _covered_cells(dual, -0.5 * width, 0.5 * width)
+    x = _centres(grid, x_cells)
+    q = _centres(dual, p_cells) / h
+    psi = np.zeros(x.size, dtype=np.complex128)
+    phi = np.zeros(q.size, dtype=np.complex128)
+    overlap = 0.0
+    if weight < 1.0:
+        _check_sinc_reach(grid, width, h)
+        band, _ = _window_cells(dual, width, "momentum")
+        amp = math.sqrt((1.0 - weight) / (band.size * dq))
+        phi[np.isin(p_cells, band)] += amp
+        phases = np.exp(1j * np.multiply.outer(x, _centres(dual, band) / h))
+        psi += kernel * amp * dq * phases.sum(axis=1)
+    if weight > 0.0:
+        window, norm = _window_cells(grid, length, "position")
+        amp = math.sqrt(weight) / norm
+        inside = np.isin(x_cells, window)
+        overlap = 2.0 * amp * dx * float(np.sum(psi[inside].real))
+        psi[inside] += amp
+        phases = np.exp(-1j * np.multiply.outer(q, _centres(grid, window)))
+        phi += kernel * amp * dx * phases.sum(axis=1)
+    norm_sq = 1.0 + overlap
+    mass_x = float(np.sum(x_cover * np.abs(psi) ** 2)) * dx / norm_sq
+    mass_p = float(np.sum(p_cover * np.abs(phi) ** 2)) * dq / norm_sq
+    return mass_x, mass_p
 
 
 def slepian_state(
@@ -608,11 +691,11 @@ def slepian_state(
     if grid is None:
         grid = Grid.symmetric(64.0 * length, 1 << 15)
     inside, _ = _window_cells(grid, length, "position")
-    if np.count_nonzero(inside) < 64:
+    if inside.size < 64:
         raise GridError(
             "grid puts fewer than 64 cells inside the window; refine the grid"
         )
-    psi0 = _principal_values(c, 2.0 * grid.centers[inside] / length)
+    psi0 = _principal_values(c, 2.0 * _centres(grid, inside) / length)
     raw = np.zeros(grid.n, dtype=np.complex128)
     raw[inside] = math.sqrt(2.0 / length) * psi0
     return _normalised(grid, raw, h)

@@ -12,6 +12,7 @@ import math
 import os
 import re
 import stat
+import warnings
 
 import pytest
 
@@ -196,6 +197,29 @@ class TestVerifyCommand:
     def test_unknown_suite(self, capsys):
         code, _, _ = run(capsys, ["verify", "nonsense"])
         assert code == 2
+
+    # the suite probes the same c = L*W/(4*hbar) at every hbar, so its
+    # rows do not depend on hbar
+    STRICTNESS_CSV = (
+        "suite,check,measured,threshold,status\n"
+        "strictness,position_mass_L_W_0.1,0.519918,0.5,pass\n"
+        "strictness,momentum_mass_L_W_0.1,0.51992,0.5,pass\n"
+        "strictness,position_mass_L_W_0.01,0.501953,0.5,pass\n"
+        "strictness,momentum_mass_L_W_0.01,0.501953,0.5,pass\n"
+    )
+
+    @pytest.mark.parametrize("hbar", ["1", "0.7", "1.9"])
+    def test_strictness_rows(self, capsys, hbar):
+        code, out, err = run(capsys, ["verify", "strictness", "--hbar", hbar])
+        assert (code, out, err) == (0, self.STRICTNESS_CSV, "")
+
+    @pytest.mark.parametrize("hbar", ["1e300", "1e-300"])
+    def test_strictness_at_extreme_hbar_prints_the_hbar_1_rows(self, capsys, hbar):
+        _, expected, _ = run(capsys, ["verify", "strictness", "--hbar", "1"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, ["verify", "strictness", "--hbar", hbar])
+        assert (code, out, err) == (0, expected, "")
 
 
 class TestStateCommand:

@@ -8,6 +8,7 @@ with grid-scale tolerances.
 
 import io
 import math
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
@@ -39,6 +40,7 @@ from confunc.states import (
     verify_lenard,
     verify_lenard_batch,
 )
+from confunc.states import _rect_sinc_masses, _window_cells
 
 
 def uniform_state(grid: Grid) -> GriddedState:
@@ -383,6 +385,101 @@ class TestRectSinc:
         for grid in (Grid(200.0, 400.0, 4096), Grid(-400.0, -200.0, 4096)):
             with pytest.raises(GridError, match="too narrow"):
                 rect_sinc_state(grid, 1.0, 1.0, 0.0)
+
+
+# the two grids of ``verify strictness``, with its window L
+STRICTNESS_GRIDS = {
+    "2^20": (Grid.symmetric(6553.6, 1 << 20), 0.1),
+    "2^22": (Grid.symmetric(10485.76, 1 << 22), 0.01),
+}
+
+
+def fft_rect_sinc_masses(grid, length, width, weight, hbar):
+    state = rect_sinc_state(grid, length, width, weight, hbar)
+    mass_x = probability_in_interval(state, -0.5 * length, 0.5 * length)
+    mass_p = probability_in_interval(fourier_transform(state), -0.5 * width, 0.5 * width)
+    return mass_x, mass_p
+
+
+class TestRectSincMasses:
+    """The direct sums of ``_rect_sinc_masses`` against the state built by
+    FFT and read by ``probability_in_interval``."""
+
+    @pytest.mark.parametrize("hbar", [1.0, 0.7, 1.9])
+    @pytest.mark.parametrize("name", list(STRICTNESS_GRIDS))
+    def test_match_the_fft_route_on_the_strictness_grids(self, name, hbar):
+        grid, length = STRICTNESS_GRIDS[name]
+        width = length * hbar
+        direct = _rect_sinc_masses(grid, length, width, 0.5, hbar)
+        built = fft_rect_sinc_masses(grid, length, width, 0.5, hbar)
+        assert direct == pytest.approx(built, abs=1e-10, rel=0)
+
+    @pytest.mark.parametrize("weight", [0.0, 0.3, 1.0])
+    def test_match_the_fft_route_at_other_weights(self, weight):
+        grid, length = STRICTNESS_GRIDS["2^20"]
+        direct = _rect_sinc_masses(grid, length, length, weight)
+        built = fft_rect_sinc_masses(grid, length, length, weight, 1.0)
+        assert direct == pytest.approx(built, abs=1e-10, rel=0)
+
+    @pytest.mark.parametrize(
+        "grid, length, width, weight",
+        [
+            # window and band edges inside cells, on an offset grid
+            (Grid(-140.3, 139.1, 7000), 0.93, 0.61, 0.4),
+            (Grid.symmetric(64.0, 1 << 12), 1.3, 2.2, 0.8),
+        ],
+    )
+    def test_match_the_fft_route_across_partial_cells(self, grid, length, width, weight):
+        direct = _rect_sinc_masses(grid, length, width, weight, 1.3)
+        built = fft_rect_sinc_masses(grid, length, width, weight, 1.3)
+        assert direct == pytest.approx(built, abs=1e-10, rel=0)
+
+    @pytest.mark.parametrize(
+        "grid, length, width, weight",
+        [
+            (Grid.symmetric(4.0, 64), 1.0, 0.1, 0.5),
+            (Grid(200.0, 400.0, 4096), 1.0, 1.0, 0.0),
+            (Grid.symmetric(64.0, 1024), 0.1, 1.0, 0.5),
+        ],
+    )
+    def test_raise_the_grid_error_of_the_state(self, grid, length, width, weight):
+        with pytest.raises(GridError) as built:
+            rect_sinc_state(grid, length, width, weight)
+        with pytest.raises(GridError) as direct:
+            _rect_sinc_masses(grid, length, width, weight)
+        assert str(direct.value) == str(built.value)
+
+    def test_allocate_no_grid_sized_array(self):
+        grid, length = STRICTNESS_GRIDS["2^22"]
+        started = not tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            _rect_sinc_masses(grid, length, length, 0.5)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if started:
+                tracemalloc.stop()
+        # a boolean mask over the grid would take n bytes
+        assert peak < grid.n // 16, f"peak {peak} bytes"
+
+    @pytest.mark.parametrize(
+        "grid, width",
+        [
+            (Grid.symmetric(6553.6, 1 << 20), 0.1),
+            (Grid(-40.3, 39.1, 2000), 0.93),
+            (Grid(-3.0, 50.0, 1000), 7.0),
+            (Grid.symmetric(4.0, 64), 100.0),
+            (Grid(1.0, 5.0, 64), 12.0),
+        ],
+    )
+    def test_window_cells_are_the_cells_of_the_centre_rule(self, grid, width):
+        tol = 1e-12 * (abs(grid.x_min) + abs(grid.x_max) + grid.dx)
+        mask = np.abs(grid.centers) <= 0.5 * width - 0.5 * grid.dx + tol
+        cells, norm = _window_cells(grid, width, "position")
+        assert np.array_equal(cells, np.flatnonzero(mask))
+        assert norm == math.sqrt(np.count_nonzero(mask) * grid.dx)
 
 
 class TestSlepianState:

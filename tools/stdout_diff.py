@@ -50,6 +50,7 @@ COMMANDS = (
     "bounds --tx 1 --tp 1",
     "lambda0 --range 0:1e308:1e-300",
     "state rect-sinc --L 8 --W 8",
+    "verify strictness --format json",
 )
 
 
