@@ -13,7 +13,7 @@ evaluators for scripted use. Five subcommands:
   for external plotting.
 
 Every subcommand takes ``--format`` and ``--out``. ``--hbar`` goes on
-``bounds``, ``compare``, ``verify`` and ``state``, the subcommands with
+``bounds``, ``compare`` and ``state``, the subcommands with
 dimensional output, and ``--seed`` (the verification corpus) on
 ``verify`` only. ``state`` takes every option after its kind, and each
 kind only its own; ``bounds`` takes ``--grid`` or ``--tx`` and ``--tp``.
@@ -35,7 +35,6 @@ import csv
 import json
 import math
 import os
-import re
 import sys
 from pathlib import Path
 from typing import TextIO
@@ -57,7 +56,7 @@ from .bounds import (
     report,
 )
 from .errors import ConfuncError, DomainError
-from .numerics import _check_positive, largest_eigenpair
+from .numerics import largest_eigenpair
 from .slepian import a_matrix, lambda0, lambda0_large_c, lambda0_small_c
 from .states import (
     Grid,
@@ -127,30 +126,16 @@ def _columns(rows: list[dict]) -> dict[str, list]:
     return {name: [row[name] for row in rows] for name in rows[0]}
 
 
-# csv's minimal quoting with a "\n" line terminator: a field is quoted when
-# it holds a comma, a quote or a newline, or when it is a row's only field
-# and empty
-_NEEDS_QUOTES = re.compile(r'[,"\n]')
 # rows formatted per write, so only a bounded number of strings are alive
 _CHUNK_ROWS = 4096
-
-
-def _csv_cells(values, lone: bool) -> list[str]:
-    cells = []
-    for value in values:
-        text = _fmt(value)
-        if _NEEDS_QUOTES.search(text) or (lone and not text):
-            text = '"' + text.replace('"', '""') + '"'
-        cells.append(text)
-    return cells
 
 
 def _write(table: dict, output_format: str, target: TextIO) -> None:
     """Write a table of columns (name -> sequence, all of one length).
 
-    In CSV a float array column is formatted by one ``%.6g`` row template,
-    which prints exactly what ``_fmt`` does; any other column goes through
-    ``_fmt`` and csv quoting.
+    In CSV a table whose every column is a float array is formatted by one
+    ``%.6g`` row template, which prints exactly what ``_fmt`` does; any
+    other table goes through ``_fmt`` and the csv module.
     """
     names = list(table)
     columns = list(table.values())
@@ -163,15 +148,14 @@ def _write(table: dict, output_format: str, target: TextIO) -> None:
         ]
         target.write(json.dumps(payload, indent=1) + "\n")
         return
-    csv.writer(target, lineterminator="\n").writerow(names)
-    template = ",".join("%.6g" if f else "%s" for f in floats) + "\n"
-    lone = len(columns) == 1
+    writer = csv.writer(target, lineterminator="\n")
+    writer.writerow(names)
+    if not all(floats):
+        writer.writerows([_fmt(value) for value in row] for row in zip(*columns))
+        return
+    template = ",".join(["%.6g"] * len(columns)) + "\n"
     for start in range(0, len(columns[0]), _CHUNK_ROWS):
-        stop = start + _CHUNK_ROWS
-        cells = [
-            c[start:stop].tolist() if f else _csv_cells(c[start:stop], lone)
-            for c, f in zip(columns, floats)
-        ]
+        cells = [c[start : start + _CHUNK_ROWS].tolist() for c in columns]
         target.write("".join([template % row for row in zip(*cells)]))
 
 
@@ -331,12 +315,8 @@ def _check(suite: str, name: str, measured: float, threshold: float, ok: bool) -
 
 def _suite_strictness(args: argparse.Namespace) -> list[dict]:
     rows = []
-    h = args.hbar
-    # the band width carries a factor hbar so the suite probes the same
-    # concentration parameter c = L*W/(4*hbar) whatever --hbar says
     for length, n, half in ((0.1, 1 << 20, 6553.6), (0.01, 1 << 22, 10485.76)):
-        width = length * h
-        mass_x, mass_p = _rect_sinc_masses(Grid.symmetric(half, n), length, width, 0.5, h)
+        mass_x, mass_p = _rect_sinc_masses(Grid.symmetric(half, n), length, length, 0.5)
         tag = f"L_W_{length}"
         rows.append(_check("strictness", f"position_mass_{tag}", mass_x, 0.5, mass_x > 0.5))
         rows.append(_check("strictness", f"momentum_mass_{tag}", mass_p, 0.5, mass_p > 0.5))
@@ -354,7 +334,6 @@ def _suite_two_route(args: argparse.Namespace) -> list[dict]:
 
 def _suite_dominance(args: argparse.Namespace) -> list[dict]:
     rows = []
-    h = args.hbar
     levels = [i / 100.0 for i in range(1, 100)]
     worst = math.inf
     for tx in levels:
@@ -362,7 +341,7 @@ def _suite_dominance(args: argparse.Namespace) -> list[dict]:
             pair = ConfidencePair(tx, tp)
             if classify_region(pair) is Region.TRIVIAL:
                 continue
-            diff = lp_measurable_bound(pair, h) - donoho_stark_bound(pair, h)
+            diff = lp_measurable_bound(pair) - donoho_stark_bound(pair)
             worst = min(worst, diff)
     rows.append(
         _check("dominance", "measurable_minus_donoho_stark_grid99", worst, 0.0, worst > 0.0)
@@ -374,10 +353,10 @@ def _suite_dominance(args: argparse.Namespace) -> list[dict]:
         for tp in spots
         if tx + tp > 1.0
     ]
-    intervals = lp_interval_bounds(pairs, hbar=h)
+    intervals = lp_interval_bounds(pairs)
     worst = math.inf
     for pair, interval in zip(pairs, intervals):
-        worst = min(worst, interval - lp_measurable_bound(pair, h))
+        worst = min(worst, interval - lp_measurable_bound(pair))
     rows.append(
         _check("dominance", "interval_minus_measurable_spot_grid", worst, 0.0, worst > 0.0)
     )
@@ -386,18 +365,17 @@ def _suite_dominance(args: argparse.Namespace) -> list[dict]:
 
 def _suite_lenard(args: argparse.Namespace) -> list[dict]:
     rows = []
-    h = args.hbar
     grid = Grid.symmetric(20.0, 4096)
     for k in range(50):
         seed = args.seed + k
-        state = random_smooth_state(grid, seed, hbar=h)
+        state = random_smooth_state(grid, seed)
         rng = np.random.default_rng(seed + 1_000_003)
         windows = []
         for _ in range(20):
             xc = rng.uniform(-5.0, 5.0)
             xw = rng.uniform(0.2, 5.0)
-            pc = rng.uniform(-20.0, 20.0) * h
-            pw = rng.uniform(0.2, 5.0) * h
+            pc = rng.uniform(-20.0, 20.0)
+            pw = rng.uniform(0.2, 5.0)
             windows.append(((xc - 0.5 * xw, xc + 0.5 * xw), (pc - 0.5 * pw, pc + 0.5 * pw)))
         worst = min(verify_lenard_batch(state, windows), key=lambda w: w.margin)
         rows.append(
@@ -417,8 +395,6 @@ _SUITES = {
 
 
 def _cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
-    # checked for every suite, although two-route never reads hbar
-    _check_positive("hbar", args.hbar)
     if args.seed < 0:
         raise DomainError(f"seed must be >= 0, got {args.seed}")
     names = list(_SUITES) if args.suite == "all" else [args.suite]
@@ -533,7 +509,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(handler=_cmd_compare)
 
-    p = sub.add_parser("verify", parents=[with_hbar], help="self-check suites")
+    p = sub.add_parser("verify", parents=[common], help="self-check suites")
     p.add_argument("suite", choices=(*_SUITES, "all"))
     p.add_argument("--seed", type=int, default=42, help="corpus seed (default 42)")
     p.set_defaults(handler=_cmd_verify)

@@ -170,8 +170,8 @@ def _normalised(grid: Grid, raw: np.ndarray, hbar: float) -> GriddedState:
     np.square(density, out=density)
     norm = math.sqrt(float(np.sum(density)) * grid.dx)
     del density
-    if norm == 0.0:
-        raise DomainError("cannot normalise an identically zero state")
+    if not 0.0 < norm < math.inf:
+        raise DomainError(f"cannot normalise a state of norm {norm:g}")
     return GriddedState(grid, np.divide(raw, norm, out=raw), hbar)
 
 

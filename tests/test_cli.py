@@ -198,8 +198,6 @@ class TestVerifyCommand:
         code, _, _ = run(capsys, ["verify", "nonsense"])
         assert code == 2
 
-    # the suite probes the same c = L*W/(4*hbar) at every hbar, so its
-    # rows do not depend on hbar
     STRICTNESS_CSV = (
         "suite,check,measured,threshold,status\n"
         "strictness,position_mass_L_W_0.1,0.519918,0.5,pass\n"
@@ -208,18 +206,19 @@ class TestVerifyCommand:
         "strictness,momentum_mass_L_W_0.01,0.501953,0.5,pass\n"
     )
 
-    @pytest.mark.parametrize("hbar", ["1", "0.7", "1.9"])
-    def test_strictness_rows(self, capsys, hbar):
-        code, out, err = run(capsys, ["verify", "strictness", "--hbar", hbar])
+    def test_strictness_rows(self, capsys):
+        code, out, err = run(capsys, ["verify", "strictness"])
         assert (code, out, err) == (0, self.STRICTNESS_CSV, "")
 
-    @pytest.mark.parametrize("hbar", ["1e300", "1e-300"])
-    def test_strictness_at_extreme_hbar_prints_the_hbar_1_rows(self, capsys, hbar):
-        _, expected, _ = run(capsys, ["verify", "strictness", "--hbar", "1"])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code, out, err = run(capsys, ["verify", "strictness", "--hbar", hbar])
-        assert (code, out, err) == (0, expected, "")
+    def test_dominance_rows(self, capsys):
+        code, out, err = run(capsys, ["verify", "dominance"])
+        assert (code, out, err) == (
+            0,
+            "suite,check,measured,threshold,status\n"
+            "dominance,measurable_minus_donoho_stark_grid99,0.000628381,0,pass\n"
+            "dominance,interval_minus_measurable_spot_grid,1.72267e-06,0,pass\n",
+            "",
+        )
 
 
 class TestStateCommand:
@@ -254,6 +253,15 @@ class TestStateCommand:
         code, _, err = run(capsys, ["state", "slepian"])
         assert code == 2
         assert "error:" in err
+
+    def test_slepian_with_an_unnormalisable_window_is_one_error_line(self, capsys):
+        # L is positive and finite, but the window height sqrt(2/L) overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, ["state", "slepian", "--c", "1", "--L", "1e-310"])
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error:")
 
     @pytest.mark.parametrize("sigma", ["nan", "0", "-1", "inf"])
     def test_gaussian_names_a_bad_sigma(self, capsys, sigma):
@@ -426,8 +434,6 @@ class TestHbarAndSeedOptions:
         [
             ["bounds", "--tx", "0.9", "--tp", "0.9"],
             ["compare"],
-            # two-route never reads hbar, yet the option is checked
-            ["verify", "two-route"],
             ["state", "gaussian"],
         ],
     )
@@ -442,6 +448,8 @@ class TestHbarAndSeedOptions:
         [
             ["lambda0", "--c", "1", "--hbar", "2"],
             ["bounds", "--tx", "0.9", "--tp", "0.9", "--seed", "3"],
+            # the self-checks are dimensionless and run at hbar = 1
+            ["verify", "all", "--hbar", "1"],
         ],
     )
     def test_option_off_its_subcommands_is_a_usage_error(self, capsys, argv):

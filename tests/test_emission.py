@@ -2,9 +2,10 @@
 
 ``row_writer`` formats a list of row dicts one value at a time, with
 ``_fmt`` and ``csv.writer`` for CSV and ``_json_value`` and
-``json.dumps`` for JSON. ``cli._write`` takes a table of columns and
-formats float array columns through one ``%.6g`` row template, in
-chunks; both must give the same bytes.
+``json.dumps`` for JSON. ``cli._write`` takes a table of columns; in
+CSV it formats a table whose every column is a float array through one
+``%.6g`` row template, in chunks, and passes any other table's ``_fmt``
+text to ``csv.writer``. Both must give the same bytes.
 """
 
 import csv
@@ -130,5 +131,26 @@ def test_table_longer_than_two_chunks():
             "x": np.linspace(-1.0, 1.0, n),
             "scaled": scaled,
             "status": ["pass" if v > 0 else "fail" for v in scaled],
+        }
+    )
+
+
+def test_float_table_longer_than_two_chunks():
+    # every column a float array, so the row template writes the table
+    n = 2 * cli._CHUNK_ROWS + 17
+    rng = np.random.default_rng(12)
+    scaled = rng.normal(size=n) * 10.0 ** rng.integers(-320, 300, size=n)
+    for k, value in enumerate(SPECIAL):
+        scaled[(k % 3) * cli._CHUNK_ROWS - k // 3] = value
+    amplitudes = np.empty(n, dtype=np.complex128)
+    amplitudes.real, amplitudes.imag = scaled, scaled[::-1]
+    with np.errstate(over="ignore"):
+        single = scaled.astype(np.float32)
+    assert_same_output(
+        {
+            "x": np.linspace(-1.0, 1.0, n),
+            "strided": amplitudes.real,
+            "imag": amplitudes.imag,
+            "single": single,
         }
     )

@@ -72,3 +72,9 @@ def test_layout_change_is_reported_without_columns():
     base = subprocess.CompletedProcess([], 0, TABLE, "")
     change = subprocess.CompletedProcess([], 0, TABLE + "2,0.0,pass\n", "")
     assert tool.compare(base, change) == ["stdout layout differs: 3 != 4 rows"]
+    # a side that exits on a usage error prints no CSV at all
+    failed = subprocess.CompletedProcess([], 2, "", "")
+    assert tool.compare(base, failed) == [
+        "exit code 0 -> 2",
+        "stdout layout differs: 3 rows -> no output",
+    ]

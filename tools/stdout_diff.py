@@ -42,15 +42,17 @@ COMMANDS = (
     "bounds --tx 0.9 --tp 0.9 --hbar -1",
     "state rect-sinc --L 0.3 --W 0.2 --hbar 1.3",
     "state slepian --c 1.5 --hbar 0.7 --format json",
-    "verify strictness --hbar 0.7",
+    "verify strictness",
     "bounds --grid 4 --format json",
     "lambda0 --c 1 --c 13 --format json",
-    "verify lenard --seed 3 --hbar 0.7",
-    "verify all --seed 123456 --hbar 1.9",
+    "verify lenard --seed 3",
+    "verify all --seed 123456",
     "bounds --tx 1 --tp 1",
     "lambda0 --range 0:1e308:1e-300",
     "state rect-sinc --L 8 --W 8",
     "verify strictness --format json",
+    "bounds --tx 0.3 --tp 0.5",
+    "compare --theta 0.3",
 )
 
 
@@ -70,13 +72,19 @@ def _number(text: str) -> float | None:
 def column_diff(base: str, change: str) -> dict:
     """Row count and per-column differences of two CSV texts.
 
-    Returns ``{"layout": reason}`` when the headers or row counts differ,
-    otherwise the differing row count and, per column with a difference,
-    ``{"values": count, "max_abs": float or None}``; ``max_abs`` is None
-    when some differing value is not a number on both sides.
+    Returns ``{"layout": reason}`` when one side printed nothing or the
+    headers or row counts differ, otherwise the differing row count and,
+    per column with a difference, ``{"values": count, "max_abs": float or
+    None}``; ``max_abs`` is None when some differing value is not a number
+    on both sides.
     """
-    head_b, *rows_b = list(csv.reader(io.StringIO(base)))
-    head_c, *rows_c = list(csv.reader(io.StringIO(change)))
+    table_b = list(csv.reader(io.StringIO(base)))
+    table_c = list(csv.reader(io.StringIO(change)))
+    if not table_b or not table_c:
+        sizes = [f"{len(t) - 1} rows" if t else "no output" for t in (table_b, table_c)]
+        return {"layout": " -> ".join(sizes)}
+    head_b, *rows_b = table_b
+    head_c, *rows_c = table_c
     if head_b != head_c:
         return {"layout": f"header {head_b} != {head_c}"}
     if len(rows_b) != len(rows_c):
