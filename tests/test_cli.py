@@ -434,6 +434,7 @@ class TestHbarAndSeedOptions:
         [
             ["bounds", "--tx", "0.9", "--tp", "0.9"],
             ["compare"],
+            ["state", "slepian", "--c", "1"],
             ["state", "gaussian"],
         ],
     )
