@@ -89,7 +89,7 @@ def angular_target(pair: ConfidencePair | tuple[float, float]) -> float:
     survives, and satisfies T(1, tp) = tp.
     """
     p = _as_pair(pair)
-    if p.theta_x + p.theta_p <= 1.0:
+    if classify_region(p) is Region.TRIVIAL:
         return 0.0
     root = math.sqrt(p.theta_x * p.theta_p) - math.sqrt(
         (1.0 - p.theta_x) * (1.0 - p.theta_p)
@@ -243,8 +243,7 @@ class BoundReport:
     gaussian_product: float
 
     def __post_init__(self) -> None:
-        trivial = self.pair.theta_x + self.pair.theta_p <= 1.0
-        if trivial != (self.region is Region.TRIVIAL):
+        if classify_region(self.pair) is not self.region:
             raise DomainError("region tag contradicts theta_x + theta_p")
         if self.region is Region.TRIVIAL and self.lp_measurable != 0.0:
             raise DomainError("the measurable bound must vanish in the trivial region")

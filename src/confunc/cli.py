@@ -347,12 +347,7 @@ def _suite_dominance(args: argparse.Namespace) -> list[dict]:
         _check("dominance", "measurable_minus_donoho_stark_grid99", worst, 0.0, worst > 0.0)
     )
     spots = [i / 20.0 for i in range(11, 20)]
-    pairs = [
-        ConfidencePair(tx, tp)
-        for tx in spots
-        for tp in spots
-        if tx + tp > 1.0
-    ]
+    pairs = [ConfidencePair(tx, tp) for tx in spots for tp in spots]
     intervals = lp_interval_bounds(pairs)
     worst = math.inf
     for pair, interval in zip(pairs, intervals):

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from numpy.typing import NDArray
@@ -77,6 +76,9 @@ _INVERSION_TOL = 1e-10
 # largest supported concentration; the prolate matrix has c/2 + 40 rows,
 # and 1 - lambda0 is below one ulp of 1 from c = 20 on
 _C_MAX = 1000.0
+
+# largest Fourier index of a_matrix
+_A_TRUNCATION = 64
 
 
 def _as_c(c: float) -> float:
@@ -149,20 +151,6 @@ def _prolate_matrix(c: float) -> NDArray[np.float64]:
     return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
 
 
-def _legendre_series(
-    coeffs: NDArray[np.float64], u: NDArray[np.float64]
-) -> NDArray[np.float64]:
-    """sum_j coeffs[j] * P_2j(u), by the three-term recurrence."""
-    p_prev, p = np.zeros_like(u), np.ones_like(u)
-    total = coeffs[0] * p
-    for n in range(1, 2 * len(coeffs) - 1):
-        p_prev, p = p, ((2 * n - 1) * u * p - (n - 1) * p_prev) / n
-        if n % 2 == 0:
-            total += coeffs[n // 2] * p
-    return total
-
-
-@lru_cache(maxsize=4096)
 def _eigenpair(c: float) -> tuple[float, NDArray[np.float64]]:
     """lambda0(c) and the coefficients a of psi0(u) = sum_j a_j P_2j(u).
 
@@ -186,12 +174,12 @@ def _eigenpair(c: float) -> tuple[float, NDArray[np.float64]]:
     value = min(c / math.pi * ratio * ratio, _BELOW_ONE)
     if at_zero < 0:
         coeffs = -coeffs
-    coeffs.setflags(write=False)
     return value, coeffs
 
 
 def _principal_values(c: float, u: NDArray[np.float64]) -> NDArray[np.float64]:
-    """psi0 at the points u of [-1, 1], summed from its Legendre series.
+    """psi0 at the points u of [-1, 1]: its Legendre series, with the
+    coefficients on the even degrees, evaluated by numpy's ``legval``.
 
     Raises DomainError at c = 0, where psi0 is undefined, and for a c
     outside [0, 1000].
@@ -199,7 +187,10 @@ def _principal_values(c: float, u: NDArray[np.float64]) -> NDArray[np.float64]:
     cc = _as_c(c)
     if cc == 0.0:
         raise DomainError("the principal eigenfunction is undefined at c = 0")
-    return _legendre_series(_eigenpair(cc)[1], u)
+    coeffs = _eigenpair(cc)[1]
+    series = np.zeros(2 * len(coeffs) - 1)
+    series[::2] = coeffs
+    return np.polynomial.legendre.legval(u, series)
 
 
 def lambda0(c: float) -> float:
@@ -348,7 +339,7 @@ def lambda0_inverse_batch(thetas) -> NDArray[np.float64]:
     return solved[positions]
 
 
-def a_matrix(lw_over_hbar: float, truncation: int = 64) -> NDArray[np.float64]:
+def a_matrix(lw_over_hbar: float) -> NDArray[np.float64]:
     """Fourier-coefficient matrix whose operator norm is pi * lambda0.
 
     For a state supported on a position window and expanded in the
@@ -360,11 +351,9 @@ def a_matrix(lw_over_hbar: float, truncation: int = 64) -> NDArray[np.float64]:
     [-lw_over_hbar/2, lw_over_hbar/2]; the apparent poles at t = 2 k pi
     sit under double zeros of 1 - cos t, so the integrand is entire and
     panel Gauss-Legendre quadrature split at those points is exact to
-    machine accuracy. Indices run over -truncation .. truncation.
+    machine accuracy. Indices run over -64 .. 64.
     """
     _check_positive("window product", lw_over_hbar)
-    if truncation < 1:
-        raise DomainError(f"truncation must be >= 1, got {truncation}")
     half = lw_over_hbar / 2.0
     splits = {0.0, half, -half}
     k = 1
@@ -373,7 +362,7 @@ def a_matrix(lw_over_hbar: float, truncation: int = 64) -> NDArray[np.float64]:
         k += 1
     edges = sorted(p for p in splits if -half <= p <= half)
     t, wt = _panel_rule(edges, 1.0)
-    n = np.arange(-truncation, truncation + 1)
+    n = np.arange(-_A_TRUNCATION, _A_TRUNCATION + 1)
     # 1 - cos t evaluated as 2 sin^2(t/2), exact through the double zeros
     weighted = wt * 2.0 * np.sin(t / 2.0) ** 2
     geom = 1.0 / (t[None, :] - 2.0 * np.pi * n[:, None])

@@ -231,20 +231,25 @@ def _centred_dft(state: GriddedState, target: Grid, sign: int) -> GriddedState:
     numpy allocates no array for it: besides the input, at most two
     n-cell complex arrays and one real one are alive at once.
     The operand order of each complex product is fixed: swapped operands
-    change the last bits of numpy's complex product.
+    change the last bits of numpy's complex product. A phase that an
+    extreme hbar puts out of floating-point range raises DomainError.
     """
     source, h = state.grid, state.hbar
     ds, dt = source.dx, target.dx
     s0 = source.x_min + 0.5 * ds
     t0 = target.x_min + 0.5 * dt
-    out = _phase(source.n, sign * t0, ds, 1.0 / h)
-    np.multiply(state.amplitudes, out, out=out)
     # the unscaled sum (ifft without its 1/n)
     dft, norm = (np.fft.fft, "backward") if sign < 0 else (np.fft.ifft, "forward")
-    dft(out, norm=norm, out=out)
-    post = _phase(source.n, sign * dt, s0, 1.0 / h)
-    np.multiply(np.exp(sign * 1j * t0 * s0 / h), post, out=post)
-    np.multiply(ds / math.sqrt(2.0 * math.pi * h), post, out=post)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            out = _phase(source.n, sign * t0, ds, 1.0 / h)
+            np.multiply(state.amplitudes, out, out=out)
+            dft(out, norm=norm, out=out)
+            post = _phase(source.n, sign * dt, s0, 1.0 / h)
+            np.multiply(np.exp(sign * 1j * t0 * s0 / h), post, out=post)
+            np.multiply(ds / math.sqrt(2.0 * math.pi * h), post, out=post)
+    except FloatingPointError:
+        raise DomainError(f"hbar = {h:g} overflows the transform phases") from None
     np.multiply(post, out, out=out)
     del post
     return GriddedState(target, out, h)
@@ -817,19 +822,19 @@ def save_state(state: GriddedState, target: str | Path | TextIO) -> None:
     Floats are written with 17 significant digits, so a load restores
     the amplitudes bit for bit.
     """
-    own = isinstance(target, (str, Path))
-    handle = open(target, "w", encoding="ascii") if own else target
-    try:
-        g = state.grid
-        handle.write(
-            f"# confunc-state n={g.n} x_min={g.x_min!r} x_max={g.x_max!r} "
-            f"hbar={state.hbar!r}\n"
-        )
-        for x, a in zip(g.centers, state.amplitudes):
-            handle.write(f"{x:.17g} {a.real:.17g} {a.imag:.17g}\n")
-    finally:
-        if own:
-            handle.close()
+    if isinstance(target, (str, Path)):
+        # opened here, as text: np.savetxt would gzip a path ending in .gz
+        with open(target, "w", encoding="ascii") as handle:
+            return save_state(state, handle)
+    g = state.grid
+    np.savetxt(
+        target,
+        np.column_stack([g.centers, state.amplitudes.real, state.amplitudes.imag]),
+        fmt="%.17g",
+        header=f"confunc-state n={g.n} x_min={g.x_min!r} x_max={g.x_max!r} "
+        f"hbar={state.hbar!r}",
+        comments="# ",
+    )
 
 
 def load_state(source: str | Path | TextIO) -> GriddedState:

@@ -140,7 +140,7 @@ class TestBoundGapAtNinety:
 class TestTwoRouteAgreement:
     @pytest.mark.parametrize("c", [0.5, 1.0, 1.5, 2.0])
     def test_routes_agree(self, c):
-        norm, _ = largest_eigenpair(a_matrix(4.0 * c, truncation=64))
+        norm, _ = largest_eigenpair(a_matrix(4.0 * c))
         assert abs(norm / math.pi - lambda0(c)) <= 1e-6
 
 

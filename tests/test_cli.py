@@ -447,6 +447,24 @@ class TestHbarAndSeedOptions:
     @pytest.mark.parametrize(
         "argv",
         [
+            ["state", "gaussian", "--sigma", "1e-3", "--hbar", "1e302"],
+            ["state", "gaussian", "--sigma", "1", "--hbar", "1e-310"],
+            ["state", "slepian", "--c", "1", "--hbar", "1e-310"],
+        ],
+    )
+    def test_extreme_hbar_is_one_error_line(self, capsys, argv):
+        # hbar is positive and finite, but the transform phases leave
+        # floating-point range on the state's grid
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: hbar = ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
             ["lambda0", "--c", "1", "--hbar", "2"],
             ["bounds", "--tx", "0.9", "--tp", "0.9", "--seed", "3"],
             # the self-checks are dimensionless and run at hbar = 1

@@ -639,6 +639,14 @@ class TestSaveLoad:
         loaded = load_state(path)
         assert np.array_equal(loaded.amplitudes, state.amplitudes)
 
+    def test_gz_path_is_plain_text(self, tmp_path):
+        # np.savetxt gzips a path ending in .gz, which load_state cannot read
+        state = gaussian_state(Grid.symmetric(8.0, 128), 1.0)
+        path = tmp_path / "state.txt.gz"
+        save_state(state, path)
+        assert path.read_text(encoding="ascii").startswith("# confunc-state n=128 ")
+        assert np.array_equal(load_state(path).amplitudes, state.amplitudes)
+
     def test_rejects_foreign_header(self):
         with pytest.raises(DomainError):
             load_state(io.StringIO("not a state file\n0 1 0\n"))

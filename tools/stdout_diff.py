@@ -53,6 +53,8 @@ COMMANDS = (
     "verify strictness --format json",
     "bounds --tx 0.3 --tp 0.5",
     "compare --theta 0.3",
+    "verify two-route",
+    "state slepian --c 5",
 )
 
 
