@@ -12,6 +12,7 @@ bounds are closed forms used for comparison.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
@@ -43,6 +44,13 @@ __all__ = [
 # ordering of the computed bounds is exact mathematics; this slack only
 # absorbs the root-finding tolerance inside the inverse eigenvalue
 _ORDER_SLACK = 1e-8
+
+
+def _scaled(bound: float, hbar: float) -> float:
+    """A bound scaled by hbar, passed on only if it is 0 or a normal double."""
+    if bound != 0.0 and not sys.float_info.min <= abs(bound) <= sys.float_info.max:
+        raise DomainError(f"hbar = {hbar:g} gives a bound {bound:g} outside the normal doubles")
+    return bound
 
 
 class Region(Enum):
@@ -105,7 +113,8 @@ def lp_measurable_bound(
     Applies to confidence uncertainties over arbitrary measurable sets;
     zero in the trivial region.
     """
-    return 2.0 * math.pi * _check_positive("hbar", hbar) * angular_target(pair)
+    h = _check_positive("hbar", hbar)
+    return _scaled(2.0 * math.pi * h * angular_target(pair), h)
 
 
 def lp_interval_bounds(
@@ -134,7 +143,10 @@ def lp_interval_bounds(
         )
     bounded = targets > 0.0
     out = np.zeros(targets.size)
-    out[bounded] = 4.0 * h * lambda0_inverse_batch(targets[bounded])
+    with np.errstate(over="ignore"):
+        out[bounded] = 4.0 * h * lambda0_inverse_batch(targets[bounded])
+    for bound in (out.max(initial=0.0), out[bounded].min(initial=0.0)):
+        _scaled(float(bound), h)
     return out
 
 
@@ -181,7 +193,7 @@ def donoho_stark_bound(
     root = 1.0 - math.sqrt(1.0 - p.theta_x) - math.sqrt(1.0 - p.theta_p)
     if root <= 0.0:
         return 0.0
-    return 2.0 * math.pi * h * root * root
+    return _scaled(2.0 * math.pi * h * root * root, h)
 
 
 def elementary_bound(pair: ConfidencePair | tuple[float, float]) -> float | None:
@@ -215,7 +227,7 @@ def gaussian_interval_product(theta: float, hbar: float = 1.0) -> float:
             f"gaussian_interval_product requires 0 < theta < 1, got {theta}"
         )
     root = erf_inverse(theta)
-    return 4.0 * h * root * root
+    return _scaled(4.0 * h * root * root, h)
 
 
 def bbm_reference(hbar: float = 1.0) -> float:
@@ -227,17 +239,18 @@ def bbm_reference(hbar: float = 1.0) -> float:
 class BoundReport:
     """All applicable bounds at one confidence pair, for table emission.
 
-    ``lp_interval`` is None in the trivial region, where the interval
-    bound carries no information; ``elementary`` is None outside its
-    validity domain 2*theta_x + theta_p > 2. All products are in units
-    of hbar as passed to :func:`report`.
+    ``lp_interval`` is the value of :func:`lp_interval_bound`: 0 in the
+    trivial region and +inf at (1, 1), where that function raises
+    instead. ``elementary`` is None outside its validity domain
+    2*theta_x + theta_p > 2. All products are in units of hbar as passed
+    to :func:`report`.
     """
 
     pair: ConfidencePair
     region: Region
     angular_target: float
     lp_measurable: float
-    lp_interval: float | None
+    lp_interval: float
     donoho_stark: float
     elementary: float | None
     gaussian_product: float
@@ -250,40 +263,42 @@ class BoundReport:
         slack = _ORDER_SLACK * max(1.0, self.lp_measurable)
         if self.lp_measurable < self.donoho_stark - slack:
             raise DomainError("bound ordering violated: measurable < Donoho-Stark")
-        if self.lp_interval is not None and self.lp_interval < self.lp_measurable - slack:
+        if self.lp_interval < self.lp_measurable - slack:
             raise DomainError("bound ordering violated: interval < measurable")
 
 
 def report(
     pair: ConfidencePair | tuple[float, float], hbar: float = 1.0
 ) -> BoundReport:
-    """Evaluate every bound at one pair and package the result.
+    """Evaluate every bound at one pair of [0, 1]^2 and package the result.
 
-    The Gaussian product generalises the equal-confidence formula to
+    The interval bound is 0 in the trivial region and +inf at (1, 1),
+    where :func:`lp_interval_bound` raises BoundDivergenceError. The
+    Gaussian product generalises the equal-confidence formula to
     4*hbar*erf_inverse(tx)*erf_inverse(tp) and is +inf when either
     confidence is 1 (a Gaussian needs an infinite window for certainty).
 
     Raises
     ------
-    BoundDivergenceError
-        At (1, 1), propagated from the interval bound.
+    DomainError
+        If hbar is not positive and finite, or takes a bound out of the
+        normal doubles.
     """
     p = _as_pair(pair)
     h = _check_positive("hbar", hbar)
-    region = classify_region(p)
-    if region is Region.TRIVIAL:
-        interval = None
-    else:
+    try:
         interval = lp_interval_bound(p, hbar=h)
+    except BoundDivergenceError:
+        interval = math.inf
     if p.theta_x == 1.0 or p.theta_p == 1.0:
         gaussian = math.inf
     elif p.theta_x == 0.0 or p.theta_p == 0.0:
         gaussian = 0.0
     else:
-        gaussian = 4.0 * h * erf_inverse(p.theta_x) * erf_inverse(p.theta_p)
+        gaussian = _scaled(4.0 * h * erf_inverse(p.theta_x) * erf_inverse(p.theta_p), h)
     return BoundReport(
         pair=p,
-        region=region,
+        region=classify_region(p),
         angular_target=angular_target(p),
         lp_measurable=lp_measurable_bound(p, hbar=h),
         lp_interval=interval,

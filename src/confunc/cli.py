@@ -42,15 +42,11 @@ from typing import TextIO
 import numpy as np
 
 from .bounds import (
-    BoundDivergenceError,
     ConfidencePair,
     Region,
-    angular_target,
     bbm_reference,
     classify_region,
     donoho_stark_bound,
-    elementary_bound,
-    gaussian_interval_product,
     lp_interval_bounds,
     lp_measurable_bound,
     report,
@@ -240,22 +236,18 @@ def _cmd_lambda0(args: argparse.Namespace) -> tuple[dict, int]:
 
 
 def _point_row(pair: ConfidencePair, h: float) -> dict:
-    """Every bound at one pair; at (1, 1) the interval bound diverges."""
-    try:
-        rep = report(pair, hbar=h)
-        interval, gaussian = rep.lp_interval or 0.0, rep.gaussian_product
-    except BoundDivergenceError:
-        interval, gaussian = "divergent", math.inf
+    """The bound report at one pair; at (1, 1) the interval bound diverges."""
+    rep = report(pair, hbar=h)
     return {
         "theta_x": pair.theta_x,
         "theta_p": pair.theta_p,
-        "region": classify_region(pair).value,
-        "angular_target": angular_target(pair),
-        "lp_measurable": lp_measurable_bound(pair, hbar=h),
-        "lp_interval": interval,
-        "donoho_stark": donoho_stark_bound(pair, hbar=h),
-        "elementary": elementary_bound(pair),
-        "gaussian_product": gaussian,
+        "region": rep.region.value,
+        "angular_target": rep.angular_target,
+        "lp_measurable": rep.lp_measurable,
+        "lp_interval": "divergent" if rep.lp_interval == math.inf else rep.lp_interval,
+        "donoho_stark": rep.donoho_stark,
+        "elementary": rep.elementary,
+        "gaussian_product": rep.gaussian_product,
     }
 
 
@@ -285,10 +277,10 @@ def _cmd_compare(args: argparse.Namespace) -> tuple[dict, int]:
     for theta in thetas:
         if not 0.0 < theta < 1.0:
             raise DomainError(f"compare requires 0 < theta < 1, got {theta}")
-    slepian = lp_interval_bounds([(t, t) for t in thetas], hbar=args.hbar)
     rows = []
-    for theta, product in zip(thetas, slepian):
-        gaussian = gaussian_interval_product(theta, hbar=args.hbar)
+    for theta in thetas:
+        rep = report((theta, theta), hbar=args.hbar)
+        gaussian, product = rep.gaussian_product, rep.lp_interval
         rows.append(
             {
                 "theta": theta,
@@ -406,41 +398,34 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
 def _cmd_state(args: argparse.Namespace) -> tuple[dict, int]:
     h = args.hbar
     if args.kind == "gaussian":
-        sigma = args.sigma if args.sigma is not None else 1.0
-        state = gaussian_state(_gaussian_grid(sigma), sigma, hbar=h)
+        state = gaussian_state(_gaussian_grid(args.sigma), args.sigma, hbar=h)
         momentum = fourier_transform(state)
         hx = differential_entropy(state)
         hp = differential_entropy(momentum)
         _note(
-            f"gaussian sigma={sigma}: h(x)={hx:.6f}, h(p)={hp:.6f}, "
+            f"gaussian sigma={args.sigma}: h(x)={hx:.6f}, h(p)={hp:.6f}, "
             f"sum={hx + hp:.6f}, entropic floor={bbm_reference(h):.6f}"
         )
     elif args.kind == "slepian":
-        if args.c is None:
-            raise DomainError("state slepian needs --c")
-        length = args.L if args.L is not None else 2.0
-        state = slepian_state(args.c, length, hbar=h)
+        state = slepian_state(args.c, args.L, hbar=h)
         momentum = fourier_transform(state)
-        width = 4.0 * h * args.c / length
+        width = 4.0 * h * args.c / args.L
         in_band = probability_in_interval(momentum, -0.5 * width, 0.5 * width)
         _note(
-            f"slepian c={args.c}, L={length}, W={width:.6g}: "
+            f"slepian c={args.c}, L={args.L}, W={width:.6g}: "
             f"in-band momentum mass={in_band:.6f}, "
             f"lambda0={lambda0(args.c):.6f}"
         )
     elif args.kind == "rect-sinc":
-        if args.L is None or args.W is None:
-            raise DomainError("state rect-sinc needs --L and --W")
-        weight = args.P if args.P is not None else 0.5
         # the prediction validates L, W and P before a grid is sized on them
-        predicted = rect_sinc_prediction(args.L, args.W, weight, hbar=h)
+        predicted = rect_sinc_prediction(args.L, args.W, args.P, hbar=h)
         grid = _rect_sinc_grid(args.L, args.W, h)
-        state = rect_sinc_state(grid, args.L, args.W, weight, hbar=h)
+        state = rect_sinc_state(grid, args.L, args.W, args.P, hbar=h)
         momentum = fourier_transform(state)
         mass_x = probability_in_interval(state, -0.5 * args.L, 0.5 * args.L)
         mass_p = probability_in_interval(momentum, -0.5 * args.W, 0.5 * args.W)
         _note(
-            f"rect-sinc L={args.L}, W={args.W}, P={weight}: "
+            f"rect-sinc L={args.L}, W={args.W}, P={args.P}: "
             f"position mass={mass_x:.6f} (continuum {predicted.position_mass:.6f}), "
             f"momentum mass={mass_p:.6f} (continuum {predicted.momentum_mass:.6f})"
         )
@@ -514,14 +499,14 @@ def _build_parser() -> argparse.ArgumentParser:
     # each kind takes only its own options, all after the kind
     kinds = p.add_subparsers(dest="kind", required=True)
     k = kinds.add_parser("slepian", parents=[with_hbar], help="principal prolate state")
-    k.add_argument("--c", type=float, default=None, help="concentration")
-    k.add_argument("--L", type=float, default=None, help="window length (default 2)")
+    k.add_argument("--c", type=float, required=True, help="concentration")
+    k.add_argument("--L", type=float, default=2.0, help="window length (default 2)")
     k = kinds.add_parser("rect-sinc", parents=[with_hbar], help="rectangle/sinc superposition")
-    k.add_argument("--L", type=float, default=None, help="window length")
-    k.add_argument("--W", type=float, default=None, help="band width")
-    k.add_argument("--P", type=float, default=None, help="rectangle weight (default 0.5)")
+    k.add_argument("--L", type=float, required=True, help="window length")
+    k.add_argument("--W", type=float, required=True, help="band width")
+    k.add_argument("--P", type=float, default=0.5, help="rectangle weight (default 0.5)")
     k = kinds.add_parser("gaussian", parents=[with_hbar], help="minimum-uncertainty Gaussian")
-    k.add_argument("--sigma", type=float, default=None, help="deviation (default 1)")
+    k.add_argument("--sigma", type=float, default=1.0, help="deviation (default 1)")
     return parser
 
 

@@ -27,9 +27,10 @@ class ConvergenceError(ConfuncError, RuntimeError):
 class BoundDivergenceError(ConfuncError, ArithmeticError):
     """The requested bound diverges; no finite value exists.
 
-    Raised at full confidence in both position and momentum, where the
-    inverse-eigenvalue bound has no finite argument. This is a distinct
-    condition, never encoded as ``inf`` or ``nan``.
+    Raised by ``lp_interval_bound(s)`` at full confidence in both position
+    and momentum, where the inverse-eigenvalue bound has no finite
+    argument. ``report`` records that divergence as ``+inf`` instead, as
+    it already does for the Gaussian product at full confidence.
     """
 
 

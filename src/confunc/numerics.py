@@ -203,16 +203,12 @@ def sine_integral(y: float) -> float:
     g = 0.0
     term_f = 1.0 / ay
     term_g = inv2
-    k = 0
-    while k < 14:
+    # for y > 50 each term is at most 27*28/2500 of the one before
+    for k in range(14):
         f += term_f
         g += term_g
-        next_f = -term_f * (2 * k + 1) * (2 * k + 2) * inv2
-        next_g = -term_g * (2 * k + 2) * (2 * k + 3) * inv2
-        if abs(next_f) >= abs(term_f):
-            break
-        term_f, term_g = next_f, next_g
-        k += 1
+        term_f = -term_f * (2 * k + 1) * (2 * k + 2) * inv2
+        term_g = -term_g * (2 * k + 2) * (2 * k + 3) * inv2
     si = 0.5 * math.pi - math.cos(ay) * f - math.sin(ay) * g
     return sign * si
 
@@ -220,9 +216,10 @@ def sine_integral(y: float) -> float:
 def erf_inverse(theta: float) -> float:
     """Inverse of the error function on [0, 1).
 
-    Newton iteration on ``math.erf`` with the exact derivative, clipped
-    to a maintained bracket so every step is safe; converges to
-    ``erf(result) = theta`` within 1e-13.
+    Bisection on [0, 6], where erf(6) rounds to 1, until the bracket
+    holds two adjacent doubles. Up to theta = 1/2 it compares erf(x) with
+    theta; above, erfc(x) with 1 - theta, which is exact there, so the
+    result keeps its relative accuracy at both ends of the range.
 
     Raises
     ------
@@ -233,24 +230,14 @@ def erf_inverse(theta: float) -> float:
         raise DomainError(f"erf_inverse requires 0 <= theta < 1, got {theta}")
     if theta == 0.0:
         return 0.0
-    lo, hi = 0.0, 1.0
-    while math.erf(hi) < theta:
-        hi *= 2.0
-    x = 0.5 * (lo + hi)
-    for _ in range(200):
-        fx = math.erf(x) - theta
-        if abs(fx) <= 1e-13 or (hi - lo) <= 1e-15 * (1.0 + x):
-            return x
-        if fx < 0:
+    lo, hi, x = 0.0, 6.0, 3.0
+    while lo < x < hi:
+        if (math.erfc(x) > 1.0 - theta) if theta > 0.5 else (math.erf(x) < theta):
             lo = x
         else:
             hi = x
-        step = fx / (2.0 / math.sqrt(math.pi) * math.exp(-x * x))
-        x_new = x - step
-        if not lo < x_new < hi:
-            x_new = 0.5 * (lo + hi)
-        x = x_new
-    raise ConvergenceError(f"erf_inverse did not converge for theta={theta}")
+        x = 0.5 * (lo + hi)
+    return hi
 
 
 # residual ||M v - lambda v|| that largest_eigenpair must reach

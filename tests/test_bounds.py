@@ -185,7 +185,7 @@ class TestReport:
         rep = report((0.4, 0.5))
         assert rep.region is Region.TRIVIAL
         assert rep.lp_measurable == 0.0
-        assert rep.lp_interval is None
+        assert rep.lp_interval == 0.0
         assert rep.donoho_stark == 0.0
 
     def test_bounded_region_fields(self):
@@ -200,8 +200,13 @@ class TestReport:
         assert report((0.0, 0.9)).gaussian_product == 0.0
 
     def test_divergent_pair_raises(self):
-        with pytest.raises(BoundDivergenceError):
-            report((1.0, 1.0))
+        # lp_interval_bound raises here; the report records the divergence
+        rep = report((1.0, 1.0))
+        assert rep.lp_interval == math.inf
+        assert rep.angular_target == 1.0
+        assert rep.lp_measurable == rep.donoho_stark == 2.0 * math.pi
+        assert rep.elementary == math.pi
+        assert rep.gaussian_product == math.inf
 
     def test_invariant_enforced_on_construction(self):
         with pytest.raises(DomainError):

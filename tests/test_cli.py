@@ -103,6 +103,12 @@ class TestBoundsCommand:
         assert row["lp_interval"] == "divergent"
         assert row["gaussian_product"] == "inf"
 
+    def test_gaussian_product_near_full_confidence(self, capsys):
+        # 1 - theta_x = 1e-13 is inverted through erfc, to the last bits
+        code, out, _ = run(capsys, ["bounds", "--tx", "0.9999999999999", "--tp", "0.3"])
+        assert code == 0
+        assert parse_csv(out)[0]["gaussian_product"] == "5.73423"
+
     def test_out_of_square(self, capsys):
         code, _, err = run(capsys, ["bounds", "--tx", "1.2", "--tp", "0.5"])
         assert code == 2
@@ -157,6 +163,12 @@ class TestCompareCommand:
         row = parse_csv(out)[0]
         assert float(row["slepian"]) == 0.0
         assert row["ratio"] == "inf"
+
+    def test_gaussian_at_a_tiny_level(self, capsys):
+        # erf_inverse(theta) = sqrt(pi)/2 * theta here, so the product is pi * theta^2
+        code, out, _ = run(capsys, ["compare", "--theta", "1e-20"])
+        assert code == 0
+        assert parse_csv(out)[0]["gaussian"] == "3.14159e-40"
 
     def test_rejects_boundary_theta(self, capsys):
         code, _, err = run(capsys, ["compare", "--theta", "1.0"])
@@ -455,6 +467,28 @@ class TestHbarAndSeedOptions:
     def test_extreme_hbar_is_one_error_line(self, capsys, argv):
         # hbar is positive and finite, but the transform phases leave
         # floating-point range on the state's grid
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: hbar = ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bounds", "--tx", "0.9", "--tp", "0.9", "--hbar", "1e308"],
+            ["bounds", "--tx", "0.9", "--tp", "0.9", "--hbar", "1e-320"],
+            ["bounds", "--grid", "4", "--hbar", "1e308"],
+            ["compare", "--hbar", "1e308"],
+            ["bounds", "--tx", "0.3", "--tp", "0.5", "--hbar", "1e-320"],
+            # 4 * hbar is finite, so the overflow happens in the numpy product
+            ["bounds", "--grid", "10", "--hbar", "4e307"],
+        ],
+    )
+    def test_hbar_that_takes_a_bound_out_of_range_is_one_error_line(self, capsys, argv):
+        # hbar is positive and finite, but a bound scaled by it overflows
+        # or lands among the subnormals, where its digits are lost
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, out, err = run(capsys, argv)

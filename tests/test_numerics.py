@@ -135,6 +135,15 @@ class TestErfInverse:
     def test_round_trip_property(self, theta):
         assert abs(math.erf(erf_inverse(theta)) - theta) <= 1e-12
 
+    @pytest.mark.parametrize(
+        "theta", [1e-300, 1e-20, 1e-14, 0.3, 0.5, 0.9, 1 - 1e-10, 1 - 1e-13, 1 - 2**-53]
+    )
+    def test_matches_mpmath_to_the_last_bits(self, theta):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            exact = mpmath.erfinv(mpmath.mpf(theta))
+            assert abs(mpmath.mpf(erf_inverse(theta)) / exact - 1) <= 4.5e-16
+
     def test_monotone(self):
         grid = np.linspace(0.0, 0.999999, 200)
         values = [erf_inverse(t) for t in grid]

@@ -55,6 +55,10 @@ COMMANDS = (
     "compare --theta 0.3",
     "verify two-route",
     "state slepian --c 5",
+    "bounds --tx 1 --tp 1 --format json",
+    "bounds --tx 0 --tp 0",
+    "bounds --tx 1 --tp 0.9",
+    "compare --theta 0.5 --theta 0.999 --format json",
 )
 
 
