@@ -46,10 +46,14 @@ __all__ = [
 _ORDER_SLACK = 1e-8
 
 
-def _scaled(bound: float, hbar: float) -> float:
-    """A bound scaled by hbar, passed on only if it is 0 or a normal double."""
+def _scaled(name: str, bound: float, hbar: float) -> float:
+    """A bound scaled by hbar, passed on only if it is 0 or a normal double.
+
+    The error names the bound and hbar but not a cause: the confidences
+    alone can take a bound out of range at hbar = 1.
+    """
     if bound != 0.0 and not sys.float_info.min <= abs(bound) <= sys.float_info.max:
-        raise DomainError(f"hbar = {hbar:g} gives a bound {bound:g} outside the normal doubles")
+        raise DomainError(f"hbar = {hbar:g}: the {name} {bound:g} is outside the normal doubles")
     return bound
 
 
@@ -99,8 +103,12 @@ def angular_target(pair: ConfidencePair | tuple[float, float]) -> float:
     p = _as_pair(pair)
     if classify_region(p) is Region.TRIVIAL:
         return 0.0
-    root = math.sqrt(p.theta_x * p.theta_p) - math.sqrt(
-        (1.0 - p.theta_x) * (1.0 - p.theta_p)
+    # the difference of the two square roots is (tx + tp - 1) over their
+    # sum; forming it so, with the sum exact, keeps T's relative accuracy
+    # near the trivial line, where the difference cancels
+    excess = math.fsum((p.theta_x, p.theta_p, -1.0))
+    root = excess / (
+        math.sqrt(p.theta_x * p.theta_p) + math.sqrt((1.0 - p.theta_x) * (1.0 - p.theta_p))
     )
     return root * root
 
@@ -114,7 +122,7 @@ def lp_measurable_bound(
     zero in the trivial region.
     """
     h = _check_positive("hbar", hbar)
-    return _scaled(2.0 * math.pi * h * angular_target(pair), h)
+    return _scaled("measurable bound", 2.0 * math.pi * h * angular_target(pair), h)
 
 
 def lp_interval_bounds(
@@ -146,7 +154,7 @@ def lp_interval_bounds(
     with np.errstate(over="ignore"):
         out[bounded] = 4.0 * h * lambda0_inverse_batch(targets[bounded])
     for bound in (out.max(initial=0.0), out[bounded].min(initial=0.0)):
-        _scaled(float(bound), h)
+        _scaled("interval bound", float(bound), h)
     return out
 
 
@@ -193,7 +201,7 @@ def donoho_stark_bound(
     root = 1.0 - math.sqrt(1.0 - p.theta_x) - math.sqrt(1.0 - p.theta_p)
     if root <= 0.0:
         return 0.0
-    return _scaled(2.0 * math.pi * h * root * root, h)
+    return _scaled("Donoho-Stark bound", 2.0 * math.pi * h * root * root, h)
 
 
 def elementary_bound(pair: ConfidencePair | tuple[float, float]) -> float | None:
@@ -227,7 +235,7 @@ def gaussian_interval_product(theta: float, hbar: float = 1.0) -> float:
             f"gaussian_interval_product requires 0 < theta < 1, got {theta}"
         )
     root = erf_inverse(theta)
-    return _scaled(4.0 * h * root * root, h)
+    return _scaled("Gaussian product", 4.0 * h * root * root, h)
 
 
 def bbm_reference(hbar: float = 1.0) -> float:
@@ -295,7 +303,9 @@ def report(
     elif p.theta_x == 0.0 or p.theta_p == 0.0:
         gaussian = 0.0
     else:
-        gaussian = _scaled(4.0 * h * erf_inverse(p.theta_x) * erf_inverse(p.theta_p), h)
+        gaussian = _scaled(
+            "Gaussian product", 4.0 * h * erf_inverse(p.theta_x) * erf_inverse(p.theta_p), h
+        )
     return BoundReport(
         pair=p,
         region=classify_region(p),

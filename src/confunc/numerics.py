@@ -244,41 +244,52 @@ def erf_inverse(theta: float) -> float:
 _EIGEN_RESIDUAL = 1e-12
 
 
-def largest_eigenpair(matrix: NDArray[np.float64]) -> tuple[float, NDArray[np.float64]]:
-    """Largest eigenvalue and unit eigenvector of a real symmetric matrix.
+def largest_eigenpair(
+    matrix: NDArray[np.float64],
+) -> tuple[float | NDArray[np.float64], NDArray[np.float64]]:
+    """Largest eigenvalue and unit eigenvector of a real symmetric matrix,
+    or of each matrix in a stack of shape (..., n, n).
 
-    A dense symmetric eigensolve provides the pair; the symmetry of the
-    input and the residual ``||M v - lambda v|| <= 1e-12`` are verified so
-    the contract does not rest on the backend. The eigenvector sign is
-    fixed so its entry of largest magnitude is positive, which makes the
-    result deterministic.
+    A dense symmetric eigensolve provides the pairs; the symmetry of each
+    input and its residual ``||M v - lambda v|| <= 1e-12`` are verified
+    so the contract does not rest on the backend. Each eigenvector's sign
+    is fixed so its entry of largest magnitude is positive, which makes
+    the result deterministic. A single matrix gives a float and a vector;
+    a stack gives an array of eigenvalues of shape (...) and one of
+    eigenvectors of shape (..., n). A matrix gets the same pair whether
+    it is solved alone or in a stack.
 
     Raises
     ------
     DomainError
-        If the matrix is not square and symmetric to 1e-12.
+        If a matrix is not square and symmetric to 1e-12.
     ConvergenceError
-        If the residual check fails.
+        If the residual check fails for any matrix.
     """
     m = np.asarray(matrix, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DomainError(f"expected a square matrix, got shape {m.shape}")
-    if m.shape[0] == 0:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise DomainError(f"expected a square matrix or a stack of them, got shape {m.shape}")
+    if m.shape[-1] == 0:
         raise DomainError("expected a nonempty matrix")
-    asym = float(np.max(np.abs(m - m.T)))
+    transposed = m.swapaxes(-1, -2)
+    asym = float(np.abs(m - transposed).max(initial=0.0))
     if asym > 1e-12:
         raise DomainError(f"matrix is not symmetric: max |M - M^T| = {asym:.3e}")
-    sym = 0.5 * (m + m.T)
+    sym = 0.5 * (m + transposed)
     eigenvalues, eigenvectors = np.linalg.eigh(sym)
-    value = float(eigenvalues[-1])
-    vector = eigenvectors[:, -1]
-    residual = float(np.linalg.norm(sym @ vector - value * vector))
-    if residual > _EIGEN_RESIDUAL:
+    values = eigenvalues[..., -1]
+    vectors = eigenvectors[..., -1]
+    misfit = (sym @ vectors[..., None])[..., 0] - values[..., None] * vectors
+    residual = float(np.sqrt((misfit * misfit).sum(axis=-1)).max(initial=0.0))
+    # a NaN residual fails this test too
+    if not residual <= _EIGEN_RESIDUAL:
         raise ConvergenceError(
             f"eigenpair residual {residual:.3e} exceeds tolerance {_EIGEN_RESIDUAL:.3e}"
         )
-    if vector[int(np.argmax(np.abs(vector)))] < 0:
-        vector = -vector
-    vector = vector.copy()
-    vector.setflags(write=False)
-    return value, vector
+    flat = vectors.reshape(-1, m.shape[-1])
+    largest = flat[np.arange(len(flat)), np.abs(flat).argmax(axis=-1)]
+    vectors = vectors * np.where(largest < 0, -1.0, 1.0).reshape(values.shape + (1,))
+    vectors.setflags(write=False)
+    if m.ndim == 2:
+        return float(values), vectors
+    return values, vectors

@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import DomainError, GridError, MassDeficitError
 from .numerics import _check_positive, sine_integral
-from .slepian import _principal_values, lambda0
+from .slepian import _eigenpairs, _principal_values
 
 __all__ = [
     "Grid",
@@ -772,7 +772,8 @@ def verify_lenard_batch(
 
     Every window is checked before any work is done; the position masses
     come from one cumulative of the state and the momentum masses from
-    one cumulative of its transform.
+    one cumulative of its transform, and lambda0 of every window's
+    concentration from one stacked eigensolve per prolate row count.
     """
     for (x1, x2), (p1, p2) in windows:
         if not (x1 < x2 and p1 < p2):
@@ -781,13 +782,16 @@ def verify_lenard_batch(
             raise DomainError("interval endpoints must be finite")
     position = _masses(state, [x for x, _ in windows])
     momentum = _masses(fourier_transform(state), [p for _, p in windows])
+    cs = [(x2 - x1) * (p2 - p1) / (4.0 * state.hbar) for (x1, x2), (p1, p2) in windows]
+    eigenvalues, _ = _eigenpairs(cs)
     witnesses = []
-    for ((x1, x2), (p1, p2)), mass_x, mass_p in zip(windows, position, momentum):
+    for ((x1, x2), (p1, p2)), mass_x, mass_p, c, value in zip(
+        windows, position, momentum, cs, eigenvalues
+    ):
         px = min(max(mass_x, 0.0), 1.0)
         pp = min(max(mass_p, 0.0), 1.0)
-        c = (x2 - x1) * (p2 - p1) / (4.0 * state.hbar)
         lhs = math.acos(math.sqrt(px)) + math.acos(math.sqrt(pp))
-        rhs = math.acos(math.sqrt(lambda0(c)))
+        rhs = math.acos(math.sqrt(value))
         margin = lhs - rhs
         witnesses.append(
             LenardWitness(

@@ -6,6 +6,7 @@ the ordering chain between the bounds, and linear scaling in hbar.
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -70,6 +71,24 @@ class TestRegionAndTarget:
     def test_target_continuous_at_boundary(self):
         eps = 1e-9
         assert angular_target((0.5 + eps, 0.5 + eps)) <= 1e-8
+
+    def test_target_near_the_trivial_line_against_mpmath(self):
+        # tx + tp - 1 from 1e-16 to 1e-3: the difference of the square
+        # roots cancels there, and forming it by subtraction was off by
+        # up to 10%
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(5)
+        checked = 0
+        for tx, log_excess in zip(rng.uniform(0.0, 1.0, 300), rng.uniform(-16, -3, 300)):
+            tp = 1.0 - tx + 10.0**log_excess
+            if not 0.0 <= tp <= 1.0 or classify_region((tx, tp)) is Region.TRIVIAL:
+                continue
+            with mpmath.workdps(60):
+                x, p = mpmath.mpf(tx), mpmath.mpf(tp)
+                exact = (mpmath.sqrt(x * p) - mpmath.sqrt((1 - x) * (1 - p))) ** 2
+                assert abs(angular_target((tx, tp)) - exact) <= 4e-15 * exact
+            checked += 1
+        assert checked > 200
 
     @given(unit, unit)
     @settings(max_examples=200)

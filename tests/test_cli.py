@@ -109,6 +109,15 @@ class TestBoundsCommand:
         assert code == 0
         assert parse_csv(out)[0]["gaussian_product"] == "5.73423"
 
+    def test_small_target_is_not_overstated(self, capsys):
+        # at theta_x = 1, T = theta_p and c = pi T / 2 for small T, so the
+        # interval bound meets the measurable one, 2 pi T; stopping on an
+        # absolute tolerance printed 1.28164e-11 here
+        code, out, _ = run(capsys, ["bounds", "--tx", "1", "--tp", "1e-12"])
+        assert code == 0
+        row = parse_csv(out)[0]
+        assert row["lp_interval"] == row["lp_measurable"] == "6.28319e-12"
+
     def test_out_of_square(self, capsys):
         code, _, err = run(capsys, ["bounds", "--tx", "1.2", "--tp", "0.5"])
         assert code == 2
@@ -169,6 +178,21 @@ class TestCompareCommand:
         code, out, _ = run(capsys, ["compare", "--theta", "1e-20"])
         assert code == 0
         assert parse_csv(out)[0]["gaussian"] == "3.14159e-40"
+
+    def test_bound_just_above_half(self, capsys):
+        # T = (2e-10)^2 = 4e-20, so the bound is 4 c(T) = 2 pi T
+        code, out, _ = run(capsys, ["compare", "--theta", "0.5000000001"])
+        assert code == 0
+        assert parse_csv(out)[0]["slepian"] == "2.51327e-19"
+
+    def test_subnormal_gaussian_product_names_the_bound(self, capsys):
+        # pi * theta^2 = 3.1e-320 leaves the normal doubles at hbar = 1:
+        # the confidence level, not hbar, takes it there
+        code, out, err = run(capsys, ["compare", "--theta", "1e-160"])
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: hbar = 1: the Gaussian product 3.14176e-320 is outside the normal doubles\n"
+        )
 
     def test_rejects_boundary_theta(self, capsys):
         code, _, err = run(capsys, ["compare", "--theta", "1.0"])

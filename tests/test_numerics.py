@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from confunc import numerics
-from confunc.errors import DomainError
+from confunc.errors import ConvergenceError, DomainError
 from confunc.numerics import (
     QuadratureRule,
     erf_inverse,
@@ -190,6 +190,40 @@ class TestLargestEigenpair:
         _, vector = largest_eigenpair(np.eye(3))
         with pytest.raises(ValueError):
             vector[0] = 2.0
+
+    def test_stack_equals_each_matrix_alone(self):
+        rng = np.random.default_rng(11)
+        a = rng.standard_normal((5, 12, 12))
+        stack = a + np.swapaxes(a, -1, -2)
+        values, vectors = largest_eigenpair(stack)
+        assert values.shape == (5,) and vectors.shape == (5, 12)
+        for matrix, value, vector in zip(stack, values, vectors):
+            alone = largest_eigenpair(matrix)
+            assert type(alone[0]) is float
+            assert value == alone[0]
+            assert np.array_equal(vector, alone[1])
+            assert vector[int(np.argmax(np.abs(vector)))] > 0
+
+    @pytest.mark.parametrize("corruption", ["perturbed", "nan"])
+    def test_one_bad_matrix_in_a_stack_raises(self, monkeypatch, corruption):
+        # a backend that returns one unconverged pair in a stack must not
+        # slip past the residual check of the others
+        eigh = np.linalg.eigh
+
+        def corrupt(matrix):
+            values, vectors = eigh(matrix)
+            vectors = vectors.copy()
+            vectors[2, :, -1] = math.nan if corruption == "nan" else vectors[2, :, -2]
+            return values, vectors
+
+        monkeypatch.setattr(np.linalg, "eigh", corrupt)
+        stack = np.stack([np.diag([1.0, 2.0, 3.0 + k]) for k in range(4)])
+        with pytest.raises(ConvergenceError):
+            largest_eigenpair(stack)
+
+    def test_rejects_non_square_stack(self):
+        with pytest.raises(DomainError):
+            largest_eigenpair(np.zeros((3, 2, 3)))
 
 
 class TestQuadratureRuleType:

@@ -313,8 +313,68 @@ class TestProlateEngine:
             principal_slepian(above)
 
 
+class TestStackedEngine:
+    """_eigenpairs solves many c in stacked eigensolves, one per row count."""
+
+    # log-spaced over the whole range plus Lenard-like windows, so the
+    # batch spans many row counts and repeats some of them
+    SPREAD = np.concatenate(
+        [np.geomspace(1e-3, 1000.0, 60), np.random.default_rng(2).uniform(0.0, 6.0, 40)]
+    )
+
+    def test_batch_equals_each_c_alone(self):
+        values, rows = slepian._eigenpairs(self.SPREAD)
+        assert len({slepian._rows(c) for c in self.SPREAD}) > 10
+        for c, value, row in zip(self.SPREAD, values, rows):
+            assert value == lambda0(c)
+            assert np.array_equal(row, slepian._eigenpair(c)[1])
+            assert len(row) == slepian._rows(c)
+
+    def test_last_retained_coefficient_carries_no_digits(self):
+        _, rows = slepian._eigenpairs(self.SPREAD)
+        assert max(abs(row[-1]) for row in rows) <= 1e-20
+
+    def test_one_eigensolve_per_row_count(self, monkeypatch):
+        eigh = np.linalg.eigh
+        shapes = []
+
+        def counted(matrix):
+            shapes.append(matrix.shape)
+            return eigh(matrix)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        slepian._eigenpairs([0.5, 13.0, 1.5, 12.5, 0.25])
+        assert sorted(shapes) == [(2, 26, 26), (3, 20, 20)]
+
+    def test_rejects_a_bad_c_before_building_a_matrix(self, monkeypatch):
+        def refuse(c):
+            raise AssertionError(f"prolate matrix built for c = {c}")
+
+        monkeypatch.setattr(slepian, "_prolate_matrix", refuse)
+        for bad in (-1.0, math.nan, 1001.0):
+            with pytest.raises(DomainError):
+                slepian._eigenpairs([1.0, bad])
+
+
+class TestSmallThetaInverse:
+    """Near theta = 0 the inversion is relative in theta, not absolute."""
+
+    @pytest.mark.parametrize("theta", [1e-300, 1e-100, 1e-20, 1e-12, 1e-11, 1e-8, 1e-6])
+    def test_relative_accuracy(self, theta):
+        c = lambda0_inverse(theta)
+        assert abs(lambda0(c) / theta - 1.0) <= 1e-10
+
+    @pytest.mark.parametrize("theta", [1e-300, 1e-100, 1e-20, 1e-12, 1e-11, 1e-8])
+    def test_small_c_law(self, theta):
+        # lambda0(c) = 2c/pi (1 + O(c^2)), so c = pi theta / 2 to 1e-16
+        # here, independently of the eigensolve
+        assert abs(lambda0_inverse(theta) / (math.pi * theta / 2.0) - 1.0) <= 2e-10
+
+
 def _lambda0_high_precision(mp, c):
-    """lambda0 of the engine's prolate matrix, built and solved by mpmath.
+    """lambda0 of the prolate matrix with floor(c/2) + 40 rows, 20 more
+    than the engine keeps, built and solved by mpmath; so it checks the
+    engine's truncation as well as its rounding.
 
     ``mp.eigsy`` gives the ground characteristic value chi; the ground
     eigenvector then follows from the rows of (A - chi) b = 0 by
@@ -346,11 +406,12 @@ def _lambda0_high_precision(mp, c):
     return mp.mpf(c) / (2 * mp.pi) * mu * mu
 
 
-@pytest.mark.parametrize("c", [5.0, 10.0, 13.0])
+@pytest.mark.parametrize("c", [0.05, 1.0, 5.0, 10.0, 13.0])
 def test_lambda0_against_40_digit_oracle(c):
-    # 1 - lambda0 runs from 6.5e-4 down to 1.3e-10 here, so only a bound
-    # in ulps of lambda0 is meaningful; the dense Nystrom route and this
-    # engine both scatter by up to ~17 ulps over c in [1, 15]
+    # lambda0 runs from 0.03 to 1 - 1.3e-10 here, so only a bound in
+    # ulps of lambda0 is meaningful; the dense Nystrom route and this
+    # engine both scatter by up to ~17 ulps over c in [1, 15], and the
+    # oracle's 20 extra rows also catch a truncation that drops digits
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(40):
         exact = _lambda0_high_precision(mpmath, c)

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from confunc.errors import DomainError, GridError
 from confunc.numerics import erf_inverse
-from confunc.slepian import lambda0
+from confunc.slepian import _rows, lambda0
 from confunc.states import (
     ConfidenceEstimate,
     Grid,
@@ -607,6 +607,24 @@ class TestLenardBatch:
         assert len(batch) == len(windows)
         for got, expected in zip(batch, single):
             assert got == expected
+
+    def test_one_eigensolve_per_row_count(self, monkeypatch):
+        eigh = np.linalg.eigh
+        calls = []
+
+        def counted(matrix):
+            calls.append(matrix.shape)
+            return eigh(matrix)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        hbar = 0.2
+        state = random_smooth_state(Grid.symmetric(20.0, 4096), 4, hbar=hbar)
+        windows = corpus_windows(5, hbar)
+        witnesses = verify_lenard_batch(state, windows)
+        row_counts = {_rows(w.concentration) for w in witnesses}
+        assert len(row_counts) > 1
+        assert len(calls) <= len(row_counts)
+        assert sum(shape[0] for shape in calls) == len(windows)
 
     @pytest.mark.parametrize(
         "bad",
