@@ -46,14 +46,19 @@ __all__ = [
 _ORDER_SLACK = 1e-8
 
 
-def _scaled(name: str, bound: float, hbar: float) -> float:
-    """A bound scaled by hbar, passed on only if it is 0 or a normal double.
+def _scaled(name: str, bound, hbar: float):
+    """A bound, or an array of them, scaled by hbar, passed on only if each
+    is 0 or a normal double.
 
     The error names the bound and hbar but not a cause: the confidences
     alone can take a bound out of range at hbar = 1.
     """
-    if bound != 0.0 and not sys.float_info.min <= abs(bound) <= sys.float_info.max:
-        raise DomainError(f"hbar = {hbar:g}: the {name} {bound:g} is outside the normal doubles")
+    values = np.ravel(bound)
+    size = np.abs(values)
+    normal = (sys.float_info.min <= size) & (size <= sys.float_info.max)
+    bad = values[(size != 0.0) & ~normal]
+    if bad.size:
+        raise DomainError(f"hbar = {hbar:g}: the {name} {bad[0]:g} is outside the normal doubles")
     return bound
 
 
@@ -92,6 +97,55 @@ def classify_region(pair: ConfidencePair | tuple[float, float]) -> Region:
     return Region.TRIVIAL if p.theta_x + p.theta_p <= 1.0 else Region.BOUNDED
 
 
+def _angular_targets(tx: NDArray[np.float64], tp: NDArray[np.float64]) -> NDArray[np.float64]:
+    """:func:`angular_target` at each pair of two arrays of confidences,
+    taken as checked."""
+    s = tx + tp
+    # the difference of the two square roots is (tx + tp - 1) over their
+    # sum; forming it so, with that excess exact, keeps T's relative
+    # accuracy near the trivial line, where the difference cancels. err is
+    # the rounding error of s (TwoSum), and s - 1 is exact for s in (1, 2],
+    # so (s - 1) + err is tx + tp - 1 rounded once
+    back = s - tx
+    err = (tx - (s - back)) + (tp - back)
+    bounded = s > 1.0
+    x, y = tx[bounded], tp[bounded]
+    root = ((s[bounded] - 1.0) + err[bounded]) / (
+        np.sqrt(x * y) + np.sqrt((1.0 - x) * (1.0 - y))
+    )
+    targets = np.zeros(s.shape)
+    targets[bounded] = root * root
+    return targets
+
+
+def _measurable_bounds(
+    tx: NDArray[np.float64], tp: NDArray[np.float64], h: float
+) -> NDArray[np.float64]:
+    """:func:`lp_measurable_bound` at each pair, with hbar checked."""
+    # an hbar so large that 2 pi hbar is inf gives nan at T = 0, which
+    # _scaled refuses, as it does for one pair
+    with np.errstate(invalid="ignore"):
+        bounds = 2.0 * math.pi * h * _angular_targets(tx, tp)
+    return _scaled("measurable bound", bounds, h)
+
+
+def _donoho_stark_bounds(
+    tx: NDArray[np.float64], tp: NDArray[np.float64], h: float
+) -> NDArray[np.float64]:
+    """:func:`donoho_stark_bound` at each pair, with hbar checked."""
+    root = 1.0 - np.sqrt(1.0 - tx) - np.sqrt(1.0 - tp)
+    positive = root > 0.0
+    bounds = np.zeros(root.shape)
+    bounds[positive] = 2.0 * math.pi * h * root[positive] * root[positive]
+    return _scaled("Donoho-Stark bound", bounds, h)
+
+
+def _one_pair(form, pair: ConfidencePair | tuple[float, float], *args) -> float:
+    """One of the array forms above at a single pair."""
+    p = _as_pair(pair)
+    return float(form(np.array([p.theta_x]), np.array([p.theta_p]), *args)[0])
+
+
 def angular_target(pair: ConfidencePair | tuple[float, float]) -> float:
     """Squared-cosine target T = (sqrt(tx*tp) - sqrt((1-tx)(1-tp)))^2.
 
@@ -100,17 +154,7 @@ def angular_target(pair: ConfidencePair | tuple[float, float]) -> float:
     eigenvalue. Returns 0 in the trivial region, where no constraint
     survives, and satisfies T(1, tp) = tp.
     """
-    p = _as_pair(pair)
-    if classify_region(p) is Region.TRIVIAL:
-        return 0.0
-    # the difference of the two square roots is (tx + tp - 1) over their
-    # sum; forming it so, with the sum exact, keeps T's relative accuracy
-    # near the trivial line, where the difference cancels
-    excess = math.fsum((p.theta_x, p.theta_p, -1.0))
-    root = excess / (
-        math.sqrt(p.theta_x * p.theta_p) + math.sqrt((1.0 - p.theta_x) * (1.0 - p.theta_p))
-    )
-    return root * root
+    return _one_pair(_angular_targets, pair)
 
 
 def lp_measurable_bound(
@@ -121,8 +165,7 @@ def lp_measurable_bound(
     Applies to confidence uncertainties over arbitrary measurable sets;
     zero in the trivial region.
     """
-    h = _check_positive("hbar", hbar)
-    return _scaled("measurable bound", 2.0 * math.pi * h * angular_target(pair), h)
+    return _one_pair(_measurable_bounds, pair, _check_positive("hbar", hbar))
 
 
 def lp_interval_bounds(
@@ -131,9 +174,10 @@ def lp_interval_bounds(
 ) -> NDArray[np.float64]:
     """Tight lower bounds 4*hbar*lambda0_inverse(T), one per pair.
 
-    Zero in the trivial region (T = 0). The remaining targets are
-    inverted together in one ascending sweep, which makes dense maps
-    much cheaper than pair-by-pair inversion. Returns the bounds in
+    Zero in the trivial region (T = 0). T comes from the array form of
+    :func:`angular_target`, and the remaining targets are inverted
+    together, by Newton iterations run in lockstep, which makes dense
+    maps much cheaper than pair-by-pair inversion. Returns the bounds in
     input order.
 
     Raises
@@ -144,7 +188,10 @@ def lp_interval_bounds(
         band-limited and the bound grows without limit.
     """
     h = _check_positive("hbar", hbar)
-    targets = np.array([angular_target(p) for p in pairs], dtype=np.float64)
+    checked = [_as_pair(p) for p in pairs]
+    targets = _angular_targets(
+        np.array([p.theta_x for p in checked]), np.array([p.theta_p for p in checked])
+    )
     if np.any(targets >= 1.0):
         raise BoundDivergenceError(
             "the interval bound diverges at full confidence in both variables"
@@ -196,12 +243,7 @@ def donoho_stark_bound(
     measurable-set bound above; clamps to zero where the bracket goes
     negative.
     """
-    h = _check_positive("hbar", hbar)
-    p = _as_pair(pair)
-    root = 1.0 - math.sqrt(1.0 - p.theta_x) - math.sqrt(1.0 - p.theta_p)
-    if root <= 0.0:
-        return 0.0
-    return _scaled("Donoho-Stark bound", 2.0 * math.pi * h * root * root, h)
+    return _one_pair(_donoho_stark_bounds, pair, _check_positive("hbar", hbar))
 
 
 def elementary_bound(pair: ConfidencePair | tuple[float, float]) -> float | None:

@@ -25,13 +25,15 @@ Newton's step in the inversion takes
 d lambda0/dc = 2 lambda0 psi0(1)^2 / c (Slepian-Pollak, psi0 of unit
 norm on [-1, 1]) with psi0(1) summed from the same coefficients, and
 stops on a tolerance relative to min(theta, 1 - theta), so theta near 0
-and near 1 stays exact. A batch of c is solved in stacked eigensolves,
-one per matrix size.
+and near 1 stays exact. A batch of c is solved in stacked eigensolves
+of at most 64 matrices of one size, and the inversion runs Newton on
+all its targets in lockstep, one such batch per round.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,9 +73,9 @@ _THETA_RESOLUTION = 1e-12
 # a large c just above 1, outside its range [0, 1)
 _BELOW_ONE = math.nextafter(1.0, 0.0)
 
-# _invert stops once |lambda0(c) - theta| is this fraction of
-# min(theta, 1 - theta), or once its bracket is this fraction of its
-# upper end
+# lambda0_inverse_batch stops a target once |lambda0(c) - theta| is this
+# fraction of min(theta, 1 - theta), or once its bracket is this
+# fraction of its upper end
 _INVERSION_TOL = 1e-10
 
 # largest supported concentration; the prolate matrix has c/2 + 20 rows,
@@ -82,6 +84,10 @@ _C_MAX = 1000.0
 
 # largest Fourier index of a_matrix
 _A_TRUNCATION = 64
+
+# most matrices in one stacked eigensolve: larger stacks gain little
+# per matrix and hold more memory
+_STACK_CAP = 64
 
 
 def _as_c(c: float) -> float:
@@ -137,11 +143,12 @@ def kernel_matrix(c: float, rule: QuadratureRule) -> NDArray[np.float64]:
     return sw[:, None] * kern * sw[None, :]
 
 
-def _rows(c: float) -> int:
-    """Rows of the prolate matrix at c: floor(c/2) + 20. Past floor(c/2)
-    the Legendre coefficients of psi0 fall off faster than geometrically,
-    and on c in [1e-3, 1000] the last one kept is below 1.1e-22."""
-    return int(c // 2) + 20
+def _rows(c):
+    """Rows of the prolate matrix at c, or at each c of an array:
+    floor(c/2) + 20. Past floor(c/2) the Legendre coefficients of psi0
+    fall off faster than geometrically, and on c in [1e-3, 1000] the last
+    one kept is below 1.1e-22."""
+    return np.floor_divide(c, 2).astype(np.intp) + 20
 
 
 _DEGREES = np.arange(_rows(_C_MAX))
@@ -164,7 +171,7 @@ def _prolate_matrix(c) -> NDArray[np.float64]:
     c that share one row count gives the stack of their matrices.
     """
     cc = np.multiply(c, c)[..., None]
-    n = _rows(float(np.max(c)))
+    n = _rows(np.max(c))
     k = 2.0 * _DEGREES[:n]
     diag = k * (k + 1) + cc * (2 * k * (k + 1) - 1) / ((2 * k + 3) * (2 * k - 1))
     j = k[:-1]
@@ -182,10 +189,11 @@ def _eigenpairs(cs) -> tuple[NDArray[np.float64], list[NDArray[np.float64]]]:
     """lambda0 and the coefficients a of psi0(u) = sum_j a_j P_2j(u) for
     each c in ``cs``, in input order.
 
-    The c values are grouped by their row count, and each group is one
-    stacked eigensolve; every c gets a matrix of its own size, so each
-    result is bit-identical to solving that c alone. psi0 has unit norm
-    on [-1, 1] and psi0(0) > 0, so psi0(1) = sum(a).
+    The c values are grouped by their row count, and each group is
+    solved in stacked eigensolves of at most _STACK_CAP matrices; every c
+    gets a matrix of its own size, so each result is bit-identical to
+    solving that c alone. psi0 has unit norm on [-1, 1] and psi0(0) > 0,
+    so psi0(1) = sum(a).
 
     Raises
     ------
@@ -193,33 +201,37 @@ def _eigenpairs(cs) -> tuple[NDArray[np.float64], list[NDArray[np.float64]]]:
         If a c is negative, not finite, or above the supported 1000; no
         matrix is built then.
     """
-    cs = [_as_c(c) for c in cs]
-    for c in cs:
-        if c > _C_MAX:
-            raise DomainError(
-                f"c = {c:.6g} is outside the supported range [0, {_C_MAX:g}] "
-                "of the eigenvalue engine"
-            )
-    groups: dict[int, list[int]] = {}
-    for index, c in enumerate(cs):
-        groups.setdefault(_rows(c), []).append(index)
-    values = np.empty(len(cs))
-    rows: list = [None] * len(cs)
-    for n, members in groups.items():
-        c = np.array([cs[index] for index in members])
-        matrix = _prolate_matrix(c)
-        # psi0 belongs to the smallest eigenvalue; the infinity norm
-        # scales the residual check of the eigensolve to each matrix
-        norm = np.abs(matrix).sum(axis=-1).max(axis=-1)
-        _, beta = largest_eigenpair(-matrix / norm[:, None, None])
-        coeffs = beta * _LEGENDRE_SCALE[:n]
-        at_zero = (coeffs * _LEGENDRE_AT_ZERO[:n]).sum(axis=-1)
-        # (c / 2 pi) mu0^2 with mu0 = sqrt(2) beta0 / psi0(0)
-        ratio = beta[:, 0] / at_zero
-        values[members] = np.minimum(c / math.pi * ratio * ratio, _BELOW_ONE)
-        coeffs *= np.where(at_zero < 0, -1.0, 1.0)[:, None]
-        for index, row in zip(members, coeffs):
-            rows[index] = row
+    cs = np.asarray(cs, dtype=np.float64).reshape(-1)
+    outside = cs[~((cs >= 0.0) & (cs <= _C_MAX))]
+    if outside.size:
+        # a negative or non-finite c gets _as_c's message
+        c = _as_c(outside[0])
+        raise DomainError(
+            f"c = {c:.6g} is outside the supported range [0, {_C_MAX:g}] "
+            "of the eigenvalue engine"
+        )
+    sizes = _rows(cs)
+    order = np.argsort(sizes, kind="stable")
+    values = np.empty(cs.size)
+    rows: list = [None] * cs.size
+    for group in np.split(order, np.flatnonzero(np.diff(sizes[order])) + 1):
+        for start in range(0, group.size, _STACK_CAP):
+            members = group[start : start + _STACK_CAP]
+            c = cs[members]
+            matrix = _prolate_matrix(c)
+            n = matrix.shape[-1]
+            # psi0 belongs to the smallest eigenvalue; the infinity norm
+            # scales the residual check of the eigensolve to each matrix
+            norm = np.abs(matrix).sum(axis=-1).max(axis=-1)
+            _, beta = largest_eigenpair(-matrix / norm[:, None, None])
+            coeffs = beta * _LEGENDRE_SCALE[:n]
+            at_zero = (coeffs * _LEGENDRE_AT_ZERO[:n]).sum(axis=-1)
+            # (c / 2 pi) mu0^2 with mu0 = sqrt(2) beta0 / psi0(0)
+            ratio = beta[:, 0] / at_zero
+            values[members] = np.minimum(c / math.pi * ratio * ratio, _BELOW_ONE)
+            coeffs *= np.where(at_zero < 0, -1.0, 1.0)[:, None]
+            for index, row in zip(members.tolist(), coeffs):
+                rows[index] = row
     return values, rows
 
 
@@ -275,66 +287,6 @@ def lambda0_large_c(c: float) -> float:
     return 1.0 - 4.0 * math.sqrt(math.pi * cc) * math.exp(-2.0 * cc)
 
 
-def _inverse_bracket(theta: float) -> tuple[float, float]:
-    """Bracket for lambda0_inverse from the two asymptotic inverses.
-
-    The small-theta inverse is pi*theta/2 and the large-theta inverse is
-    -ln(1-theta)/2; expanding their envelope by a factor 4 on each side
-    covers the crossover region for every theta in (0, 1).
-    """
-    small = math.pi * theta / 2.0
-    large = -0.5 * math.log1p(-theta)
-    return min(small, large) / 4.0, max(small, large) * 4.0
-
-
-def _invert(theta: float, lo: float, hi: float, start: float | None = None) -> float:
-    """Solve lambda0(c) = theta on a bracket known to straddle it.
-
-    Newton iteration on ln(1 - lambda0), nearly linear in c, with the
-    Slepian-Pollak derivative d lambda0/dc = 2 lambda0 psi0(1)^2 / c and
-    psi0(1) the sum of psi0's Legendre coefficients, since every
-    P_k(1) = 1; steps leaving the bracket fall back to bisection. It
-    stops once |lambda0(c) - theta| <= _INVERSION_TOL * min(theta,
-    1 - theta), or once the bracket is narrower than _INVERSION_TOL times
-    its upper end. An absolute tolerance would accept a c far too large
-    once theta or 1 - theta nears it, overstating every bound built on
-    it: near theta = 0, where lambda0 is about 2c/pi, the bracket's
-    midpoint would pass at twice the true c.
-
-    Raises
-    ------
-    ConvergenceError
-        If neither test is met within 200 iterations.
-    """
-    c = start if start is not None and lo < start < hi else 0.5 * (lo + hi)
-    best_c, best_gap = c, math.inf
-    for _ in range(200):
-        value, coeffs = _eigenpair(c)
-        gap = abs(value - theta)
-        if gap < best_gap:
-            best_c, best_gap = c, gap
-        if gap <= _INVERSION_TOL * min(theta, 1.0 - theta):
-            return c
-        if hi - lo <= _INVERSION_TOL * hi:
-            # rounding in the eigenvalue, not c, now sets the residual
-            return best_c
-        if value < theta:
-            lo = c
-        else:
-            hi = c
-        edge = float(np.sum(coeffs))
-        deriv = 2.0 * value * edge * edge / c
-        c_next = c
-        if deriv > 0:
-            # Newton step for ln(1-lambda0(c)) = ln(1-theta)
-            h = math.log1p(-value) - math.log1p(-theta)
-            c_next = c + h * (1.0 - value) / deriv
-        if not lo < c_next < hi:
-            c_next = 0.5 * (lo + hi)
-        c = c_next
-    raise ConvergenceError(f"lambda0_inverse did not converge for theta={theta}")
-
-
 def lambda0_inverse(theta: float) -> float:
     """Concentration c with lambda0(c) = theta, for theta in (0, 1).
 
@@ -348,25 +300,42 @@ def lambda0_inverse(theta: float) -> float:
     Raises
     ------
     DomainError
-        If theta is outside (0, 1), or so close to 1 that 1 - theta is
-        below the double-precision resolution of the eigenvalues.
+        If theta is outside (0, 1), below the smallest normal double, or
+        so close to 1 that 1 - theta is below the double-precision
+        resolution of the eigenvalues.
     """
     return float(lambda0_inverse_batch([theta])[0])
 
 
 def lambda0_inverse_batch(thetas) -> NDArray[np.float64]:
-    """Vector of lambda0_inverse values, solved in one ascending sweep.
+    """Vector of lambda0_inverse values, each distinct target solved by
+    its own Newton iteration, all of them in lockstep.
 
-    Sorting the targets lets each inversion start from the previous
-    solution and use it as a lower bracket end, which makes dense maps
-    (many nearby targets) far cheaper than independent inversions while
-    meeting the same tolerance. Returns results in input order.
+    Newton runs on ln(1 - lambda0), nearly linear in c, with the
+    Slepian-Pollak derivative d lambda0/dc = 2 lambda0 psi0(1)^2 / c and
+    psi0(1) the sum of psi0's Legendre coefficients, since every
+    P_k(1) = 1. Each target starts at the larger of the asymptotic
+    inverses pi*theta/2 and -ln(1-theta)/2 and keeps a bracket of its
+    own; a step leaving it falls back to bisection. A round makes one
+    call of the stacked eigensolver for every target not yet done, so a
+    dense map costs a few rounds, not a few solves per target. A target
+    is done once |lambda0(c) - theta| <= _INVERSION_TOL *
+    min(theta, 1 - theta), with that c, or once its bracket is narrower
+    than _INVERSION_TOL times its upper end, with the best c it met. An
+    absolute tolerance would accept a c far too large once theta or
+    1 - theta nears it, overstating every bound built on it: near
+    theta = 0, where lambda0 is about 2c/pi, the bracket's midpoint would
+    pass at twice the true c. Returns results in input order.
 
     Raises
     ------
     DomainError
-        If a target is outside (0, 1), or so close to 1 that 1 - theta is
-        below the double-precision resolution of the eigenvalues.
+        If a target is outside (0, 1), below the smallest normal double,
+        where the relative tolerance underflows, or so close to 1 that
+        1 - theta is below the double-precision resolution of the
+        eigenvalues.
+    ConvergenceError
+        If a target meets neither test within 200 rounds.
     """
     t = np.asarray(thetas, dtype=np.float64)
     if t.ndim != 1:
@@ -374,6 +343,12 @@ def lambda0_inverse_batch(thetas) -> NDArray[np.float64]:
     outside = t[~((t > 0.0) & (t < 1.0))]
     if outside.size:
         raise DomainError(f"lambda0_inverse requires 0 < theta < 1, got {outside[0]}")
+    subnormal = t[t < sys.float_info.min]
+    if subnormal.size:
+        raise DomainError(
+            f"lambda0_inverse requires theta in the normal doubles, "
+            f"at least {sys.float_info.min:.6g}, got {subnormal[0]:.6g}"
+        )
     unresolved = t[1.0 - t < _THETA_RESOLUTION]
     if unresolved.size:
         raise DomainError(
@@ -382,17 +357,47 @@ def lambda0_inverse_batch(thetas) -> NDArray[np.float64]:
         )
     unique, positions = np.unique(t, return_inverse=True)
     solved = np.empty_like(unique)
-    prev_c = 0.0
-    prev_step = None
-    for k, theta in enumerate(unique):
-        lo, hi = _inverse_bracket(float(theta))
-        lo = max(lo, prev_c)
-        start = prev_c + prev_step if prev_step is not None else None
-        c = _invert(float(theta), lo, hi, start)
-        prev_step = c - prev_c if prev_c > 0 else None
-        prev_c = c
-        solved[k] = c
-    return solved[positions]
+    # the targets still iterating, their positions in ``unique``, and
+    # each one's bracket, trial c and best point so far
+    theta, todo = unique, np.arange(unique.size)
+    # the small- and large-theta inverses: each target starts at the
+    # larger, and their envelope widened by a factor 4 each way brackets
+    # the root for every theta in (0, 1), the crossover region included
+    small = math.pi * theta / 2.0
+    large = -0.5 * np.log1p(-theta)
+    lo, hi = np.minimum(small, large) / 4.0, np.maximum(small, large) * 4.0
+    c = np.maximum(small, large)
+    best_c, best_gap = c, np.full(c.size, math.inf)
+    for _ in range(200):
+        value, rows = _eigenpairs(c)
+        gap = np.abs(value - theta)
+        better = gap < best_gap
+        best_c = np.where(better, c, best_c)
+        best_gap = np.where(better, gap, best_gap)
+        met = gap <= _INVERSION_TOL * np.minimum(theta, 1.0 - theta)
+        # rounding in the eigenvalue, not c, now sets the residual
+        stalled = ~met & (hi - lo <= _INVERSION_TOL * hi)
+        solved[todo[met]] = c[met]
+        solved[todo[stalled]] = best_c[stalled]
+        going = ~(met | stalled)
+        if not going.any():
+            return solved[positions]
+        # psi0(1), each row's sum, from the rows laid end to end
+        sizes = _rows(c)
+        edge = np.add.reduceat(np.concatenate(rows), np.cumsum(sizes) - sizes)
+        theta, todo, lo, hi, c, value, edge, best_c, best_gap = (
+            x[going] for x in (theta, todo, lo, hi, c, value, edge, best_c, best_gap)
+        )
+        below = value < theta
+        lo = np.where(below, c, lo)
+        hi = np.where(below, hi, c)
+        deriv = 2.0 * value * edge * edge / c
+        # Newton step for ln(1 - lambda0(c)) = ln(1 - theta)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = (np.log1p(-value) - np.log1p(-theta)) * (1.0 - value) / deriv
+        c_next = np.where(deriv > 0, c + step, c)
+        c = np.where((lo < c_next) & (c_next < hi), c_next, 0.5 * (lo + hi))
+    raise ConvergenceError(f"lambda0_inverse did not converge for theta={theta[0]}")
 
 
 def a_matrix(lw_over_hbar: float) -> NDArray[np.float64]:

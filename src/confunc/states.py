@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 import re
-from collections.abc import Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -773,41 +773,69 @@ def verify_lenard_batch(
     Every window is checked before any work is done; the position masses
     come from one cumulative of the state and the momentum masses from
     one cumulative of its transform, and lambda0 of every window's
-    concentration from one stacked eigensolve per prolate row count.
+    concentration from the stacked eigensolver. The one-state case of
+    :func:`_verify_lenard_states`.
     """
-    for (x1, x2), (p1, p2) in windows:
-        if not (x1 < x2 and p1 < p2):
-            raise DomainError("intervals must have positive length")
-        if not all(math.isfinite(v) for v in (x1, x2, p1, p2)):
-            raise DomainError("interval endpoints must be finite")
-    position = _masses(state, [x for x, _ in windows])
-    momentum = _masses(fourier_transform(state), [p for _, p in windows])
-    cs = [(x2 - x1) * (p2 - p1) / (4.0 * state.hbar) for (x1, x2), (p1, p2) in windows]
-    eigenvalues, _ = _eigenpairs(cs)
-    witnesses = []
-    for ((x1, x2), (p1, p2)), mass_x, mass_p, c, value in zip(
-        windows, position, momentum, cs, eigenvalues
-    ):
-        px = min(max(mass_x, 0.0), 1.0)
-        pp = min(max(mass_p, 0.0), 1.0)
-        lhs = math.acos(math.sqrt(px)) + math.acos(math.sqrt(pp))
-        rhs = math.acos(math.sqrt(value))
-        margin = lhs - rhs
-        witnesses.append(
-            LenardWitness(
-                x_interval=(float(x1), float(x2)),
-                p_interval=(float(p1), float(p2)),
-                position_probability=px,
-                momentum_probability=pp,
-                angle_sum=lhs,
-                minimal_angle=rhs,
-                concentration=c,
-                margin=margin,
-                slack=_LENARD_SLACK,
-                holds=margin >= -_LENARD_SLACK,
-            )
-        )
-    return witnesses
+    return next(_verify_lenard_states([(state, windows)]))
+
+
+def _verify_lenard_states(
+    items: Iterable[
+        tuple[GriddedState, Sequence[tuple[tuple[float, float], tuple[float, float]]]]
+    ],
+) -> Iterator[list[LenardWitness]]:
+    """:func:`verify_lenard_batch` for each ``(state, windows)`` in
+    ``items``, yielded in order.
+
+    Each state's windows are checked and its masses read as it arrives,
+    so no state is held past that; lambda0 of every window of every
+    state then comes from one call of the stacked eigensolver, before the
+    first list is yielded. Only the window ends, masses and
+    concentrations are kept until then.
+    """
+    read = []
+    for state, windows in items:
+        for (x1, x2), (p1, p2) in windows:
+            if not (x1 < x2 and p1 < p2):
+                raise DomainError("intervals must have positive length")
+            if not all(math.isfinite(v) for v in (x1, x2, p1, p2)):
+                raise DomainError("interval endpoints must be finite")
+        ends = np.array(windows, dtype=np.float64).reshape(-1, 4)
+        position = _masses(state, ends[:, :2])
+        momentum = _masses(fourier_transform(state), ends[:, 2:])
+        cs = (ends[:, 1] - ends[:, 0]) * (ends[:, 3] - ends[:, 2]) / (4.0 * state.hbar)
+        read.append((ends, position, momentum, cs))
+    eigenvalues = iter(_eigenpairs(np.concatenate([cs for *_, cs in read]))[0].tolist())
+    for ends, position, momentum, cs in read:
+        yield [
+            _lenard_witness(window, mass_x, mass_p, c, next(eigenvalues))
+            for window, mass_x, mass_p, c in zip(ends.tolist(), position, momentum, cs.tolist())
+        ]
+
+
+def _lenard_witness(
+    window: list[float], mass_x: float, mass_p: float, c: float, value: float
+) -> LenardWitness:
+    """The witness of one window, given as x1, x2, p1, p2, from its two
+    masses, its concentration c and lambda0(c)."""
+    x1, x2, p1, p2 = window
+    px = min(max(mass_x, 0.0), 1.0)
+    pp = min(max(mass_p, 0.0), 1.0)
+    lhs = math.acos(math.sqrt(px)) + math.acos(math.sqrt(pp))
+    rhs = math.acos(math.sqrt(value))
+    margin = lhs - rhs
+    return LenardWitness(
+        x_interval=(x1, x2),
+        p_interval=(p1, p2),
+        position_probability=px,
+        momentum_probability=pp,
+        angle_sum=lhs,
+        minimal_angle=rhs,
+        concentration=c,
+        margin=margin,
+        slack=_LENARD_SLACK,
+        holds=margin >= -_LENARD_SLACK,
+    )
 
 
 # --------------------------------------------------------------------

@@ -5,12 +5,14 @@ the ordering chain between the bounds, and linear scaling in hbar.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from confunc import bounds
 from confunc.bounds import (
     BoundReport,
     ConfidencePair,
@@ -149,6 +151,67 @@ class TestClosedForms:
     def test_bbm_reference(self):
         assert abs(bbm_reference() - math.log(math.pi * math.e)) <= 1e-15
         assert abs(bbm_reference() - 2.1447298858494002) <= 1e-12
+
+
+def _pairs_on_and_near_the_line():
+    """The 99 x 99 grid, plus 4000 pairs with tx + tp - 1 in 10^U(-16, -3)."""
+    levels = np.arange(1, 100) / 100.0
+    tx, tp = (grid.ravel() for grid in np.meshgrid(levels, levels, indexing="ij"))
+    rng = np.random.default_rng(17)
+    near_x = rng.uniform(0.001, 1.0, 4000)
+    near_p = np.minimum(1.0 - near_x + 10.0 ** rng.uniform(-16.0, -3.0, 4000), 1.0)
+    return np.concatenate([tx, near_x]), np.concatenate([tp, near_p])
+
+
+class TestArrayForms:
+    """The private array forms give, bit for bit, the scalar formulas:
+    T with its excess summed by math.fsum, and the two closed forms."""
+
+    TX, TP = _pairs_on_and_near_the_line()
+
+    @staticmethod
+    def fsum_target(tx, tp):
+        if tx + tp <= 1.0:
+            return 0.0
+        excess = math.fsum((tx, tp, -1.0))
+        root = excess / (math.sqrt(tx * tp) + math.sqrt((1.0 - tx) * (1.0 - tp)))
+        return root * root
+
+    @staticmethod
+    def donoho_stark(tx, tp, h):
+        root = 1.0 - math.sqrt(1.0 - tx) - math.sqrt(1.0 - tp)
+        return 0.0 if root <= 0.0 else 2.0 * math.pi * h * root * root
+
+    def test_target_equals_the_fsum_form(self):
+        targets = bounds._angular_targets(self.TX, self.TP)
+        assert self.TX.size == 13801
+        for tx, tp, target in zip(self.TX.tolist(), self.TP.tolist(), targets.tolist()):
+            assert target == self.fsum_target(tx, tp)
+            assert target == angular_target((tx, tp))
+
+    @pytest.mark.parametrize("hbar", [1.0, 0.7])
+    def test_closed_forms_equal_the_scalar_formulas(self, hbar):
+        measurable = bounds._measurable_bounds(self.TX, self.TP, hbar)
+        donoho_stark = bounds._donoho_stark_bounds(self.TX, self.TP, hbar)
+        for k, (tx, tp) in enumerate(zip(self.TX.tolist(), self.TP.tolist())):
+            assert measurable[k] == 2.0 * math.pi * hbar * self.fsum_target(tx, tp)
+            assert donoho_stark[k] == self.donoho_stark(tx, tp, hbar)
+            assert measurable[k] == lp_measurable_bound((tx, tp), hbar=hbar)
+            assert donoho_stark[k] == donoho_stark_bound((tx, tp), hbar=hbar)
+
+    def test_an_out_of_range_bound_is_named_not_warned(self):
+        # 2 pi hbar is inf: a bounded pair gives inf and a trivial one nan,
+        # as with one pair; the Donoho-Stark bound is 0 wherever it clamps
+        tx, tp = np.array([0.9, 0.5]), np.array([0.9, 0.5])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=r"hbar = 1e\+308: the measurable bound inf"):
+                bounds._measurable_bounds(tx, tp, 1e308)
+            with pytest.raises(DomainError, match=r"the Donoho-Stark bound inf"):
+                bounds._donoho_stark_bounds(tx, tp, 1e308)
+            assert donoho_stark_bound((0.5, 0.5), hbar=1e308) == 0.0
+            with pytest.raises(DomainError, match="the measurable bound nan"):
+                lp_measurable_bound((0.5, 0.5), hbar=1e308)
 
 
 class TestLpIntervalBound:

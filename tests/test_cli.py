@@ -14,6 +14,7 @@ import re
 import stat
 import warnings
 
+import numpy as np
 import pytest
 
 from confunc import cli
@@ -540,6 +541,19 @@ class TestHbarAndSeedOptions:
         assert code == 0
         rows = parse_csv(out)
         assert [r["check"] for r in rows[:2]] == ["min_margin_seed_3", "min_margin_seed_4"]
+
+
+def test_lenard_windows_are_the_scalar_draws():
+    # one (20, 4) draw per state gives the 80 values, in order, that 80
+    # scalar draws gave
+    for seed in range(1_000_003, 1_000_003 + 202):
+        rng = np.random.default_rng(seed)
+        expected = []
+        for _ in range(20):
+            xc, xw = rng.uniform(-5.0, 5.0), rng.uniform(0.2, 5.0)
+            pc, pw = rng.uniform(-20.0, 20.0), rng.uniform(0.2, 5.0)
+            expected.append(((xc - 0.5 * xw, xc + 0.5 * xw), (pc - 0.5 * pw, pc + 0.5 * pw)))
+        assert cli._lenard_windows(seed) == expected
 
 
 class TestSizeCaps:

@@ -207,12 +207,13 @@ class TestHighConfidence:
         # it, and with a zero tolerance the bracket stalls at one ulp
         # around 0.5, so the solver must give up rather than return
         monkeypatch.setattr(slepian, "_INVERSION_TOL", 0.0)
-        true_pair = slepian._eigenpair
-        monkeypatch.setattr(
-            slepian,
-            "_eigenpair",
-            lambda c: (0.2 if c < 0.5 else 0.4, true_pair(c)[1]),
-        )
+        true_pairs = slepian._eigenpairs
+
+        def step(cs):
+            values, rows = true_pairs(cs)
+            return np.where(np.asarray(cs) < 0.5, 0.2, 0.4), rows
+
+        monkeypatch.setattr(slepian, "_eigenpairs", step)
         with pytest.raises(ConvergenceError):
             lambda0_inverse(0.3)
 
@@ -359,7 +360,12 @@ class TestStackedEngine:
 class TestSmallThetaInverse:
     """Near theta = 0 the inversion is relative in theta, not absolute."""
 
-    @pytest.mark.parametrize("theta", [1e-300, 1e-100, 1e-20, 1e-12, 1e-11, 1e-8, 1e-6])
+    # the first trial, pi theta / 2, already meets 1e-10 below about
+    # 1e-5, so 1e-4 and 3e-4 are where a tolerance absolute in lambda0
+    # still shows
+    @pytest.mark.parametrize(
+        "theta", [1e-300, 1e-100, 1e-20, 1e-12, 1e-11, 1e-8, 1e-6, 1e-4, 3e-4]
+    )
     def test_relative_accuracy(self, theta):
         c = lambda0_inverse(theta)
         assert abs(lambda0(c) / theta - 1.0) <= 1e-10
@@ -369,6 +375,74 @@ class TestSmallThetaInverse:
         # lambda0(c) = 2c/pi (1 + O(c^2)), so c = pi theta / 2 to 1e-16
         # here, independently of the eigensolve
         assert abs(lambda0_inverse(theta) / (math.pi * theta / 2.0) - 1.0) <= 2e-10
+
+    @pytest.mark.parametrize("theta", [5e-324, 1e-320])
+    def test_subnormal_theta_is_refused(self, theta):
+        # 1e-10 * theta underflows there, so the relative stopping test
+        # cannot hold; 5e-324 used to give 2x pi theta / 2
+        with pytest.raises(DomainError, match="normal doubles"):
+            lambda0_inverse(theta)
+        with pytest.raises(DomainError, match="normal doubles"):
+            lambda0_inverse_batch([0.5, theta])
+
+    def test_smallest_normal_theta_is_accepted(self):
+        theta = 2.2250738585072014e-308
+        assert abs(lambda0_inverse(theta) / (math.pi * theta / 2.0) - 1.0) <= 2e-10
+
+
+class TestLockstepInverse:
+    """lambda0_inverse_batch iterates every target at once, one call of
+    the stacked eigensolver per round."""
+
+    MIXED = [1e-300, 1e-12, 0.3, 0.5, 0.99, 1.0 - 1e-11]
+
+    @staticmethod
+    def eigh_shapes(monkeypatch):
+        eigh = np.linalg.eigh
+        shapes = []
+
+        def counted(matrix):
+            shapes.append(matrix.shape)
+            return eigh(matrix)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        return shapes
+
+    def test_mixed_batch_meets_each_contract(self):
+        batch = lambda0_inverse_batch(self.MIXED)
+        for theta, c in zip(self.MIXED, batch):
+            assert abs(c / lambda0_inverse(theta) - 1.0) <= 1e-9
+            gap = abs(lambda0(c) - theta)
+            if 1.0 - theta > 1e-6:
+                assert gap <= 1e-10 * min(theta, 1.0 - theta)
+            else:
+                # lambda0 near 1 moves in ulps of 1, coarser than
+                # 1e-10 * (1 - theta); the bracket test stops there
+                assert gap <= 4 * math.ulp(1.0)
+
+    def test_grid_16_takes_few_eigensolves(self, monkeypatch):
+        from confunc.bounds import angular_target
+
+        levels = [i / 17 for i in range(1, 17)]
+        targets = {angular_target((tx, tp)) for tx in levels for tp in levels} - {0.0}
+        assert len(targets) == 64
+        shapes = self.eigh_shapes(monkeypatch)
+        lambda0_inverse_batch(sorted(targets))
+        assert len(shapes) <= 10
+
+    def test_stacks_never_exceed_the_cap(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        cs = rng.uniform(0.2, 5.0, 1000) * rng.uniform(0.2, 5.0, 1000) / 4.0
+        shapes = self.eigh_shapes(monkeypatch)
+        slepian._eigenpairs(cs)
+        assert max(shape[0] for shape in shapes) <= slepian._STACK_CAP
+        assert sum(shape[0] for shape in shapes) == cs.size
+        # one partly filled stack at most per row count
+        per_size = {}
+        for count, n, _ in shapes:
+            per_size.setdefault(n, []).append(count)
+        for counts in per_size.values():
+            assert sum(count < slepian._STACK_CAP for count in counts) <= 1
 
 
 def _lambda0_high_precision(mp, c):

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from confunc.errors import DomainError, GridError
 from confunc.numerics import erf_inverse
-from confunc.slepian import _rows, lambda0
+from confunc.slepian import _eigenpairs, _rows, lambda0
 from confunc.states import (
     ConfidenceEstimate,
     Grid,
@@ -40,7 +40,7 @@ from confunc.states import (
     verify_lenard,
     verify_lenard_batch,
 )
-from confunc.states import _rect_sinc_masses, _window_cells
+from confunc.states import _rect_sinc_masses, _verify_lenard_states, _window_cells
 
 
 def uniform_state(grid: Grid) -> GriddedState:
@@ -625,6 +625,27 @@ class TestLenardBatch:
         assert len(row_counts) > 1
         assert len(calls) <= len(row_counts)
         assert sum(shape[0] for shape in calls) == len(windows)
+
+    def test_many_states_equal_each_state_alone(self, monkeypatch):
+        # lambda0 of every window of every state in one solve, and each
+        # witness == the one-state batch's
+        grid = Grid.symmetric(20.0, 4096)
+        items = [
+            (random_smooth_state(grid, seed, hbar=hbar), corpus_windows(seed + 1, hbar))
+            for seed, hbar in ((3, 1.0), (8, 0.4), (21, 1.3))
+        ]
+        alone = [verify_lenard_batch(state, windows) for state, windows in items]
+        calls = []
+        eigenpairs = _eigenpairs
+
+        def counted(cs):
+            calls.append(len(cs))
+            return eigenpairs(cs)
+
+        monkeypatch.setattr("confunc.states._eigenpairs", counted)
+        together = list(_verify_lenard_states(iter(items)))
+        assert calls == [60]
+        assert together == alone
 
     @pytest.mark.parametrize(
         "bad",

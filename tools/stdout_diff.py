@@ -59,6 +59,9 @@ COMMANDS = (
     "bounds --tx 0 --tp 0",
     "bounds --tx 1 --tp 0.9",
     "compare --theta 0.5 --theta 0.999 --format json",
+    "bounds --grid 100",
+    "bounds --grid 40 --hbar 0.7",
+    "verify lenard --seed 0",
 )
 
 
