@@ -13,7 +13,7 @@ the concentration eigenvalue lambda0(c) of the sinc-kernel operator:
   routes to the same number (the sinc-kernel Nystrom matrix and the
   Fourier-coefficient matrix);
 * :mod:`confunc.bounds`   -- the bound formulas over the confidence
-  square, with region classification and a per-pair report;
+  square, with region classification and a report table over many pairs;
 * :mod:`confunc.states`   -- gridded wavefunctions, the unitary
   position/momentum transform, confidence-uncertainty functionals, and
   the saturating and counterexample state families;

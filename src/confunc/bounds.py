@@ -6,7 +6,8 @@ theta_x + theta_p = 1 both confidence uncertainties can vanish
 simultaneously, so every bound is zero there (the trivial region); above
 it the products are bounded away from zero. The tight interval bound is
 implicit through the inverse concentration eigenvalue; the remaining
-bounds are closed forms used for comparison.
+bounds are closed forms used for comparison. :func:`reports` tabulates
+them all at many pairs; the one-pair functions are its cases.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from numpy.typing import NDArray
+from numpy.typing import ArrayLike, NDArray
 
 from .errors import BoundDivergenceError, DomainError
 from .numerics import _check_positive, erf_inverse
@@ -39,27 +40,39 @@ __all__ = [
     "gaussian_interval_product",
     "bbm_reference",
     "report",
+    "reports",
 ]
 
 # ordering of the computed bounds is exact mathematics; this slack only
 # absorbs the root-finding tolerance inside the inverse eigenvalue
 _ORDER_SLACK = 1e-8
 
+_Array = NDArray[np.float64]
 
-def _scaled(name: str, bound, hbar: float):
-    """A bound, or an array of them, scaled by hbar, passed on only if each
-    is 0 or a normal double.
 
-    The error names the bound and hbar but not a cause: the confidences
-    alone can take a bound out of range at hbar = 1.
-    """
-    values = np.ravel(bound)
-    size = np.abs(values)
+def _confidences(name: str, values: ArrayLike) -> _Array:
+    """The one rule for confidence levels: each lies in [0, 1]."""
+    levels = np.array(values, dtype=np.float64, ndmin=1)
+    outside = ~((levels >= 0.0) & (levels <= 1.0))
+    if outside.any():
+        raise DomainError(f"{name} must lie in [0, 1], got {float(levels[outside][0])}")
+    return levels
+
+
+def _scaled(name: str, bounds: _Array, h: float, tx: _Array, tp: _Array) -> _Array:
+    """Bounds at the pairs (tx, tp), scaled by hbar, passed on only if each
+    is 0 or a normal double. The error names hbar and the first offending
+    pair: the confidences alone can take a bound out of range at hbar = 1."""
+    size = np.abs(bounds)
     normal = (sys.float_info.min <= size) & (size <= sys.float_info.max)
-    bad = values[(size != 0.0) & ~normal]
+    bad = np.flatnonzero((size != 0.0) & ~normal)
     if bad.size:
-        raise DomainError(f"hbar = {hbar:g}: the {name} {bad[0]:g} is outside the normal doubles")
-    return bound
+        k = bad[0]
+        raise DomainError(
+            f"hbar = {h:g}: the {name} {bounds[k]:g} at (theta_x, theta_p) = "
+            f"({float(tx[k])}, {float(tp[k])}) is outside the normal doubles"
+        )
+    return bounds
 
 
 class Region(Enum):
@@ -77,29 +90,38 @@ class ConfidencePair:
     theta_p: float
 
     def __post_init__(self) -> None:
-        for name, value in (("theta_x", self.theta_x), ("theta_p", self.theta_p)):
-            if not 0.0 <= value <= 1.0:
-                raise DomainError(f"{name} must lie in [0, 1], got {value}")
+        _confidences("theta_x", self.theta_x)
+        _confidences("theta_p", self.theta_p)
 
     def swapped(self) -> "ConfidencePair":
         return ConfidencePair(self.theta_p, self.theta_x)
 
 
-def _as_pair(pair: ConfidencePair | tuple[float, float]) -> ConfidencePair:
-    if isinstance(pair, ConfidencePair):
-        return pair
-    return ConfidencePair(*pair)
+_Pair = ConfidencePair | tuple[float, float]
 
 
-def classify_region(pair: ConfidencePair | tuple[float, float]) -> Region:
-    """Trivial iff theta_x + theta_p <= 1, bounded otherwise."""
+def _as_pair(pair: _Pair) -> ConfidencePair:
+    return pair if isinstance(pair, ConfidencePair) else ConfidencePair(*pair)
+
+
+def _one_pair(form, pair: _Pair, *args):
+    """One of the array forms below at a single pair, as a Python value."""
     p = _as_pair(pair)
-    return Region.TRIVIAL if p.theta_x + p.theta_p <= 1.0 else Region.BOUNDED
+    return form(np.array([p.theta_x]), np.array([p.theta_p]), *args).item()
 
 
-def _angular_targets(tx: NDArray[np.float64], tp: NDArray[np.float64]) -> NDArray[np.float64]:
-    """:func:`angular_target` at each pair of two arrays of confidences,
-    taken as checked."""
+def _regions(tx: _Array, tp: _Array) -> NDArray[np.str_]:
+    """The :class:`Region` value of each pair."""
+    return np.where(tx + tp > 1.0, Region.BOUNDED.value, Region.TRIVIAL.value)
+
+
+def classify_region(pair: _Pair) -> Region:
+    """Trivial iff theta_x + theta_p <= 1, bounded otherwise."""
+    return Region(_one_pair(_regions, pair))
+
+
+def _angular_targets(tx: _Array, tp: _Array) -> _Array:
+    """:func:`angular_target` at each pair of two checked arrays."""
     s = tx + tp
     # the difference of the two square roots is (tx + tp - 1) over their
     # sum; forming it so, with that excess exact, keeps T's relative
@@ -118,35 +140,65 @@ def _angular_targets(tx: NDArray[np.float64], tp: NDArray[np.float64]) -> NDArra
     return targets
 
 
-def _measurable_bounds(
-    tx: NDArray[np.float64], tp: NDArray[np.float64], h: float
-) -> NDArray[np.float64]:
+def _measurable_bounds(tx: _Array, tp: _Array, h: float) -> _Array:
     """:func:`lp_measurable_bound` at each pair, with hbar checked."""
-    # an hbar so large that 2 pi hbar is inf gives nan at T = 0, which
-    # _scaled refuses, as it does for one pair
-    with np.errstate(invalid="ignore"):
-        bounds = 2.0 * math.pi * h * _angular_targets(tx, tp)
-    return _scaled("measurable bound", bounds, h)
+    targets = _angular_targets(tx, tp)
+    # T = 0 gives 0 also where 2 pi hbar is inf
+    positive = targets > 0.0
+    bounds = np.zeros(targets.shape)
+    bounds[positive] = 2.0 * math.pi * h * targets[positive]
+    return _scaled("measurable bound", bounds, h, tx, tp)
 
 
-def _donoho_stark_bounds(
-    tx: NDArray[np.float64], tp: NDArray[np.float64], h: float
-) -> NDArray[np.float64]:
+def _interval_bounds(tx: _Array, tp: _Array, h: float) -> _Array:
+    """:func:`lp_interval_bound` at each pair, +inf at T = 1, with hbar
+    checked; the targets in (0, 1) are inverted together."""
+    targets = _angular_targets(tx, tp)
+    bounded = (targets > 0.0) & (targets < 1.0)
+    bounds = np.zeros(targets.shape)
+    with np.errstate(over="ignore"):
+        bounds[bounded] = 4.0 * h * lambda0_inverse_batch(targets[bounded])
+    _scaled("interval bound", bounds, h, tx, tp)
+    bounds[targets >= 1.0] = math.inf
+    return bounds
+
+
+def _donoho_stark_bounds(tx: _Array, tp: _Array, h: float) -> _Array:
     """:func:`donoho_stark_bound` at each pair, with hbar checked."""
     root = 1.0 - np.sqrt(1.0 - tx) - np.sqrt(1.0 - tp)
     positive = root > 0.0
     bounds = np.zeros(root.shape)
     bounds[positive] = 2.0 * math.pi * h * root[positive] * root[positive]
-    return _scaled("Donoho-Stark bound", bounds, h)
+    return _scaled("Donoho-Stark bound", bounds, h, tx, tp)
 
 
-def _one_pair(form, pair: ConfidencePair | tuple[float, float], *args) -> float:
-    """One of the array forms above at a single pair."""
-    p = _as_pair(pair)
-    return float(form(np.array([p.theta_x]), np.array([p.theta_p]), *args)[0])
+def _elementary_bounds(tx: _Array, tp: _Array) -> NDArray[np.object_]:
+    """:func:`elementary_bound` at each pair, None where it does not apply."""
+    applies = 2.0 * tx + tp > 2.0
+    x, y = tx[applies], tp[applies]
+    bounds = np.full(tx.shape, None)
+    bounds[applies] = (math.pi / x) * (y - 2.0 * np.sqrt((x + y - 1.0) * (1.0 - x)))
+    return bounds
 
 
-def angular_target(pair: ConfidencePair | tuple[float, float]) -> float:
+def _gaussian_products(tx: _Array, tp: _Array, h: float) -> _Array:
+    """4*hbar*erf_inverse(tx)*erf_inverse(tp) at each pair, with hbar checked:
+    0 where a confidence is 0, +inf where one is 1; one erf_inverse per level."""
+    # a set, not np.unique, which imports numpy.ma: 20 ms of start-up
+    levels = np.array(sorted(set(tx.tolist()) | set(tp.tolist())))
+    roots = np.array([erf_inverse(v) if v < 1.0 else math.inf for v in levels.tolist()])
+    rx, rp = roots[np.searchsorted(levels, tx)], roots[np.searchsorted(levels, tp)]
+    certain = (tx == 1.0) | (tp == 1.0)
+    inner = ~certain & (tx > 0.0) & (tp > 0.0)
+    products = np.zeros(tx.shape)
+    with np.errstate(over="ignore"):
+        products[inner] = 4.0 * h * rx[inner] * rp[inner]
+    _scaled("Gaussian product", products, h, tx, tp)
+    products[certain] = math.inf
+    return products
+
+
+def angular_target(pair: _Pair) -> float:
     """Squared-cosine target T = (sqrt(tx*tp) - sqrt((1-tx)(1-tp)))^2.
 
     T is the squared cosine of the minimal angle budget left by the two
@@ -157,9 +209,7 @@ def angular_target(pair: ConfidencePair | tuple[float, float]) -> float:
     return _one_pair(_angular_targets, pair)
 
 
-def lp_measurable_bound(
-    pair: ConfidencePair | tuple[float, float], hbar: float = 1.0
-) -> float:
+def lp_measurable_bound(pair: _Pair, hbar: float = 1.0) -> float:
     """Lower bound 2*pi*hbar*T on the measurable-set uncertainty product.
 
     Applies to confidence uncertainties over arbitrary measurable sets;
@@ -168,17 +218,11 @@ def lp_measurable_bound(
     return _one_pair(_measurable_bounds, pair, _check_positive("hbar", hbar))
 
 
-def lp_interval_bounds(
-    pairs: Sequence[ConfidencePair | tuple[float, float]],
-    hbar: float = 1.0,
-) -> NDArray[np.float64]:
-    """Tight lower bounds 4*hbar*lambda0_inverse(T), one per pair.
-
-    Zero in the trivial region (T = 0). T comes from the array form of
-    :func:`angular_target`, and the remaining targets are inverted
-    together, by Newton iterations run in lockstep, which makes dense
-    maps much cheaper than pair-by-pair inversion. Returns the bounds in
-    input order.
+def lp_interval_bounds(pairs: Sequence[_Pair], hbar: float = 1.0) -> _Array:
+    """Tight lower bounds 4*hbar*lambda0_inverse(T), one per pair in input
+    order: the ``lp_interval`` column of :func:`reports` alone. Zero in
+    the trivial region (T = 0); the other targets are inverted together,
+    by Newton iterations run in lockstep.
 
     Raises
     ------
@@ -188,26 +232,16 @@ def lp_interval_bounds(
         band-limited and the bound grows without limit.
     """
     h = _check_positive("hbar", hbar)
-    checked = [_as_pair(p) for p in pairs]
-    targets = _angular_targets(
-        np.array([p.theta_x for p in checked]), np.array([p.theta_p for p in checked])
-    )
-    if np.any(targets >= 1.0):
+    levels = np.array([(p.theta_x, p.theta_p) for p in map(_as_pair, pairs)]).reshape(-1, 2)
+    bounds = _interval_bounds(levels[:, 0], levels[:, 1], h)
+    if np.isinf(bounds).any():
         raise BoundDivergenceError(
             "the interval bound diverges at full confidence in both variables"
         )
-    bounded = targets > 0.0
-    out = np.zeros(targets.size)
-    with np.errstate(over="ignore"):
-        out[bounded] = 4.0 * h * lambda0_inverse_batch(targets[bounded])
-    for bound in (out.max(initial=0.0), out[bounded].min(initial=0.0)):
-        _scaled("interval bound", float(bound), h)
-    return out
+    return bounds
 
 
-def lp_interval_bound(
-    pair: ConfidencePair | tuple[float, float], hbar: float = 1.0
-) -> float:
+def lp_interval_bound(pair: _Pair, hbar: float = 1.0) -> float:
     """Tight lower bound 4*hbar*lambda0_inverse(T) on the interval product.
 
     The one-pair case of :func:`lp_interval_bounds`: zero in the trivial
@@ -234,9 +268,7 @@ def log_asymptote(theta_p: float, hbar: float = 1.0) -> float:
     return -2.0 * h * math.log1p(-theta_p)
 
 
-def donoho_stark_bound(
-    pair: ConfidencePair | tuple[float, float], hbar: float = 1.0
-) -> float:
+def donoho_stark_bound(pair: _Pair, hbar: float = 1.0) -> float:
     """Hilbert-Schmidt bound 2*pi*hbar*(1 - sqrt(1-tx) - sqrt(1-tp))^2_+.
 
     Valid for arbitrary measurable sets but never larger than the
@@ -246,7 +278,7 @@ def donoho_stark_bound(
     return _one_pair(_donoho_stark_bounds, pair, _check_positive("hbar", hbar))
 
 
-def elementary_bound(pair: ConfidencePair | tuple[float, float]) -> float | None:
+def elementary_bound(pair: _Pair) -> float | None:
     """Elementary floor on the coefficient-matrix norm, where it applies.
 
     Returns (pi/tx) * (tp - 2*sqrt((tx+tp-1)(1-tx))) when
@@ -255,11 +287,7 @@ def elementary_bound(pair: ConfidencePair | tuple[float, float]) -> float | None
     relation of the tight bound on that edge; away from it the bound
     degrades quickly.
     """
-    p = _as_pair(pair)
-    if 2.0 * p.theta_x + p.theta_p <= 2.0:
-        return None
-    inner = (p.theta_x + p.theta_p - 1.0) * (1.0 - p.theta_x)
-    return (math.pi / p.theta_x) * (p.theta_p - 2.0 * math.sqrt(inner))
+    return _one_pair(_elementary_bounds, pair)
 
 
 def gaussian_interval_product(theta: float, hbar: float = 1.0) -> float:
@@ -273,11 +301,8 @@ def gaussian_interval_product(theta: float, hbar: float = 1.0) -> float:
     """
     h = _check_positive("hbar", hbar)
     if not 0.0 < theta < 1.0:
-        raise DomainError(
-            f"gaussian_interval_product requires 0 < theta < 1, got {theta}"
-        )
-    root = erf_inverse(theta)
-    return _scaled("Gaussian product", 4.0 * h * root * root, h)
+        raise DomainError(f"gaussian_interval_product requires 0 < theta < 1, got {theta}")
+    return _one_pair(_gaussian_products, (theta, theta), h)
 
 
 def bbm_reference(hbar: float = 1.0) -> float:
@@ -285,15 +310,30 @@ def bbm_reference(hbar: float = 1.0) -> float:
     return math.log(math.pi * math.e * _check_positive("hbar", hbar))
 
 
+def _check_records(record: dict) -> None:
+    """The one check of bound records, a :func:`reports` table or one row:
+    the region tag, 0 measurable bound in the trivial region, and
+    interval >= measurable >= Donoho-Stark within _ORDER_SLACK."""
+    region, measurable = record["region"], record["lp_measurable"]
+    if np.any(region != _regions(record["theta_x"], record["theta_p"])):
+        raise DomainError("region tag contradicts theta_x + theta_p")
+    if np.any((region == Region.TRIVIAL.value) & (measurable != 0.0)):
+        raise DomainError("the measurable bound must vanish in the trivial region")
+    slack = _ORDER_SLACK * np.maximum(1.0, measurable)
+    if np.any(measurable < record["donoho_stark"] - slack):
+        raise DomainError("bound ordering violated: measurable < Donoho-Stark")
+    if np.any(record["lp_interval"] < measurable - slack):
+        raise DomainError("bound ordering violated: interval < measurable")
+
+
 @dataclass(frozen=True)
 class BoundReport:
-    """All applicable bounds at one confidence pair, for table emission.
+    """All applicable bounds at one confidence pair: a row of :func:`reports`.
 
-    ``lp_interval`` is the value of :func:`lp_interval_bound`: 0 in the
-    trivial region and +inf at (1, 1), where that function raises
-    instead. ``elementary`` is None outside its validity domain
-    2*theta_x + theta_p > 2. All products are in units of hbar as passed
-    to :func:`report`.
+    ``lp_interval`` is 0 in the trivial region and +inf at (1, 1), where
+    :func:`lp_interval_bound` raises instead. ``elementary`` is None
+    outside its validity domain 2*theta_x + theta_p > 2. All products are
+    in units of hbar as passed to :func:`report`.
     """
 
     pair: ConfidencePair
@@ -306,27 +346,51 @@ class BoundReport:
     gaussian_product: float
 
     def __post_init__(self) -> None:
-        if classify_region(self.pair) is not self.region:
-            raise DomainError("region tag contradicts theta_x + theta_p")
-        if self.region is Region.TRIVIAL and self.lp_measurable != 0.0:
-            raise DomainError("the measurable bound must vanish in the trivial region")
-        slack = _ORDER_SLACK * max(1.0, self.lp_measurable)
-        if self.lp_measurable < self.donoho_stark - slack:
-            raise DomainError("bound ordering violated: measurable < Donoho-Stark")
-        if self.lp_interval < self.lp_measurable - slack:
-            raise DomainError("bound ordering violated: interval < measurable")
+        pair = {"theta_x": self.pair.theta_x, "theta_p": self.pair.theta_p}
+        _check_records({**vars(self), **pair, "region": self.region.value})
 
 
-def report(
-    pair: ConfidencePair | tuple[float, float], hbar: float = 1.0
-) -> BoundReport:
-    """Evaluate every bound at one pair of [0, 1]^2 and package the result.
+def reports(theta_x: ArrayLike, theta_p: ArrayLike, hbar: float = 1.0) -> dict[str, NDArray]:
+    """Every bound at each pair (theta_x[k], theta_p[k]) of [0, 1]^2: a
+    table of columns theta_x, theta_p, region (the :class:`Region` value)
+    and the fields of :class:`BoundReport`, ``elementary`` None where it
+    does not apply. The bounded targets are inverted together, and every
+    row is checked as a BoundReport is. The Gaussian product generalises
+    the equal-confidence formula to 4*hbar*erf_inverse(tx)*erf_inverse(tp)
+    and is +inf when either confidence is 1 (a Gaussian needs an infinite
+    window for certainty).
 
-    The interval bound is 0 in the trivial region and +inf at (1, 1),
-    where :func:`lp_interval_bound` raises BoundDivergenceError. The
-    Gaussian product generalises the equal-confidence formula to
-    4*hbar*erf_inverse(tx)*erf_inverse(tp) and is +inf when either
-    confidence is 1 (a Gaussian needs an infinite window for certainty).
+    Raises
+    ------
+    DomainError
+        If the confidences are not two arrays of one length in [0, 1],
+        hbar is not positive and finite, or a bound leaves the normal
+        doubles.
+    """
+    tx, tp = _confidences("theta_x", theta_x), _confidences("theta_p", theta_p)
+    if tx.ndim != 1 or tx.shape != tp.shape:
+        raise DomainError("theta_x and theta_p must be two arrays of one length")
+    h = _check_positive("hbar", hbar)
+    # a bound out of range is named in the order interval, Gaussian,
+    # measurable, Donoho-Stark
+    interval, gaussian = _interval_bounds(tx, tp, h), _gaussian_products(tx, tp, h)
+    table = {
+        "theta_x": tx,
+        "theta_p": tp,
+        "region": _regions(tx, tp),
+        "angular_target": _angular_targets(tx, tp),
+        "lp_measurable": _measurable_bounds(tx, tp, h),
+        "lp_interval": interval,
+        "donoho_stark": _donoho_stark_bounds(tx, tp, h),
+        "elementary": _elementary_bounds(tx, tp),
+        "gaussian_product": gaussian,
+    }
+    _check_records(table)
+    return table
+
+
+def report(pair: _Pair, hbar: float = 1.0) -> BoundReport:
+    """Every bound at one pair of [0, 1]^2: the one-row case of :func:`reports`.
 
     Raises
     ------
@@ -335,26 +399,6 @@ def report(
         normal doubles.
     """
     p = _as_pair(pair)
-    h = _check_positive("hbar", hbar)
-    try:
-        interval = lp_interval_bound(p, hbar=h)
-    except BoundDivergenceError:
-        interval = math.inf
-    if p.theta_x == 1.0 or p.theta_p == 1.0:
-        gaussian = math.inf
-    elif p.theta_x == 0.0 or p.theta_p == 0.0:
-        gaussian = 0.0
-    else:
-        gaussian = _scaled(
-            "Gaussian product", 4.0 * h * erf_inverse(p.theta_x) * erf_inverse(p.theta_p), h
-        )
-    return BoundReport(
-        pair=p,
-        region=classify_region(p),
-        angular_target=angular_target(p),
-        lp_measurable=lp_measurable_bound(p, hbar=h),
-        lp_interval=interval,
-        donoho_stark=donoho_stark_bound(p, hbar=h),
-        elementary=elementary_bound(p),
-        gaussian_product=gaussian,
-    )
+    row = {name: column.item() for name, column in reports(p.theta_x, p.theta_p, hbar).items()}
+    del row["theta_x"], row["theta_p"]
+    return BoundReport(pair=p, region=Region(row.pop("region")), **row)

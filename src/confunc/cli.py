@@ -4,8 +4,8 @@ Regenerates the reference tables and figure datasets and exposes the
 evaluators for scripted use. Five subcommands:
 
 * ``lambda0``   -- concentration eigenvalue along c values or a range;
-* ``bounds``    -- every bound at one confidence pair, or the landscape
-  of the tight interval bound on an interior grid;
+* ``bounds``    -- every bound at one confidence pair, or the same
+  record at every pair of an interior grid;
 * ``compare``   -- Gaussian versus saturating-state products at equal
   confidences;
 * ``verify``    -- self-check suites with machine-readable pass/fail;
@@ -42,12 +42,11 @@ from typing import TextIO
 import numpy as np
 
 from .bounds import (
-    ConfidencePair,
     _donoho_stark_bounds,
+    _interval_bounds,
     _measurable_bounds,
     bbm_reference,
-    lp_interval_bounds,
-    report,
+    reports,
 )
 from .errors import ConfuncError, DomainError
 from .numerics import largest_eigenpair
@@ -95,10 +94,7 @@ def _fmt(value: object) -> str:
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    v = float(value)
-    if math.isinf(v):
-        return "inf" if v > 0 else "-inf"
-    return f"{v:.6g}"
+    return f"{float(value):.6g}"
 
 
 def _json_value(value: object) -> object:
@@ -125,17 +121,19 @@ _CHUNK_ROWS = 4096
 
 
 def _write(table: dict, output_format: str, target: TextIO) -> None:
-    """Write a table of columns (name -> sequence, all of one length).
+    """Write a table of columns (name -> sequence, all of one length); an
+    array is read as the list of its Python values.
 
-    In CSV a table whose every column is a float array is formatted by one
-    ``%.6g`` row template, which prints exactly what ``_fmt`` does; any
-    other table goes through ``_fmt`` and the csv module.
+    CSV rows are formatted in chunks by one row template: ``%.6g`` for a
+    float array, which prints exactly what ``_fmt`` does, and ``%s`` for
+    the ``_fmt`` text of any other column. A chunk with text that CSV
+    must quote, or a table of one column, goes to the csv module instead.
     """
     names = list(table)
     columns = list(table.values())
     floats = [isinstance(c, np.ndarray) and c.dtype.kind == "f" for c in columns]
     if output_format == "json":
-        values = [c.tolist() if f else c for c, f in zip(columns, floats)]
+        values = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
         payload = [
             {name: _json_value(value) for name, value in zip(names, row)}
             for row in zip(*values)
@@ -144,13 +142,17 @@ def _write(table: dict, output_format: str, target: TextIO) -> None:
         return
     writer = csv.writer(target, lineterminator="\n")
     writer.writerow(names)
-    if not all(floats):
-        writer.writerows([_fmt(value) for value in row] for row in zip(*columns))
-        return
-    template = ",".join(["%.6g"] * len(columns)) + "\n"
+    template = ",".join(["%.6g" if f else "%s" for f in floats]) + "\n"
     for start in range(0, len(columns[0]), _CHUNK_ROWS):
-        cells = [c[start : start + _CHUNK_ROWS].tolist() for c in columns]
-        target.write("".join([template % row for row in zip(*cells)]))
+        chunk = [c[start : start + _CHUNK_ROWS] for c in columns]
+        values = [c.tolist() if isinstance(c, np.ndarray) else c for c in chunk]
+        cells = [v if f else [_fmt(x) for x in v] for v, f in zip(values, floats)]
+        texts = "\0".join(["\0".join(t) for t, f in zip(cells, floats) if not f])
+        if len(columns) > 1 and not any(c in texts for c in ',"\r\n'):
+            target.write("".join([template % row for row in zip(*cells)]))
+        else:
+            cells = [["%.6g" % v for v in t] if f else t for t, f in zip(cells, floats)]
+            writer.writerows(zip(*cells))
 
 
 def _emit(table: dict, output_format: str, output_path: str | None) -> None:
@@ -233,20 +235,9 @@ def _cmd_lambda0(args: argparse.Namespace) -> tuple[dict, int]:
     return _columns(rows), 0
 
 
-def _point_row(pair: ConfidencePair, h: float) -> dict:
-    """The bound report at one pair; at (1, 1) the interval bound diverges."""
-    rep = report(pair, hbar=h)
-    return {
-        "theta_x": pair.theta_x,
-        "theta_p": pair.theta_p,
-        "region": rep.region.value,
-        "angular_target": rep.angular_target,
-        "lp_measurable": rep.lp_measurable,
-        "lp_interval": "divergent" if rep.lp_interval == math.inf else rep.lp_interval,
-        "donoho_stark": rep.donoho_stark,
-        "elementary": rep.elementary,
-        "gaussian_product": rep.gaussian_product,
-    }
+def _square(levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every pair of the levels, theta_x major, as two flat arrays."""
+    return np.repeat(levels, levels.size), np.tile(levels, levels.size)
 
 
 def _cmd_bounds(args: argparse.Namespace) -> tuple[dict, int]:
@@ -257,17 +248,19 @@ def _cmd_bounds(args: argparse.Namespace) -> tuple[dict, int]:
             raise DomainError(
                 f"--grid must be a cell count in [1, {_MAX_LANDSCAPE_SIDE}], got {args.grid}"
             )
-        levels = [i / (args.grid + 1) for i in range(1, args.grid + 1)]
-        pairs = [ConfidencePair(tx, tp) for tx in levels for tp in levels]
-        table = {
-            "theta_x": np.array([p.theta_x for p in pairs]),
-            "theta_p": np.array([p.theta_p for p in pairs]),
-            "lp_interval": lp_interval_bounds(pairs, hbar=args.hbar),
-        }
-        return table, 0
-    if args.tx is None or args.tp is None:
+        tx, tp = _square(np.arange(1, args.grid + 1) / (args.grid + 1))
+    elif args.tx is None or args.tp is None:
         raise DomainError("bounds needs --tx and --tp, or --grid")
-    return _columns([_point_row(ConfidencePair(args.tx, args.tp), args.hbar)]), 0
+    else:
+        tx, tp = args.tx, args.tp
+    table = reports(tx, tp, hbar=args.hbar)
+    interval = table["lp_interval"]
+    if np.isinf(interval).any():  # at (1, 1) only
+        table["lp_interval"] = ["divergent" if v == math.inf else v for v in interval.tolist()]
+    if args.grid is not None:
+        # the landscape keeps its first three columns, for readers by position
+        table = {name: table.pop(name) for name in ("theta_x", "theta_p", "lp_interval")} | table
+    return table, 0
 
 
 def _cmd_compare(args: argparse.Namespace) -> tuple[dict, int]:
@@ -275,19 +268,10 @@ def _cmd_compare(args: argparse.Namespace) -> tuple[dict, int]:
     for theta in thetas:
         if not 0.0 < theta < 1.0:
             raise DomainError(f"compare requires 0 < theta < 1, got {theta}")
-    rows = []
-    for theta in thetas:
-        rep = report((theta, theta), hbar=args.hbar)
-        gaussian, product = rep.gaussian_product, rep.lp_interval
-        rows.append(
-            {
-                "theta": theta,
-                "gaussian": gaussian,
-                "slepian": product,
-                "ratio": gaussian / product if product > 0 else math.inf,
-            }
-        )
-    return _columns(rows), 0
+    table = reports(thetas, thetas, hbar=args.hbar)
+    gaussian, product = table["gaussian_product"], table["lp_interval"]
+    ratio = np.divide(gaussian, product, out=np.full(product.shape, math.inf), where=product > 0)
+    return {"theta": table["theta_x"], "gaussian": gaussian, "slepian": product, "ratio": ratio}, 0
 
 
 # ---- verify suites --------------------------------------------------
@@ -324,20 +308,15 @@ def _suite_two_route(args: argparse.Namespace) -> list[dict]:
 
 def _suite_dominance(args: argparse.Namespace) -> list[dict]:
     rows = []
-    levels = np.arange(1, 100) / 100.0
-    tx, tp = (grid.ravel() for grid in np.meshgrid(levels, levels, indexing="ij"))
+    tx, tp = _square(np.arange(1, 100) / 100.0)
     bounded = tx + tp > 1.0
     tx, tp = tx[bounded], tp[bounded]
     worst = float(np.min(_measurable_bounds(tx, tp, 1.0) - _donoho_stark_bounds(tx, tp, 1.0)))
     rows.append(
         _check("dominance", "measurable_minus_donoho_stark_grid99", worst, 0.0, worst > 0.0)
     )
-    spots = [i / 20.0 for i in range(11, 20)]
-    pairs = [ConfidencePair(tx, tp) for tx in spots for tp in spots]
-    measurable = _measurable_bounds(
-        np.array([p.theta_x for p in pairs]), np.array([p.theta_p for p in pairs]), 1.0
-    )
-    worst = float(np.min(lp_interval_bounds(pairs) - measurable))
+    tx, tp = _square(np.arange(11, 20) / 20.0)
+    worst = float(np.min(_interval_bounds(tx, tp, 1.0) - _measurable_bounds(tx, tp, 1.0)))
     rows.append(
         _check("dominance", "interval_minus_measurable_spot_grid", worst, 0.0, worst > 0.0)
     )
@@ -477,7 +456,7 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help=(
-            "emit the tight-bound landscape on an N x N interior grid "
+            "emit the bound report at every pair of an N x N interior grid "
             f"(N <= {_MAX_LANDSCAPE_SIDE})"
         ),
     )

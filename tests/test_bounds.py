@@ -28,8 +28,10 @@ from confunc.bounds import (
     lp_interval_bounds,
     lp_measurable_bound,
     report,
+    reports,
 )
 from confunc.errors import BoundDivergenceError, DomainError
+from confunc.numerics import erf_inverse
 
 # frozen references for the (0.9, 0.9) pair. LP_INTERVAL_99 came from
 # the dense 400-point Nystrom lambda0 that preceded the tridiagonal
@@ -199,9 +201,26 @@ class TestArrayForms:
             assert measurable[k] == lp_measurable_bound((tx, tp), hbar=hbar)
             assert donoho_stark[k] == donoho_stark_bound((tx, tp), hbar=hbar)
 
+    @pytest.mark.parametrize("hbar", [1.0, 0.7])
+    def test_elementary_and_gaussian_equal_the_scalar_formulas(self, hbar):
+        elementary = bounds._elementary_bounds(self.TX, self.TP)
+        gaussian = bounds._gaussian_products(self.TX, self.TP, hbar)
+        roots = {}
+        for k, (tx, tp) in enumerate(zip(self.TX.tolist(), self.TP.tolist())):
+            if 2.0 * tx + tp > 2.0:
+                inner = (tx + tp - 1.0) * (1.0 - tx)
+                assert elementary[k] == (math.pi / tx) * (tp - 2.0 * math.sqrt(inner))
+            else:
+                assert elementary[k] is None
+            if tp == 1.0:
+                assert gaussian[k] == math.inf
+                continue
+            rx, rp = (roots.setdefault(v, erf_inverse(v)) for v in (tx, tp))
+            assert gaussian[k] == 4.0 * hbar * rx * rp
+
     def test_an_out_of_range_bound_is_named_not_warned(self):
-        # 2 pi hbar is inf: a bounded pair gives inf and a trivial one nan,
-        # as with one pair; the Donoho-Stark bound is 0 wherever it clamps
+        # 2 pi hbar is inf: a bounded pair gives inf, named with its pair,
+        # and a trivial one 0; the Donoho-Stark bound is 0 wherever it clamps
         tx, tp = np.array([0.9, 0.5]), np.array([0.9, 0.5])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -210,8 +229,7 @@ class TestArrayForms:
             with pytest.raises(DomainError, match=r"the Donoho-Stark bound inf"):
                 bounds._donoho_stark_bounds(tx, tp, 1e308)
             assert donoho_stark_bound((0.5, 0.5), hbar=1e308) == 0.0
-            with pytest.raises(DomainError, match="the measurable bound nan"):
-                lp_measurable_bound((0.5, 0.5), hbar=1e308)
+            assert lp_measurable_bound((0.5, 0.5), hbar=1e308) == 0.0
 
 
 class TestLpIntervalBound:
@@ -260,6 +278,63 @@ class TestLpIntervalBounds:
         # 4*hbar*c with c = 13.11817 at 1 - theta = 1e-10; a stopping
         # rule absolute in lambda0 returned c = 23.22 here
         assert abs(lp_interval_bound((1.0, 1.0 - 1e-10)) / 52.4727 - 1.0) <= 1e-5
+
+
+class TestReports:
+    """The table of :func:`reports` is :func:`report` row by row."""
+
+    # (0.5, 0.5 + 2^-52) sums to one ulp above 1, so it is bounded
+    PAIRS = [(0.0, 0.0), (1.0, 0.0), (0.5, 0.5), (1.0, 1.0), (0.9, 0.9), (0.3, 0.5)]
+    PAIRS += [(0.5, 0.5 + 2.0**-52)]
+    NAMES = ["theta_x", "theta_p", "region", "angular_target", "lp_measurable"]
+    NAMES += ["lp_interval", "donoho_stark", "elementary", "gaussian_product"]
+
+    @pytest.mark.parametrize("hbar", [1.0, 0.7])
+    def test_equals_a_loop_of_report(self, hbar):
+        tx, tp = zip(*self.PAIRS)
+        table = reports(tx, tp, hbar=hbar)
+        assert list(table) == self.NAMES
+        for k, pair in enumerate(self.PAIRS):
+            rep = report(pair, hbar=hbar)
+            assert (table["theta_x"][k], table["theta_p"][k]) == pair
+            assert table["region"][k] == rep.region.value
+            for name in self.NAMES[3:]:
+                assert table[name][k] == getattr(rep, name), (pair, name)
+        assert table["region"][-1] == "bounded"
+        assert table["lp_interval"][-1] > 0.0
+
+    def test_one_inversion_for_the_table(self, monkeypatch):
+        calls = []
+        inverse = bounds.lambda0_inverse_batch
+
+        def counted(targets):
+            calls.append(targets.size)
+            return inverse(targets)
+
+        monkeypatch.setattr(bounds, "lambda0_inverse_batch", counted)
+        tx, tp = zip(*self.PAIRS)
+        reports(tx, tp)
+        # (1, 1) diverges and the trivial pairs are 0, so two are inverted
+        assert calls == [2]
+
+    def test_confidences_are_checked_with_the_pair_message(self):
+        with pytest.raises(DomainError, match=r"^theta_p must lie in \[0, 1\], got 1.5$"):
+            reports([0.5, 0.9], [0.9, 1.5])
+        with pytest.raises(DomainError, match=r"^theta_x must lie in \[0, 1\], got nan$"):
+            ConfidencePair(math.nan, 0.5)
+        with pytest.raises(DomainError, match="two arrays of one length"):
+            reports([0.5, 0.9], [0.9])
+
+    def test_every_row_is_checked(self, monkeypatch):
+        # an interval bound below the measurable one in any row is refused
+        def low(tx, tp, h):
+            values = bounds._measurable_bounds(tx, tp, h)
+            values[-1] *= 0.5
+            return values
+
+        monkeypatch.setattr(bounds, "_interval_bounds", low)
+        with pytest.raises(DomainError, match="interval < measurable"):
+            reports([0.3, 0.9, 0.95], [0.3, 0.9, 0.95])
 
 
 class TestReport:

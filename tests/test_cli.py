@@ -17,8 +17,8 @@ import warnings
 import numpy as np
 import pytest
 
-from confunc import cli
-from confunc.bounds import lp_interval_bound
+from confunc import bounds, cli
+from confunc.bounds import lp_interval_bound, report
 from confunc.cli import main
 
 
@@ -30,6 +30,34 @@ def run(capsys, argv):
 
 def parse_csv(text):
     return list(csv.DictReader(io.StringIO(text)))
+
+
+def count_inversions(monkeypatch):
+    """The target count of each batched inversion the bounds make."""
+    calls = []
+    inverse = bounds.lambda0_inverse_batch
+
+    def counted(targets):
+        calls.append(targets.size)
+        return inverse(targets)
+
+    monkeypatch.setattr(bounds, "lambda0_inverse_batch", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "argv, targets",
+    [
+        (["bounds", "--grid", "7"], 21),
+        (["bounds", "--tx", "0.9", "--tp", "0.9"], 1),
+        (["verify", "dominance"], 81),
+    ],
+)
+def test_one_inversion_per_command(capsys, monkeypatch, argv, targets):
+    calls = count_inversions(monkeypatch)
+    code, _, _ = run(capsys, argv)
+    assert code == 0
+    assert calls == [targets]
 
 
 class TestLambda0Command:
@@ -134,13 +162,42 @@ class TestBoundsCommand:
         assert code == 0
         rows = parse_csv(out)
         assert len(rows) == 49
-        assert set(rows[0]) == {"theta_x", "theta_p", "lp_interval"}
+        assert set(rows[0]) == {
+            "theta_x",
+            "theta_p",
+            "region",
+            "angular_target",
+            "lp_measurable",
+            "lp_interval",
+            "donoho_stark",
+            "elementary",
+            "gaussian_product",
+        }
+        # the first three columns stay where they were before the others
+        assert list(rows[0])[:3] == ["theta_x", "theta_p", "lp_interval"]
         for row in rows:
             tx, tp = float(row["theta_x"]), float(row["theta_p"])
             if tx + tp <= 1.0:
                 assert float(row["lp_interval"]) == 0.0
             else:
                 assert float(row["lp_interval"]) > 0.0
+
+    def test_grid_rows_equal_point_queries(self, capsys):
+        _, out, _ = run(capsys, ["bounds", "--grid", "7"])
+        rows = parse_csv(out)
+        levels = [str(i / 8) for i in range(1, 8)]
+        points = [(tx, tp) for tx in levels for tp in levels]
+        assert len(rows) == len(points)
+        for row, (tx, tp) in zip(rows, points):
+            _, point, _ = run(capsys, ["bounds", "--tx", tx, "--tp", tp])
+            assert parse_csv(point) == [row]
+
+    def test_trivial_point_at_an_hbar_whose_two_pi_multiple_overflows(self, capsys):
+        # every bound is 0 by definition there; 2 pi hbar T gave nan
+        code, out, _ = run(capsys, ["bounds", "--tx", "0", "--tp", "0", "--hbar", "1e308"])
+        assert code == 0
+        row = parse_csv(out)[0]
+        assert row["lp_measurable"] == row["lp_interval"] == row["gaussian_product"] == "0"
 
     def test_rejects_empty_grid(self, capsys):
         code, _, err = run(capsys, ["bounds", "--grid", "0"])
@@ -188,12 +245,27 @@ class TestCompareCommand:
 
     def test_subnormal_gaussian_product_names_the_bound(self, capsys):
         # pi * theta^2 = 3.1e-320 leaves the normal doubles at hbar = 1:
-        # the confidence level, not hbar, takes it there
+        # the confidence level, not hbar, takes it there, so the pair is named
         code, out, err = run(capsys, ["compare", "--theta", "1e-160"])
         assert (code, out) == (2, "")
         assert err == (
-            "error: hbar = 1: the Gaussian product 3.14176e-320 is outside the normal doubles\n"
+            "error: hbar = 1: the Gaussian product 3.14176e-320 at (theta_x, theta_p) = "
+            "(1e-160, 1e-160) is outside the normal doubles\n"
         )
+        assert "1e-160" in err
+
+    def test_one_inversion_for_every_level(self, capsys, monkeypatch):
+        calls = count_inversions(monkeypatch)
+        thetas = [*cli._COMPARE_DEFAULT, 0.9]
+        argv = ["compare"]
+        for theta in thetas:
+            argv += ["--theta", str(theta)]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        assert calls == [len(thetas)]
+        rows = parse_csv(out)
+        for row, theta in zip(rows, thetas):
+            assert row["slepian"] == f"{report((theta, theta)).lp_interval:.6g}"
 
     def test_rejects_boundary_theta(self, capsys):
         code, _, err = run(capsys, ["compare", "--theta", "1.0"])

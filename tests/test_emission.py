@@ -3,9 +3,10 @@
 ``row_writer`` formats a list of row dicts one value at a time, with
 ``_fmt`` and ``csv.writer`` for CSV and ``_json_value`` and
 ``json.dumps`` for JSON. ``cli._write`` takes a table of columns; in
-CSV it formats a table whose every column is a float array through one
-``%.6g`` row template, in chunks, and passes any other table's ``_fmt``
-text to ``csv.writer``. Both must give the same bytes.
+CSV it formats chunks of rows through one row template, ``%.6g`` for a
+float array and ``%s`` for other columns' ``_fmt`` text, and passes a
+chunk whose text CSV must quote to ``csv.writer``. Both must give the
+same bytes.
 """
 
 import csv
@@ -152,5 +153,20 @@ def test_float_table_longer_than_two_chunks():
             "strided": amplitudes.real,
             "imag": amplitudes.imag,
             "single": single,
+        }
+    )
+
+
+def test_quoted_text_in_one_chunk_only():
+    # the chunk holding text that CSV must quote goes to the csv module,
+    # the chunks around it through the row template
+    n = 3 * cli._CHUNK_ROWS
+    notes = ["plain"] * n
+    notes[cli._CHUNK_ROWS + 5] = 'say "x", then y'
+    assert_same_output(
+        {
+            "x": np.linspace(-1.0, 1.0, n),
+            "note": notes,
+            "region": np.where(np.arange(n) % 3 == 0, "bounded", "trivial"),
         }
     )

@@ -78,3 +78,30 @@ def test_layout_change_is_reported_without_columns():
         "exit code 0 -> 2",
         "stdout layout differs: 3 rows -> no output",
     ]
+
+
+def test_columns_are_matched_by_name():
+    tool = load_tool()
+    base = subprocess.CompletedProcess([], 0, TABLE, "")
+    # status moves to the front, re_psi goes, and two columns are added
+    wider = "status,x,note,scale\npass,-1,a,1\npass,0,b,2\nfail,1,c,3\n"
+    change = subprocess.CompletedProcess([], 0, wider, "")
+    assert tool.compare(base, change) == [
+        "stdout columns added: note, scale",
+        "stdout columns removed: re_psi",
+        "stdout differs in 1 of 3 rows",
+        "  status: 1 values, max |diff| not numeric",
+    ]
+
+
+def test_json_records_are_compared_as_columns():
+    tool = load_tool()
+    base = '[\n {\n  "x": 1.0,\n  "lp_interval": "divergent"\n }\n]\n'
+    change = '[\n {\n  "x": 1.0,\n  "region": "bounded",\n  "lp_interval": "divergent"\n }\n]\n'
+    assert tool.column_diff(base, change) == {
+        "added": ["region"],
+        "removed": [],
+        "rows": 0,
+        "of": 1,
+        "columns": {},
+    }

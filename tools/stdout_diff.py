@@ -8,10 +8,12 @@ Each command in ``COMMANDS`` runs once per checkout as
 ``PYTHONPATH=DIR/src``, so each side runs the program it contains. For
 each command the report says either that stdout, stderr and the exit
 code are identical, or what differs: the exit codes, the number of
-differing stderr lines, and for stdout (read as CSV with one header row)
-the number of differing rows and, per column, how many values differ and
-the largest absolute difference where both sides are numbers. Exit code
-0 means every command was identical, 1 that at least one differed.
+differing stderr lines, and for stdout (read as CSV with one header row,
+or as a JSON array of records) the columns one side adds or removes, the number of rows that differ in
+the columns both sides share and, per shared column, how many values
+differ and the largest absolute difference where both sides are numbers.
+Exit code 0 means every command was identical, 1 that at least one
+differed.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import json
 import os
 import shlex
 import subprocess
@@ -62,6 +65,9 @@ COMMANDS = (
     "bounds --grid 100",
     "bounds --grid 40 --hbar 0.7",
     "verify lenard --seed 0",
+    "bounds --tx 0 --tp 0 --hbar 1e308",
+    "compare --theta 1e-160",
+    "compare --theta 0.55 --theta 0.55",
 )
 
 
@@ -78,33 +84,47 @@ def _number(text: str) -> float | None:
         return None
 
 
+def read_table(text: str) -> list[list[str]]:
+    """Header and rows of a CSV text, or of a JSON array of records with
+    each value as its JSON text; empty when nothing was printed."""
+    if not text.startswith("["):
+        return list(csv.reader(io.StringIO(text)))
+    records = json.loads(text)
+    head = list(records[0])
+    return [head] + [[json.dumps(record[name]) for name in head] for record in records]
+
+
 def column_diff(base: str, change: str) -> dict:
-    """Row count and per-column differences of two CSV texts.
+    """Column changes, row count and per-column differences of two tables.
 
     Returns ``{"layout": reason}`` when one side printed nothing or the
-    headers or row counts differ, otherwise the differing row count and,
-    per column with a difference, ``{"values": count, "max_abs": float or
-    None}``; ``max_abs`` is None when some differing value is not a number
-    on both sides.
+    row counts differ. Otherwise returns the columns only the change has
+    (``added``) and only the base has (``removed``), the count of rows
+    that differ in the shared columns, and, per shared column with a
+    difference, ``{"values": count, "max_abs": float or None}``;
+    ``max_abs`` is None when some differing value is not a number on
+    both sides. Shared columns are matched by name.
     """
-    table_b = list(csv.reader(io.StringIO(base)))
-    table_c = list(csv.reader(io.StringIO(change)))
+    table_b, table_c = read_table(base), read_table(change)
     if not table_b or not table_c:
         sizes = [f"{len(t) - 1} rows" if t else "no output" for t in (table_b, table_c)]
         return {"layout": " -> ".join(sizes)}
     head_b, *rows_b = table_b
     head_c, *rows_c = table_c
-    if head_b != head_c:
-        return {"layout": f"header {head_b} != {head_c}"}
     if len(rows_b) != len(rows_c):
         return {"layout": f"{len(rows_b)} != {len(rows_c)} rows"}
+    shared = [name for name in head_b if name in head_c]
+    index_b = [head_b.index(name) for name in shared]
+    index_c = [head_c.index(name) for name in shared]
     columns: dict[str, dict] = {}
     rows = 0
-    for row_b, row_c in zip(rows_b, rows_c):
+    for full_b, full_c in zip(rows_b, rows_c):
+        row_b = [full_b[k] for k in index_b]
+        row_c = [full_c[k] for k in index_c]
         if row_b == row_c:
             continue
         rows += 1
-        for name, vb, vc in zip(head_b, row_b, row_c):
+        for name, vb, vc in zip(shared, row_b, row_c):
             if vb == vc:
                 continue
             col = columns.setdefault(name, {"values": 0, "max_abs": 0.0})
@@ -114,7 +134,13 @@ def column_diff(base: str, change: str) -> dict:
                 col["max_abs"] = None
             else:
                 col["max_abs"] = max(col["max_abs"], abs(xb - xc))
-    return {"rows": rows, "of": len(rows_b), "columns": columns}
+    return {
+        "added": [name for name in head_c if name not in head_b],
+        "removed": [name for name in head_b if name not in head_c],
+        "rows": rows,
+        "of": len(rows_b),
+        "columns": columns,
+    }
 
 
 def compare(base: subprocess.CompletedProcess, change: subprocess.CompletedProcess) -> list[str]:
@@ -138,6 +164,9 @@ def compare(base: subprocess.CompletedProcess, change: subprocess.CompletedProce
         if "layout" in diff:
             lines.append(f"stdout layout differs: {diff['layout']}")
         else:
+            for change in ("added", "removed"):
+                if diff[change]:
+                    lines.append(f"stdout columns {change}: {', '.join(diff[change])}")
             lines.append(f"stdout differs in {diff['rows']} of {diff['of']} rows")
             for name, col in diff["columns"].items():
                 largest = "not numeric" if col["max_abs"] is None else f"{col['max_abs']:.3g}"
