@@ -233,12 +233,12 @@ def lp_interval_bounds(pairs: Sequence[_Pair], hbar: float = 1.0) -> _Array:
     """
     h = _check_positive("hbar", hbar)
     levels = np.array([(p.theta_x, p.theta_p) for p in map(_as_pair, pairs)]).reshape(-1, 2)
-    bounds = _interval_bounds(levels[:, 0], levels[:, 1], h)
-    if np.isinf(bounds).any():
+    tx, tp = levels.T
+    if np.any(_angular_targets(tx, tp) >= 1.0):
         raise BoundDivergenceError(
             "the interval bound diverges at full confidence in both variables"
         )
-    return bounds
+    return _interval_bounds(tx, tp, h)
 
 
 def lp_interval_bound(pair: _Pair, hbar: float = 1.0) -> float:
@@ -350,6 +350,24 @@ class BoundReport:
         _check_records({**vars(self), **pair, "region": self.region.value})
 
 
+def _table(tx: _Array, tp: _Array, h: float) -> dict[str, NDArray]:
+    """The :func:`reports` table at checked confidences, itself unchecked.
+    A bound out of range is named in the order interval, Gaussian,
+    measurable, Donoho-Stark."""
+    interval, gaussian = _interval_bounds(tx, tp, h), _gaussian_products(tx, tp, h)
+    return {
+        "theta_x": tx,
+        "theta_p": tp,
+        "region": _regions(tx, tp),
+        "angular_target": _angular_targets(tx, tp),
+        "lp_measurable": _measurable_bounds(tx, tp, h),
+        "lp_interval": interval,
+        "donoho_stark": _donoho_stark_bounds(tx, tp, h),
+        "elementary": _elementary_bounds(tx, tp),
+        "gaussian_product": gaussian,
+    }
+
+
 def reports(theta_x: ArrayLike, theta_p: ArrayLike, hbar: float = 1.0) -> dict[str, NDArray]:
     """Every bound at each pair (theta_x[k], theta_p[k]) of [0, 1]^2: a
     table of columns theta_x, theta_p, region (the :class:`Region` value)
@@ -370,27 +388,14 @@ def reports(theta_x: ArrayLike, theta_p: ArrayLike, hbar: float = 1.0) -> dict[s
     tx, tp = _confidences("theta_x", theta_x), _confidences("theta_p", theta_p)
     if tx.ndim != 1 or tx.shape != tp.shape:
         raise DomainError("theta_x and theta_p must be two arrays of one length")
-    h = _check_positive("hbar", hbar)
-    # a bound out of range is named in the order interval, Gaussian,
-    # measurable, Donoho-Stark
-    interval, gaussian = _interval_bounds(tx, tp, h), _gaussian_products(tx, tp, h)
-    table = {
-        "theta_x": tx,
-        "theta_p": tp,
-        "region": _regions(tx, tp),
-        "angular_target": _angular_targets(tx, tp),
-        "lp_measurable": _measurable_bounds(tx, tp, h),
-        "lp_interval": interval,
-        "donoho_stark": _donoho_stark_bounds(tx, tp, h),
-        "elementary": _elementary_bounds(tx, tp),
-        "gaussian_product": gaussian,
-    }
+    table = _table(tx, tp, _check_positive("hbar", hbar))
     _check_records(table)
     return table
 
 
 def report(pair: _Pair, hbar: float = 1.0) -> BoundReport:
-    """Every bound at one pair of [0, 1]^2: the one-row case of :func:`reports`.
+    """Every bound at one pair of [0, 1]^2: the one-row case of :func:`reports`,
+    checked once, as a BoundReport.
 
     Raises
     ------
@@ -399,6 +404,7 @@ def report(pair: _Pair, hbar: float = 1.0) -> BoundReport:
         normal doubles.
     """
     p = _as_pair(pair)
-    row = {name: column.item() for name, column in reports(p.theta_x, p.theta_p, hbar).items()}
+    table = _table(np.array([p.theta_x]), np.array([p.theta_p]), _check_positive("hbar", hbar))
+    row = {name: column.item() for name, column in table.items()}
     del row["theta_x"], row["theta_p"]
     return BoundReport(pair=p, region=Region(row.pop("region")), **row)

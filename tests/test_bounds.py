@@ -274,6 +274,15 @@ class TestLpIntervalBounds:
         with pytest.raises(BoundDivergenceError):
             lp_interval_bounds([(0.9, 0.9), (1.0, 1.0)])
 
+    def test_divergence_is_raised_before_any_inversion(self, monkeypatch):
+        # (0.9, 0.9) overflows at hbar = 1e308, but (1, 1) is named first
+        def refused(targets):
+            raise AssertionError("inverted before the divergence check")
+
+        monkeypatch.setattr(bounds, "lambda0_inverse_batch", refused)
+        with pytest.raises(BoundDivergenceError):
+            lp_interval_bounds([(0.9, 0.9), (1.0, 1.0)], hbar=1e308)
+
     def test_high_confidence_edge_not_overstated(self):
         # 4*hbar*c with c = 13.11817 at 1 - theta = 1e-10; a stopping
         # rule absolute in lambda0 returned c = 23.22 here
@@ -364,6 +373,14 @@ class TestReport:
         assert rep.lp_measurable == rep.donoho_stark == 2.0 * math.pi
         assert rep.elementary == math.pi
         assert rep.gaussian_product == math.inf
+
+    def test_the_row_is_checked_once(self, monkeypatch):
+        checked = []
+        check = bounds._check_records
+        monkeypatch.setattr(bounds, "_check_records", lambda r: checked.append(check(r)))
+        report((0.9, 0.9))
+        reports([0.9, 0.3], [0.9, 0.5])
+        assert len(checked) == 2
 
     def test_invariant_enforced_on_construction(self):
         with pytest.raises(DomainError):

@@ -132,6 +132,15 @@ class TestBoundsCommand:
         assert row["lp_interval"] == "divergent"
         assert row["gaussian_product"] == "inf"
 
+    def test_grid_refuses_a_bound_outside_the_normal_doubles(self, capsys):
+        # the one pair (0.5, 0.5) has interval bound 0, but its Gaussian
+        # product 4*hbar*erf_inverse(0.5)^2 is subnormal at this hbar
+        code, out, err = run(capsys, ["bounds", "--grid", "1", "--hbar", "1e-308"])
+        assert code == 2
+        assert out == ""
+        assert "the Gaussian product" in err
+        assert "(0.5, 0.5) is outside the normal doubles" in err
+
     def test_gaussian_product_near_full_confidence(self, capsys):
         # 1 - theta_x = 1e-13 is inverted through erfc, to the last bits
         code, out, _ = run(capsys, ["bounds", "--tx", "0.9999999999999", "--tp", "0.3"])

@@ -8,10 +8,11 @@ Each command in ``COMMANDS`` runs once per checkout as
 ``PYTHONPATH=DIR/src``, so each side runs the program it contains. For
 each command the report says either that stdout, stderr and the exit
 code are identical, or what differs: the exit codes, the number of
-differing stderr lines, and for stdout (read as CSV with one header row,
-or as a JSON array of records) the columns one side adds or removes, the number of rows that differ in
-the columns both sides share and, per shared column, how many values
-differ and the largest absolute difference where both sides are numbers.
+differing stderr lines, and for stdout (read as CSV with one header
+row, or as a JSON array of records) the columns one side adds or
+removes, the number of rows that differ in the columns both sides share
+and, per shared column, how many values differ and the largest absolute
+difference where both sides are numbers.
 Exit code 0 means every command was identical, 1 that at least one
 differed.
 """
@@ -68,6 +69,7 @@ COMMANDS = (
     "bounds --tx 0 --tp 0 --hbar 1e308",
     "compare --theta 1e-160",
     "compare --theta 0.55 --theta 0.55",
+    "bounds --grid 1 --hbar 1e-308",
 )
 
 
