@@ -21,7 +21,7 @@ from enum import Enum
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
-from .errors import BoundDivergenceError, DomainError
+from .errors import DomainError
 from .numerics import _check_positive, erf_inverse
 from .slepian import lambda0_inverse_batch
 
@@ -221,32 +221,21 @@ def lp_measurable_bound(pair: _Pair, hbar: float = 1.0) -> float:
 def lp_interval_bounds(pairs: Sequence[_Pair], hbar: float = 1.0) -> _Array:
     """Tight lower bounds 4*hbar*lambda0_inverse(T), one per pair in input
     order: the ``lp_interval`` column of :func:`reports` alone. Zero in
-    the trivial region (T = 0); the other targets are inverted together,
-    by Newton iterations run in lockstep.
-
-    Raises
-    ------
-    BoundDivergenceError
-        If any pair sits at full confidence in both variables (T = 1),
-        where a state supported on one interval cannot be fully
-        band-limited and the bound grows without limit.
+    the trivial region (T = 0) and +inf at (1, 1) (T = 1), where a state
+    supported on one interval cannot be fully band-limited; the other
+    targets are inverted together, by Newton iterations run in lockstep.
     """
     h = _check_positive("hbar", hbar)
     levels = np.array([(p.theta_x, p.theta_p) for p in map(_as_pair, pairs)]).reshape(-1, 2)
-    tx, tp = levels.T
-    if np.any(_angular_targets(tx, tp) >= 1.0):
-        raise BoundDivergenceError(
-            "the interval bound diverges at full confidence in both variables"
-        )
-    return _interval_bounds(tx, tp, h)
+    return _interval_bounds(*levels.T, h)
 
 
 def lp_interval_bound(pair: _Pair, hbar: float = 1.0) -> float:
     """Tight lower bound 4*hbar*lambda0_inverse(T) on the interval product.
 
     The one-pair case of :func:`lp_interval_bounds`: zero in the trivial
-    region, BoundDivergenceError at (1, 1). Strictly larger than the
-    measurable-set bound in the interior of the bounded region.
+    region, +inf at (1, 1). Strictly larger than the measurable-set bound
+    in the interior of the bounded region.
     """
     return float(lp_interval_bounds([pair], hbar=hbar)[0])
 
@@ -292,17 +281,19 @@ def elementary_bound(pair: _Pair) -> float | None:
 
 def gaussian_interval_product(theta: float, hbar: float = 1.0) -> float:
     """Interval uncertainty product 4*hbar*erf_inverse(theta)^2 of a
-    minimum-uncertainty Gaussian at equal confidences.
+    minimum-uncertainty Gaussian at equal confidences: the
+    ``gaussian_product`` of :func:`reports` at (theta, theta), 0 at
+    theta = 0 and +inf at theta = 1.
 
     Raises
     ------
     DomainError
-        If theta is outside (0, 1).
+        If theta is outside [0, 1], or hbar takes the product out of the
+        normal doubles.
     """
     h = _check_positive("hbar", hbar)
-    if not 0.0 < theta < 1.0:
-        raise DomainError(f"gaussian_interval_product requires 0 < theta < 1, got {theta}")
-    return _one_pair(_gaussian_products, (theta, theta), h)
+    levels = _confidences("theta", theta)
+    return _gaussian_products(levels, levels, h).item()
 
 
 def bbm_reference(hbar: float = 1.0) -> float:
@@ -330,8 +321,8 @@ def _check_records(record: dict) -> None:
 class BoundReport:
     """All applicable bounds at one confidence pair: a row of :func:`reports`.
 
-    ``lp_interval`` is 0 in the trivial region and +inf at (1, 1), where
-    :func:`lp_interval_bound` raises instead. ``elementary`` is None
+    Each field is the value of its one-pair function: ``lp_interval`` is 0
+    in the trivial region and +inf at (1, 1), and ``elementary`` is None
     outside its validity domain 2*theta_x + theta_p > 2. All products are
     in units of hbar as passed to :func:`report`.
     """

@@ -50,7 +50,7 @@ from .bounds import (
 )
 from .errors import ConfuncError, DomainError
 from .numerics import largest_eigenpair
-from .slepian import a_matrix, lambda0, lambda0_large_c, lambda0_small_c
+from .slepian import _eigenpairs, a_matrix, lambda0, lambda0_large_c, lambda0_small_c
 from .states import (
     Grid,
     _gaussian_grid,
@@ -158,15 +158,12 @@ def _write(table: dict, output_format: str, target: TextIO) -> None:
 
 
 def _emit(table: dict, output_format: str, output_path: str | None) -> None:
-    """Write a table of columns to stdout or to --out; a table without rows
-    writes nothing.
+    """Write a table of columns to stdout or to --out.
 
     Symlinks are followed. An existing FIFO or device is written in
     place; a regular or new file is written to a temporary file beside
     the resolved target, which is renamed over it only once complete.
     """
-    if not table or len(next(iter(table.values()))) == 0:
-        return
     if not output_path:
         _write(table, output_format, sys.stdout)
         return
@@ -222,19 +219,14 @@ def _cmd_lambda0(args: argparse.Namespace) -> tuple[dict, int]:
         values.extend(_parse_range(args.range))
     if not values:
         raise DomainError("lambda0 needs --c or --range")
-    rows = []
-    for c in values:
-        lam = lambda0(c)
-        rows.append(
-            {
-                "c": c,
-                "lambda0": lam,
-                "one_minus_lambda0": _Scientific(f"{1.0 - lam:.6e}"),
-                "small_c_approx": lambda0_small_c(c),
-                "large_c_approx": lambda0_large_c(c),
-            }
-        )
-    return _columns(rows), 0
+    lam = _eigenpairs(values)[0]
+    return {
+        "c": values,
+        "lambda0": lam,
+        "one_minus_lambda0": [_Scientific(f"{v:.6e}") for v in (1.0 - lam).tolist()],
+        "small_c_approx": [lambda0_small_c(c) for c in values],
+        "large_c_approx": [lambda0_large_c(c) for c in values],
+    }, 0
 
 
 def _square(levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -256,9 +248,6 @@ def _cmd_bounds(args: argparse.Namespace) -> tuple[dict, int]:
     else:
         tx, tp = args.tx, args.tp
     table = reports(tx, tp, hbar=args.hbar)
-    interval = table["lp_interval"]
-    if np.isinf(interval).any():  # at (1, 1) only
-        table["lp_interval"] = ["divergent" if v == math.inf else v for v in interval.tolist()]
     if args.grid is not None:
         # the landscape keeps its first three columns, for readers by position
         table = {name: table.pop(name) for name in ("theta_x", "theta_p", "lp_interval")} | table
@@ -400,7 +389,7 @@ def _cmd_state(args: argparse.Namespace) -> tuple[dict, int]:
             f"in-band momentum mass={in_band:.6f}, "
             f"lambda0={lambda0(args.c):.6f}"
         )
-    elif args.kind == "rect-sinc":
+    else:  # rect-sinc
         # the prediction validates L, W and P before a grid is sized on them
         predicted = rect_sinc_prediction(args.L, args.W, args.P, hbar=h)
         grid = _rect_sinc_grid(args.L, args.W, h)
@@ -413,9 +402,6 @@ def _cmd_state(args: argparse.Namespace) -> tuple[dict, int]:
             f"position mass={mass_x:.6f} (continuum {predicted.position_mass:.6f}), "
             f"momentum mass={mass_p:.6f} (continuum {predicted.momentum_mass:.6f})"
         )
-    else:  # pragma: no cover - argparse choices guard this
-        raise DomainError(f"unknown state kind {args.kind!r}")
-
     table = {
         "x": state.grid.centers,
         "re_psi": state.amplitudes.real,

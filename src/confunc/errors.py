@@ -1,4 +1,8 @@
-"""Exception hierarchy shared by all confunc modules."""
+"""Exception hierarchy shared by all confunc modules.
+
+Every error is a ConfuncError and a ValueError or RuntimeError. A bound
+that diverges raises none of them: it is the value +inf.
+"""
 
 from __future__ import annotations
 
@@ -6,9 +10,7 @@ __all__ = [
     "ConfuncError",
     "DomainError",
     "ConvergenceError",
-    "BoundDivergenceError",
     "GridError",
-    "MassDeficitError",
 ]
 
 
@@ -24,19 +26,5 @@ class ConvergenceError(ConfuncError, RuntimeError):
     """An iterative solver failed to reach its tolerance within its cap."""
 
 
-class BoundDivergenceError(ConfuncError, ArithmeticError):
-    """The requested bound diverges; no finite value exists.
-
-    Raised by ``lp_interval_bound(s)`` at full confidence in both position
-    and momentum, where the inverse-eigenvalue bound has no finite
-    argument. ``report`` records that divergence as ``+inf`` instead, as
-    it already does for the Gaussian product at full confidence.
-    """
-
-
 class GridError(ConfuncError, ValueError):
     """A grid cannot support the requested construction."""
-
-
-class MassDeficitError(ConfuncError, ArithmeticError):
-    """The available probability mass falls short of the requested level."""

@@ -85,9 +85,10 @@ _C_MAX = 1000.0
 # largest Fourier index of a_matrix
 _A_TRUNCATION = 64
 
-# most matrices in one stacked eigensolve: larger stacks gain little
-# per matrix and hold more memory
+# most matrices in one stacked eigensolve, and most matrix entries: larger
+# stacks gain little per matrix and hold more memory
 _STACK_CAP = 64
+_STACK_ENTRIES = 1 << 20
 
 
 def _as_c(c: float) -> float:
@@ -190,10 +191,11 @@ def _eigenpairs(cs) -> tuple[NDArray[np.float64], list[NDArray[np.float64]]]:
     each c in ``cs``, in input order.
 
     The c values are grouped by their row count, and each group is
-    solved in stacked eigensolves of at most _STACK_CAP matrices; every c
-    gets a matrix of its own size, so each result is bit-identical to
-    solving that c alone. psi0 has unit norm on [-1, 1] and psi0(0) > 0,
-    so psi0(1) = sum(a).
+    solved in stacked eigensolves of at most _STACK_CAP matrices and
+    _STACK_ENTRIES matrix entries, so a stack of the largest matrices
+    holds 8 MB; every c gets a matrix of its own size, so each result is
+    bit-identical to solving that c alone. psi0 has unit norm on [-1, 1]
+    and psi0(0) > 0, so psi0(1) = sum(a).
 
     Raises
     ------
@@ -215,11 +217,13 @@ def _eigenpairs(cs) -> tuple[NDArray[np.float64], list[NDArray[np.float64]]]:
     values = np.empty(cs.size)
     rows: list = [None] * cs.size
     for group in np.split(order, np.flatnonzero(np.diff(sizes[order])) + 1):
-        for start in range(0, group.size, _STACK_CAP):
-            members = group[start : start + _STACK_CAP]
+        # the group's row count; an empty batch gives one empty group
+        n = int(sizes[group].max(initial=1))
+        cap = max(1, min(_STACK_CAP, _STACK_ENTRIES // (n * n)))
+        for start in range(0, group.size, cap):
+            members = group[start : start + cap]
             c = cs[members]
             matrix = _prolate_matrix(c)
-            n = matrix.shape[-1]
             # psi0 belongs to the smallest eigenvalue; the infinity norm
             # scales the residual check of the eigensolve to each matrix
             norm = np.abs(matrix).sum(axis=-1).max(axis=-1)
@@ -228,7 +232,8 @@ def _eigenpairs(cs) -> tuple[NDArray[np.float64], list[NDArray[np.float64]]]:
             at_zero = (coeffs * _LEGENDRE_AT_ZERO[:n]).sum(axis=-1)
             # (c / 2 pi) mu0^2 with mu0 = sqrt(2) beta0 / psi0(0)
             ratio = beta[:, 0] / at_zero
-            values[members] = np.minimum(c / math.pi * ratio * ratio, _BELOW_ONE)
+            # + 0.0 turns the -0.0 of c = -0 into 0
+            values[members] = np.minimum(c / math.pi * ratio * ratio, _BELOW_ONE) + 0.0
             coeffs *= np.where(at_zero < 0, -1.0, 1.0)[:, None]
             for index, row in zip(members.tolist(), coeffs):
                 rows[index] = row
@@ -269,11 +274,7 @@ def lambda0(c: float) -> float:
     DomainError
         If c is negative, not finite, or above the supported 1000.
     """
-    cc = _as_c(c)
-    if cc == 0.0:
-        return 0.0
-    value, _ = _eigenpair(cc)
-    return value
+    return _eigenpair(c)[0]
 
 
 def lambda0_small_c(c: float) -> float:

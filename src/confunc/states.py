@@ -35,7 +35,7 @@ from typing import TextIO
 
 import numpy as np
 
-from .errors import DomainError, GridError, MassDeficitError
+from .errors import DomainError, GridError
 from .numerics import _check_positive, sine_integral
 from .slepian import _eigenpairs, _principal_values
 
@@ -64,9 +64,6 @@ __all__ = [
 ]
 
 _NORM_TOL = 1e-8
-# slack when a requested confidence exceeds total mass, matching the
-# norm tolerance of GriddedState
-_MASS_SLACK = 1e-7
 # margin below zero that a Lenard witness still counts as holding, for
 # grid effects
 _LENARD_SLACK = 1e-6
@@ -328,13 +325,7 @@ def probability_in_interval(state: GriddedState, a: float, b: float) -> float:
 def _clamp_theta(theta: float, total: float) -> float:
     if not 0.0 < theta <= 1.0:
         raise DomainError(f"theta must lie in (0, 1], got {theta}")
-    if theta > total:
-        if theta - total > _MASS_SLACK:
-            raise MassDeficitError(
-                f"requested confidence {theta} exceeds the grid mass {total:.12f}"
-            )
-        return total
-    return theta
+    return min(theta, total)
 
 
 def confidence_uncertainty(state: GriddedState, theta: float) -> ConfidenceEstimate:
@@ -351,8 +342,6 @@ def confidence_uncertainty(state: GriddedState, theta: float) -> ConfidenceEstim
     cum = np.cumsum(sorted_masses)
     theta = _clamp_theta(theta, float(cum[-1]))
     k = int(np.searchsorted(cum, theta, side="left"))
-    if k >= len(cum):
-        k = len(cum) - 1
     previous = cum[k - 1] if k > 0 else 0.0
     fraction = 0.0 if sorted_masses[k] == 0.0 else (theta - previous) / sorted_masses[k]
     measure = (k + fraction) * state.grid.dx

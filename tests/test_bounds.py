@@ -30,7 +30,7 @@ from confunc.bounds import (
     report,
     reports,
 )
-from confunc.errors import BoundDivergenceError, DomainError
+from confunc.errors import DomainError
 from confunc.numerics import erf_inverse
 
 # frozen references for the (0.9, 0.9) pair. LP_INTERVAL_99 came from
@@ -138,10 +138,16 @@ class TestClosedForms:
     def test_gaussian_product_frozen(self):
         assert abs(gaussian_interval_product(0.9) - GAUSSIAN_AT_09) <= 1e-10
 
-    @pytest.mark.parametrize("bad", [0.0, 1.0, -0.2, 1.3])
-    def test_gaussian_product_domain(self, bad):
-        with pytest.raises(DomainError):
-            gaussian_interval_product(bad)
+    @pytest.mark.parametrize("theta", [0.0, 1.0, -0.2, 1.3])
+    def test_gaussian_product_domain(self, theta):
+        # the closed interval [0, 1], with 0 and +inf at its ends
+        if theta == 0.0:
+            assert gaussian_interval_product(theta) == 0.0
+        elif theta == 1.0:
+            assert gaussian_interval_product(theta) == math.inf
+        else:
+            with pytest.raises(DomainError, match="theta must lie in"):
+                gaussian_interval_product(theta)
 
     def test_log_asymptote(self):
         assert abs(log_asymptote(0.5) - 2 * math.log(2)) <= 1e-14
@@ -241,8 +247,7 @@ class TestLpIntervalBound:
         assert abs(lp_interval_bound((0.9, 0.9)) - LP_INTERVAL_99) <= 1e-9
 
     def test_diverges_at_double_certainty(self):
-        with pytest.raises(BoundDivergenceError):
-            lp_interval_bound((1.0, 1.0))
+        assert lp_interval_bound((1.0, 1.0)) == math.inf
 
     def test_dominates_measurable_bound(self):
         for pair in [(0.7, 0.7), (0.9, 0.8), (0.99, 0.6)]:
@@ -270,18 +275,11 @@ class TestLpIntervalBounds:
     def test_empty(self):
         assert lp_interval_bounds([]).size == 0
 
-    def test_divergent_pair_raises(self):
-        with pytest.raises(BoundDivergenceError):
-            lp_interval_bounds([(0.9, 0.9), (1.0, 1.0)])
-
-    def test_divergence_is_raised_before_any_inversion(self, monkeypatch):
-        # (0.9, 0.9) overflows at hbar = 1e308, but (1, 1) is named first
-        def refused(targets):
-            raise AssertionError("inverted before the divergence check")
-
-        monkeypatch.setattr(bounds, "lambda0_inverse_batch", refused)
-        with pytest.raises(BoundDivergenceError):
-            lp_interval_bounds([(0.9, 0.9), (1.0, 1.0)], hbar=1e308)
+    def test_divergent_pair_is_inf(self):
+        # the divergence at (1, 1) is the value +inf beside finite bounds
+        values = lp_interval_bounds([(0.9, 0.9), (1.0, 1.0)])
+        assert values[1] == math.inf
+        assert abs(values[0] - LP_INTERVAL_99) <= 1e-9
 
     def test_high_confidence_edge_not_overstated(self):
         # 4*hbar*c with c = 13.11817 at 1 - theta = 1e-10; a stopping
@@ -311,6 +309,36 @@ class TestReports:
                 assert table[name][k] == getattr(rep, name), (pair, name)
         assert table["region"][-1] == "bounded"
         assert table["lp_interval"][-1] > 0.0
+
+    @staticmethod
+    def bits(values):
+        """Each value's exact text: float.hex tells -0.0 from 0.0."""
+        return [v if v is None or isinstance(v, str) else float(v).hex() for v in values]
+
+    @pytest.mark.parametrize("hbar", [1.0, 0.7])
+    def test_each_one_pair_function_is_its_column(self, hbar):
+        # every pair of 14 levels: the tenths, one ulp above 1/2 (so the
+        # pair with 1/2 is bounded), and both ends of the open interval
+        levels = [k / 10 for k in range(11)] + [0.5 + 2.0**-52, 1.0 - 1e-10, 1e-300]
+        tx, tp = np.repeat(levels, len(levels)), np.tile(levels, len(levels))
+        table = reports(tx, tp, hbar=hbar)
+        pairs = list(zip(tx.tolist(), tp.tolist()))
+        columns = {
+            "region": [classify_region(p).value for p in pairs],
+            "angular_target": [angular_target(p) for p in pairs],
+            "lp_measurable": [lp_measurable_bound(p, hbar=hbar) for p in pairs],
+            "lp_interval": [lp_interval_bound(p, hbar=hbar) for p in pairs],
+            "donoho_stark": [donoho_stark_bound(p, hbar=hbar) for p in pairs],
+            "elementary": [elementary_bound(p) for p in pairs],
+        }
+        for name, values in columns.items():
+            assert self.bits(values) == self.bits(table[name].tolist()), name
+        batch = lp_interval_bounds(pairs, hbar=hbar)
+        assert self.bits(batch.tolist()) == self.bits(table["lp_interval"].tolist())
+        diagonal = tx == tp
+        gaussian = [gaussian_interval_product(t, hbar=hbar) for t in tx[diagonal].tolist()]
+        assert self.bits(gaussian) == self.bits(table["gaussian_product"][diagonal].tolist())
+        assert math.inf in columns["lp_interval"] and math.inf in gaussian
 
     def test_one_inversion_for_the_table(self, monkeypatch):
         calls = []
@@ -365,8 +393,8 @@ class TestReport:
         assert report((1.0, 0.9)).gaussian_product == math.inf
         assert report((0.0, 0.9)).gaussian_product == 0.0
 
-    def test_divergent_pair_raises(self):
-        # lp_interval_bound raises here; the report records the divergence
+    def test_divergent_pair_is_inf(self):
+        # the report records the divergence as lp_interval_bound does
         rep = report((1.0, 1.0))
         assert rep.lp_interval == math.inf
         assert rep.angular_target == 1.0

@@ -82,6 +82,16 @@ class TestLambda0Command:
         assert float(row["lambda0"]) == 0.0
         assert float(row["one_minus_lambda0"]) == 1.0
 
+    def test_one_solve_and_unsigned_zero(self, capsys, monkeypatch):
+        # every c goes to the engine in one call; c = -0 prints lambda0 0
+        calls = []
+        eigenpairs = cli._eigenpairs
+        monkeypatch.setattr(cli, "_eigenpairs", lambda cs: calls.append(cs) or eigenpairs(cs))
+        code, out, _ = run(capsys, ["lambda0", "--c", "-0", "--c", "0", "--c", "13"])
+        assert code == 0
+        assert [r["lambda0"] for r in parse_csv(out)] == ["0", "0", "1"]
+        assert calls == [[-0.0, 0.0, 13.0]]
+
     def test_repeatable_and_range(self, capsys):
         code, out, _ = run(capsys, ["lambda0", "--c", "0.25", "--c", "0.5"])
         assert code == 0
@@ -129,7 +139,7 @@ class TestBoundsCommand:
         code, out, _ = run(capsys, ["bounds", "--tx", "1", "--tp", "1"])
         assert code == 0
         row = parse_csv(out)[0]
-        assert row["lp_interval"] == "divergent"
+        assert row["lp_interval"] == "inf"
         assert row["gaussian_product"] == "inf"
 
     def test_grid_refuses_a_bound_outside_the_normal_doubles(self, capsys):
@@ -435,7 +445,7 @@ class TestOutputPlumbing:
         )
         row = json.loads(out)[0]
         assert row["gaussian_product"] == "inf"
-        assert row["lp_interval"] == "divergent"
+        assert row["lp_interval"] == "inf"
 
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "table.csv"

@@ -48,6 +48,9 @@ class TestLambda0:
     def test_zero(self):
         assert lambda0(0.0) == 0.0
 
+    def test_negative_zero_gives_unsigned_zero(self):
+        assert math.copysign(1.0, lambda0(-0.0)) == 1.0
+
     def test_open_unit_interval(self):
         for c in (1e-4, 0.5, 3.0, 12.0):
             value = lambda0(c)
@@ -134,7 +137,8 @@ class TestInverse:
 
 
 class TestAMatrix:
-    @pytest.mark.parametrize("c", [0.5, 1.0, 1.5, 2.0])
+    # at c = 4 and 8 the window holds one and two pairs of 2 pi k panel splits
+    @pytest.mark.parametrize("c", [0.5, 1.0, 1.5, 2.0, 4.0, 8.0])
     def test_matches_eigenvalue_route(self, c):
         norm, _ = largest_eigenpair(a_matrix(4.0 * c))
         assert abs(norm / math.pi - lambda0(c)) <= 1e-6
@@ -443,6 +447,12 @@ class TestLockstepInverse:
             per_size.setdefault(n, []).append(count)
         for counts in per_size.values():
             assert sum(count < slepian._STACK_CAP for count in counts) <= 1
+
+    def test_large_matrices_go_in_smaller_stacks(self, monkeypatch):
+        shapes = self.eigh_shapes(monkeypatch)
+        slepian._eigenpairs(np.full(5, 990.0))
+        assert [count for count, _, _ in shapes] == [3, 2]
+        assert all(count * n * n <= slepian._STACK_ENTRIES for count, n, _ in shapes)
 
 
 def _lambda0_high_precision(mp, c):

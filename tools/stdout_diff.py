@@ -70,6 +70,9 @@ COMMANDS = (
     "compare --theta 1e-160",
     "compare --theta 0.55 --theta 0.55",
     "bounds --grid 1 --hbar 1e-308",
+    "lambda0 --range 0:10:0.001",
+    "lambda0 --c -0 --c 0 --c 13",
+    "bounds --tx 0 --tp 1 --format json",
 )
 
 
