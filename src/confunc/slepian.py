@@ -26,8 +26,9 @@ d lambda0/dc = 2 lambda0 psi0(1)^2 / c (Slepian-Pollak, psi0 of unit
 norm on [-1, 1]) with psi0(1) summed from the same coefficients, and
 stops on a tolerance relative to min(theta, 1 - theta), so theta near 0
 and near 1 stays exact. A batch of c is solved in stacked eigensolves
-of at most 64 matrices of one size, and the inversion runs Newton on
-all its targets in lockstep, one such batch per round.
+of one matrix size under one budget of matrix entries, and the
+inversion runs Newton on all its targets in lockstep, one such batch
+per round.
 """
 
 from __future__ import annotations
@@ -85,10 +86,13 @@ _C_MAX = 1000.0
 # largest Fourier index of a_matrix
 _A_TRUNCATION = 64
 
-# most matrices in one stacked eigensolve, and most matrix entries: larger
-# stacks gain little per matrix and hold more memory
-_STACK_CAP = 64
-_STACK_ENTRIES = 1 << 20
+# most matrix entries in one stacked eigensolve, a larger matrix going
+# alone: 64 of the 23-row matrices of c <= 6.25
+_STACK_ENTRIES = 64 * 23 * 23
+
+# most eigensolve work, the sum of rows^3, one engine call may take:
+# about half a minute of solves near c = 1000
+_MAX_SOLVE_WORK = 1e11
 
 
 def _as_c(c: float) -> float:
@@ -186,22 +190,21 @@ def _prolate_matrix(c) -> NDArray[np.float64]:
     return matrix
 
 
-def _eigenpairs(cs) -> tuple[NDArray[np.float64], list[NDArray[np.float64]]]:
-    """lambda0 and the coefficients a of psi0(u) = sum_j a_j P_2j(u) for
-    each c in ``cs``, in input order.
+def _eigenpairs(cs) -> tuple[NDArray[np.float64], NDArray[np.float64], list]:
+    """lambda0, psi0(1) and the coefficients a of psi0(u) = sum_j a_j P_2j(u)
+    for each c in ``cs``, in input order.
 
-    The c values are grouped by their row count, and each group is
-    solved in stacked eigensolves of at most _STACK_CAP matrices and
-    _STACK_ENTRIES matrix entries, so a stack of the largest matrices
-    holds 8 MB; every c gets a matrix of its own size, so each result is
-    bit-identical to solving that c alone. psi0 has unit norm on [-1, 1]
-    and psi0(0) > 0, so psi0(1) = sum(a).
+    The c values are grouped by their row count and solved in stacks of
+    at most _STACK_ENTRIES matrix entries, or of one matrix; every c gets
+    a matrix of its own size, so each result is bit-identical to solving
+    that c alone. psi0 has unit norm on [-1, 1] and psi0(0) > 0, and each
+    P_2j(1) = 1, so psi0(1) = sum(a), summed within the stack.
 
     Raises
     ------
     DomainError
-        If a c is negative, not finite, or above the supported 1000; no
-        matrix is built then.
+        If a c is negative, not finite, or above the supported 1000, or
+        the batch needs over _MAX_SOLVE_WORK rows^3; no matrix is built.
     """
     cs = np.asarray(cs, dtype=np.float64).reshape(-1)
     outside = cs[~((cs >= 0.0) & (cs <= _C_MAX))]
@@ -213,13 +216,19 @@ def _eigenpairs(cs) -> tuple[NDArray[np.float64], list[NDArray[np.float64]]]:
             "of the eigenvalue engine"
         )
     sizes = _rows(cs)
+    work = float(np.sum(sizes.astype(np.float64) ** 3))
+    if work > _MAX_SOLVE_WORK:
+        raise DomainError(
+            f"{cs.size} values of c up to {cs.max():.6g} need {work:.3g} rows^3 "
+            f"of eigensolves, above the {_MAX_SOLVE_WORK:.0e} one call may take"
+        )
     order = np.argsort(sizes, kind="stable")
-    values = np.empty(cs.size)
+    values, edges = np.empty(cs.size), np.empty(cs.size)
     rows: list = [None] * cs.size
     for group in np.split(order, np.flatnonzero(np.diff(sizes[order])) + 1):
         # the group's row count; an empty batch gives one empty group
         n = int(sizes[group].max(initial=1))
-        cap = max(1, min(_STACK_CAP, _STACK_ENTRIES // (n * n)))
+        cap = max(1, _STACK_ENTRIES // (n * n))
         for start in range(0, group.size, cap):
             members = group[start : start + cap]
             c = cs[members]
@@ -235,20 +244,17 @@ def _eigenpairs(cs) -> tuple[NDArray[np.float64], list[NDArray[np.float64]]]:
             # + 0.0 turns the -0.0 of c = -0 into 0
             values[members] = np.minimum(c / math.pi * ratio * ratio, _BELOW_ONE) + 0.0
             coeffs *= np.where(at_zero < 0, -1.0, 1.0)[:, None]
+            # psi0(1): each row summed in order, the same bits in any stack
+            edges[members] = np.add.reduceat(coeffs.reshape(-1), np.arange(0, coeffs.size, n))
             for index, row in zip(members.tolist(), coeffs):
                 rows[index] = row
-    return values, rows
+    return values, edges, rows
 
 
-def _eigenpair(c: float) -> tuple[float, NDArray[np.float64]]:
-    """The one-c case of :func:`_eigenpairs`."""
-    values, rows = _eigenpairs([c])
-    return float(values[0]), rows[0]
-
-
-def _principal_values(c: float, u: NDArray[np.float64]) -> NDArray[np.float64]:
-    """psi0 at the points u of [-1, 1]: its Legendre series, with the
-    coefficients on the even degrees, evaluated by numpy's ``legval``.
+def _principal_values(c: float, u: NDArray[np.float64]) -> tuple[float, NDArray[np.float64]]:
+    """lambda0(c) and, from the same solve, psi0 at the points u of
+    [-1, 1]: its Legendre series, with the coefficients on the even
+    degrees, evaluated by numpy's ``legval``.
 
     Raises DomainError at c = 0, where psi0 is undefined, and for a c
     outside [0, 1000].
@@ -256,10 +262,10 @@ def _principal_values(c: float, u: NDArray[np.float64]) -> NDArray[np.float64]:
     cc = _as_c(c)
     if cc == 0.0:
         raise DomainError("the principal eigenfunction is undefined at c = 0")
-    coeffs = _eigenpair(cc)[1]
-    series = np.zeros(2 * len(coeffs) - 1)
-    series[::2] = coeffs
-    return np.polynomial.legendre.legval(u, series)
+    values, _, rows = _eigenpairs([cc])
+    series = np.zeros(2 * len(rows[0]) - 1)
+    series[::2] = rows[0]
+    return float(values[0]), np.polynomial.legendre.legval(u, series)
 
 
 def lambda0(c: float) -> float:
@@ -274,7 +280,7 @@ def lambda0(c: float) -> float:
     DomainError
         If c is negative, not finite, or above the supported 1000.
     """
-    return _eigenpair(c)[0]
+    return float(_eigenpairs([c])[0][0])
 
 
 def lambda0_small_c(c: float) -> float:
@@ -313,13 +319,12 @@ def lambda0_inverse_batch(thetas) -> NDArray[np.float64]:
     its own Newton iteration, all of them in lockstep.
 
     Newton runs on ln(1 - lambda0), nearly linear in c, with the
-    Slepian-Pollak derivative d lambda0/dc = 2 lambda0 psi0(1)^2 / c and
-    psi0(1) the sum of psi0's Legendre coefficients, since every
-    P_k(1) = 1. Each target starts at the larger of the asymptotic
-    inverses pi*theta/2 and -ln(1-theta)/2 and keeps a bracket of its
-    own; a step leaving it falls back to bisection. A round makes one
-    call of the stacked eigensolver for every target not yet done, so a
-    dense map costs a few rounds, not a few solves per target. A target
+    Slepian-Pollak derivative d lambda0/dc = 2 lambda0 psi0(1)^2 / c from
+    the same solve as lambda0. Each target starts at the larger of the
+    asymptotic inverses pi*theta/2 and -ln(1-theta)/2 and keeps a bracket
+    of its own; a step leaving it falls back to bisection. A round makes
+    one call of the stacked eigensolver for every target not yet done, so
+    a dense map costs a few rounds, not a few solves per target. A target
     is done once |lambda0(c) - theta| <= _INVERSION_TOL *
     min(theta, 1 - theta), with that c, or once its bracket is narrower
     than _INVERSION_TOL times its upper end, with the best c it met. An
@@ -370,7 +375,7 @@ def lambda0_inverse_batch(thetas) -> NDArray[np.float64]:
     c = np.maximum(small, large)
     best_c, best_gap = c, np.full(c.size, math.inf)
     for _ in range(200):
-        value, rows = _eigenpairs(c)
+        value, edge, _ = _eigenpairs(c)
         gap = np.abs(value - theta)
         better = gap < best_gap
         best_c = np.where(better, c, best_c)
@@ -383,9 +388,6 @@ def lambda0_inverse_batch(thetas) -> NDArray[np.float64]:
         going = ~(met | stalled)
         if not going.any():
             return solved[positions]
-        # psi0(1), each row's sum, from the rows laid end to end
-        sizes = _rows(c)
-        edge = np.add.reduceat(np.concatenate(rows), np.cumsum(sizes) - sizes)
         theta, todo, lo, hi, c, value, edge, best_c, best_gap = (
             x[going] for x in (theta, todo, lo, hi, c, value, edge, best_c, best_gap)
         )
@@ -448,13 +450,8 @@ def principal_slepian(c: float, order: int = DEFAULT_ORDER) -> ProlateSolution:
         If c is 0, where psi0 is undefined, or outside [0, 1000].
     """
     cc = _as_c(c)
-    samples = _principal_values(cc, gauss_legendre(order).nodes)
-    return ProlateSolution(
-        c=cc,
-        lambda0=_eigenpair(cc)[0],
-        principal_function=samples,
-        quadrature_order=order,
-    )
+    value, samples = _principal_values(cc, gauss_legendre(order).nodes)
+    return ProlateSolution(cc, value, samples, order)
 
 
 def evaluate_principal(solution: ProlateSolution, points) -> NDArray[np.float64]:

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
@@ -424,12 +425,12 @@ def gaussian_state(grid: Grid, sigma: float, hbar: float = 1.0) -> GriddedState:
 
     psi(x) = (2*pi*sigma^2)^(-1/4) exp(-x^2 / (4*sigma^2)), renormalised
     on the grid; its momentum density is Gaussian with deviation
-    hbar/(2*sigma). The grid must hold essentially all of the mass.
+    hbar/(2*sigma). The grid must hold essentially all of the mass, and
+    a sigma that takes the state out of floating-point range is a
+    DomainError.
     """
     h = _check_positive("hbar", hbar)
     _check_positive("sigma", sigma)
-    x = grid.centers
-    raw = np.exp(-(x**2) / (4.0 * sigma * sigma)).astype(np.complex128)
     # mass of the Gaussian beyond each end of the grid
     scale = sigma * math.sqrt(2)
     tail = 0.5 * (math.erfc(-grid.x_min / scale) + math.erfc(grid.x_max / scale))
@@ -437,7 +438,15 @@ def gaussian_state(grid: Grid, sigma: float, hbar: float = 1.0) -> GriddedState:
         raise GridError(
             f"grid too narrow for sigma={sigma}: truncated tail mass ~{tail:.2e}"
         )
-    return _normalised(grid, raw, h)
+    x = grid.centers
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            raw = np.exp(-(x**2) / (4.0 * sigma * sigma)).astype(np.complex128)
+            return _normalised(grid, raw, h)
+    except FloatingPointError:
+        raise DomainError(
+            f"sigma = {sigma:g} takes the Gaussian out of floating-point range"
+        ) from None
 
 
 def _check_rect_sinc(length: float, width: float, weight: float) -> None:
@@ -470,11 +479,17 @@ def rect_sinc_prediction(
     With c = L*W/(4*hbar), the cross term is s = sqrt(2/(pi*c)) * Si(c)
     and the sinc mass inside the rectangle is
     m = (2/pi) * (Si(2c) - sin(c)^2 / c). The momentum mass follows from
-    the same formulas under (L, W, P) -> (W, L, 1-P).
+    the same formulas under (L, W, P) -> (W, L, 1-P). A c outside the
+    normal doubles is a DomainError.
     """
     h = _check_positive("hbar", hbar)
     _check_rect_sinc(length, width, weight)
     c = length * width / (4.0 * h)
+    if not sys.float_info.min <= c <= sys.float_info.max:
+        raise DomainError(
+            f"hbar = {h:g}: the window product c = {c:g} at (L, W) = "
+            f"({length}, {width}) is outside the normal doubles"
+        )
     s = math.sqrt(2.0 / (math.pi * c)) * sine_integral(c)
     m_in = (2.0 / math.pi) * (sine_integral(2.0 * c) - math.sin(c) ** 2 / c)
     cross = 2.0 * math.sqrt(weight * (1.0 - weight)) * s
@@ -689,7 +704,7 @@ def slepian_state(
         raise GridError(
             "grid puts fewer than 64 cells inside the window; refine the grid"
         )
-    psi0 = _principal_values(c, 2.0 * _centres(grid, inside) / length)
+    _, psi0 = _principal_values(c, 2.0 * _centres(grid, inside) / length)
     raw = np.zeros(grid.n, dtype=np.complex128)
     raw[inside] = math.sqrt(2.0 / length) * psi0
     return _normalised(grid, raw, h)

@@ -17,7 +17,7 @@ import warnings
 import numpy as np
 import pytest
 
-from confunc import bounds, cli
+from confunc import bounds, cli, slepian
 from confunc.bounds import lp_interval_bound, report
 from confunc.cli import main
 
@@ -578,6 +578,9 @@ class TestHbarAndSeedOptions:
             ["state", "gaussian", "--sigma", "1e-3", "--hbar", "1e302"],
             ["state", "gaussian", "--sigma", "1", "--hbar", "1e-310"],
             ["state", "slepian", "--c", "1", "--hbar", "1e-310"],
+            # c = L*W/(4*hbar) leaves the normal doubles
+            ["state", "rect-sinc", "--L", "1", "--W", "1", "--hbar", "1e308"],
+            ["state", "rect-sinc", "--L", "1e-200", "--W", "1e-200"],
         ],
     )
     def test_extreme_hbar_is_one_error_line(self, capsys, argv):
@@ -589,6 +592,16 @@ class TestHbarAndSeedOptions:
         assert (code, out) == (2, "")
         assert len(err.splitlines()) == 1
         assert err.startswith("error: hbar = ")
+
+    @pytest.mark.parametrize("sigma", ["1e300", "1e154", "1e-300", "1e-310", "5e-324"])
+    def test_extreme_sigma_is_one_error_line(self, capsys, sigma):
+        # the Gaussian's exponent leaves floating-point range on its grid
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, ["state", "gaussian", "--sigma", sigma])
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: sigma = ")
 
     @pytest.mark.parametrize(
         "argv",
@@ -678,6 +691,17 @@ class TestSizeCaps:
         code, out, _ = run(capsys, ["lambda0", "--range", "0:0.8:0.2"])
         assert code == 0
         assert len(parse_csv(out)) == 5
+
+    def test_range_above_the_solve_work_bound(self, capsys, monkeypatch):
+        # under the value cap, but over an hour of eigensolves near c = 1000
+        def refuse(c):
+            raise AssertionError(f"prolate matrix built for c = {c}")
+
+        monkeypatch.setattr(slepian, "_prolate_matrix", refuse)
+        code, out, err = run(capsys, ["lambda0", "--range", "0:999:0.01"])
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: 99901 values of c up to 999 need ")
 
     @pytest.mark.parametrize("spec", ["0:inf:1", "0:1:nan", "0:1e400:1"])
     def test_non_finite_range(self, capsys, spec):

@@ -214,8 +214,8 @@ class TestHighConfidence:
         true_pairs = slepian._eigenpairs
 
         def step(cs):
-            values, rows = true_pairs(cs)
-            return np.where(np.asarray(cs) < 0.5, 0.2, 0.4), rows
+            values, edges, rows = true_pairs(cs)
+            return np.where(np.asarray(cs) < 0.5, 0.2, 0.4), edges, rows
 
         monkeypatch.setattr(slepian, "_eigenpairs", step)
         with pytest.raises(ConvergenceError):
@@ -267,10 +267,9 @@ class TestProlateEngine:
     @pytest.mark.parametrize("c", [0.5, 1.0, 2.0])
     def test_edge_value_gives_the_derivative(self, c):
         # Newton's derivative d lambda0/dc = 2 lambda0 psi0(1)^2 / c, with
-        # psi0(1) the sum of the Legendre coefficients, against a central
-        # difference of lambda0 itself
-        value, coeffs = slepian._eigenpair(c)
-        edge = float(np.sum(coeffs))
+        # psi0(1) from the engine, against a central difference of lambda0
+        # itself
+        (value,), (edge,), _ = slepian._eigenpairs([c])
         h = 1e-5 * c
         difference = (lambda0(c + h) - lambda0(c - h)) / (2.0 * h)
         assert 2.0 * value * edge * edge / c == pytest.approx(difference, rel=1e-8)
@@ -328,16 +327,27 @@ class TestStackedEngine:
     )
 
     def test_batch_equals_each_c_alone(self):
-        values, rows = slepian._eigenpairs(self.SPREAD)
+        values, edges, rows = slepian._eigenpairs(self.SPREAD)
         assert len({slepian._rows(c) for c in self.SPREAD}) > 10
-        for c, value, row in zip(self.SPREAD, values, rows):
+        for c, value, edge, row in zip(self.SPREAD, values, edges, rows):
             assert value == lambda0(c)
-            assert np.array_equal(row, slepian._eigenpair(c)[1])
+            (_,), (alone_edge,), (alone_row,) = slepian._eigenpairs([c])
+            assert edge == alone_edge
+            assert np.array_equal(row, alone_row)
             assert len(row) == slepian._rows(c)
 
     def test_last_retained_coefficient_carries_no_digits(self):
-        _, rows = slepian._eigenpairs(self.SPREAD)
+        _, _, rows = slepian._eigenpairs(self.SPREAD)
         assert max(abs(row[-1]) for row in rows) <= 1e-20
+
+    def test_edge_is_the_sum_of_the_rows_laid_end_to_end(self):
+        # psi0(1), which sets Newton's derivative, keeps the bits of the
+        # rows summed end to end; a plain sum over each row differs in
+        # the last bits for most c
+        _, edges, rows = slepian._eigenpairs(self.SPREAD)
+        sizes = slepian._rows(self.SPREAD)
+        expected = np.add.reduceat(np.concatenate(rows), np.cumsum(sizes) - sizes)
+        assert edges.tobytes() == expected.tobytes()
 
     def test_one_eigensolve_per_row_count(self, monkeypatch):
         eigh = np.linalg.eigh
@@ -359,6 +369,29 @@ class TestStackedEngine:
         for bad in (-1.0, math.nan, 1001.0):
             with pytest.raises(DomainError):
                 slepian._eigenpairs([1.0, bad])
+
+    def test_refuses_work_above_the_bound_before_building_a_matrix(self, monkeypatch):
+        def refuse(c):
+            raise AssertionError(f"prolate matrix built for c = {c}")
+
+        monkeypatch.setattr(slepian, "_prolate_matrix", refuse)
+        # 200 solves of 515 rows: 2.7e10 rows^3
+        monkeypatch.setattr(slepian, "_MAX_SOLVE_WORK", 2e10)
+        with pytest.raises(DomainError, match=r"200 values of c up to 990 need 2\.73e\+10"):
+            slepian._eigenpairs(np.full(200, 990.0))
+
+    def test_principal_slepian_solves_once(self, monkeypatch):
+        calls = []
+        eigenpairs = slepian._eigenpairs
+
+        def counted(cs):
+            calls.append(list(cs))
+            return eigenpairs(cs)
+
+        monkeypatch.setattr(slepian, "_eigenpairs", counted)
+        solution = principal_slepian(1.5)
+        assert calls == [[1.5]]
+        assert solution.lambda0 == eigenpairs([1.5])[0][0]
 
 
 class TestSmallThetaInverse:
@@ -439,20 +472,24 @@ class TestLockstepInverse:
         cs = rng.uniform(0.2, 5.0, 1000) * rng.uniform(0.2, 5.0, 1000) / 4.0
         shapes = self.eigh_shapes(monkeypatch)
         slepian._eigenpairs(cs)
-        assert max(shape[0] for shape in shapes) <= slepian._STACK_CAP
+        # these Lenard-like c reach 6.25 and 23 rows, and a full stack of
+        # each of their row counts holds 64 matrices or more
+        assert slepian._STACK_ENTRIES // (23 * 23) >= 64
+        assert all(count * n * n <= slepian._STACK_ENTRIES for count, n, _ in shapes)
         assert sum(shape[0] for shape in shapes) == cs.size
         # one partly filled stack at most per row count
         per_size = {}
         for count, n, _ in shapes:
             per_size.setdefault(n, []).append(count)
-        for counts in per_size.values():
-            assert sum(count < slepian._STACK_CAP for count in counts) <= 1
+        for n, counts in per_size.items():
+            full = slepian._STACK_ENTRIES // (n * n)
+            assert sum(count < full for count in counts) <= 1
 
     def test_large_matrices_go_in_smaller_stacks(self, monkeypatch):
+        # a 515-row matrix is above the entry budget, so it is solved alone
         shapes = self.eigh_shapes(monkeypatch)
         slepian._eigenpairs(np.full(5, 990.0))
-        assert [count for count, _, _ in shapes] == [3, 2]
-        assert all(count * n * n <= slepian._STACK_ENTRIES for count, n, _ in shapes)
+        assert shapes == [(1, 515, 515)] * 5
 
 
 def _lambda0_high_precision(mp, c):

@@ -325,6 +325,14 @@ class TestRectSinc:
             assert pred.position_mass > 0.5
             assert pred.momentum_mass > 0.5
 
+    @pytest.mark.parametrize(
+        "length, width, hbar", [(1.0, 1e-320, 1.0), (1e-200, 1e-200, 1.0), (1.0, 1.0, 1e308)]
+    )
+    def test_prediction_refuses_c_outside_the_normal_doubles(self, length, width, hbar):
+        # below the normal doubles the masses are NaN or divide by zero
+        with pytest.raises(DomainError, match=r"^hbar = .*c = .* \(L, W\)"):
+            rect_sinc_prediction(length, width, 0.5, hbar=hbar)
+
     def test_prediction_pure_components(self):
         pred = rect_sinc_prediction(1.0, 1.0, 1.0)
         assert pred.position_mass == 1.0

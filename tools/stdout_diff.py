@@ -73,6 +73,10 @@ COMMANDS = (
     "lambda0 --range 0:10:0.001",
     "lambda0 --c -0 --c 0 --c 13",
     "bounds --tx 0 --tp 1 --format json",
+    "lambda0 --range 40:200:0.05",
+    "lambda0 --range 990:991:0.05",
+    "state rect-sinc --L 1 --W 1 --hbar 1e308",
+    "state gaussian --sigma 1e300",
 )
 
 
