@@ -116,20 +116,164 @@ def _columns(rows: list[dict]) -> dict[str, list]:
     return {name: [row[name] for row in rows] for name in rows[0]}
 
 
-# rows formatted per write, so only a bounded number of strings are alive
-_CHUNK_ROWS = 4096
+# ---- the "%.6g" kernel ---------------------------------------------
+#
+# A finite v with 1e-300 <= |v| <= 1e300 prints from s = |v| * 10**(5 - e),
+# e = floor(log10 |v|): its six digits are s rounded to an integer, and
+# its exponent is e, or e + 1 where the digits round up to 10**6. s is one
+# rounded multiply by a power of ten within 2 ulps of 10**(5 - e), so it
+# is within 1e-9 of the exact product, and rint(s) is the correct rounding
+# wherever s lies more than 1e-6 from a half (as it would be for a table
+# thousands of ulps off). Nearer a half, where 10**(5 - e) is a double,
+# the TwoProduct remainder of the multiply tells on which side of the half
+# the exact product lies, and an exact half goes to the even neighbour, as
+# in Python's correctly rounded "%.6g". The other values, zero aside, are
+# printed by Python's "%": non-finite, outside [1e-300, 1e300], or near a
+# half with an inexact power of ten.
+#
+# The text is gathered from a 16-byte source row per value, two
+# little-endian words: the six digits, "." and "0", then "e", the
+# exponent's sign and three digits, a pad byte and "-". A layout names
+# these columns by the characters of ``_COLUMNS``. The tables are filled
+# by assignment, which costs less at import than arithmetic on arrays.
+
+_COLUMNS = bytes.maketrans(b"123456.0e+xyz -", bytes(range(15)))
+_CELL = 13  # bytes of the longest "%.6g" text, such as -1.23457e-308
+# per number 0..999 (hundreds, tens, units): its ASCII digits in the low
+# three bytes of a word, and its trailing zeros
+_DECIMALS = np.frombuffer(b"0123456789", np.uint8)
+_THREE = np.zeros((10, 10, 10, 8), np.uint8)
+_THREE[..., 0] = _DECIMALS[:, None, None]
+_THREE[..., 1] = _DECIMALS[:, None]
+_THREE[..., 2] = _DECIMALS
+_THREE = _THREE.reshape(1000, 8)
+_ASCII3 = _THREE.view("<i8").ravel()
+_TRAILING = np.zeros((10, 10, 10), np.intp)
+_TRAILING[:, :, 0] = 1
+_TRAILING[:, 0, 0] = 2
+_TRAILING[0, 0, 0] = 3
+_TRAILING = _TRAILING.ravel()
+_DOT_ZERO = ord(".") << 48 | ord("0") << 56
+# per decimal exponent e in [_E_MIN, -_E_MIN], which holds every e of a
+# value in [1e-300, 1e300]: 10**(5 - e), the first layout that prints e,
+# and the second source word
+_E_MIN = -303
+_SCALE = np.power(10.0, np.arange(5 - _E_MIN, 4 + _E_MIN, -1))
+# the tie test needs 10**22 .. 10**0 exact, as they are as doubles
+_SCALE[-17 - _E_MIN : 6 - _E_MIN] = [float(10**k) for k in range(22, -1, -1)]
+_FIRST = np.full(1 - 2 * _E_MIN, 66)
+_FIRST[-99 - _E_MIN : 100 - _E_MIN] = 60
+_FIRST[-4 - _E_MIN : 6 - _E_MIN] = range(0, 60, 6)
+_TAIL = np.zeros((1 - 2 * _E_MIN, 8), np.uint8)
+_TAIL[:, :2] = [ord("e"), ord("+")]
+_TAIL[: -_E_MIN, 1] = ord("-")
+_TAIL[:, 2:5] = np.concatenate((_THREE[-_E_MIN:0:-1, :3], _THREE[: 1 - _E_MIN, :3]))
+_TAIL[:, 6] = ord("-")
+_TAIL = _TAIL.view("<i8").ravel()
+
+
+def _layouts() -> np.ndarray:
+    """Source columns of the 73 "%.6g" layouts, then of the same after "-".
+
+    Layout 6 * (X + 4) + z prints exponent X in -4..5 in fixed notation
+    with z trailing zeros of the six digits dropped, 60 + z and 66 + z
+    in scientific notation with two and three exponent digits, and 72
+    zero.
+    """
+    digits = "123456"
+    specs = []
+    for x in range(-4, 6):
+        for z in range(6):
+            kept = digits[: 6 - z]
+            if x < 0:
+                specs.append("0." + "0" * (-x - 1) + kept)
+            else:
+                specs.append(digits[: x + 1] + ("." + kept[x + 1 :] if kept[x + 1 :] else ""))
+    for exponent in ("yz", "xyz"):
+        for z in range(6):
+            kept = digits[: 6 - z]
+            specs.append(kept[0] + ("." + kept[1:] if kept[1:] else "") + "e+" + exponent)
+    specs.append("0")
+    specs += ["-" + spec for spec in specs]
+    text = "".join([spec.ljust(_CELL) for spec in specs]).encode().translate(_COLUMNS)
+    return np.frombuffer(text, np.uint8).reshape(-1, _CELL)
+
+
+_LAYOUTS = _layouts()
+
+
+def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp's split of x into a high and a low half of 26 bits."""
+    scaled = 134217729.0 * x
+    high = scaled - (scaled - x)
+    return high, x - high
+
+
+def _round_ties(a: np.ndarray, power: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """The exact product a * power rounded to an integer, ties to even,
+    where s = fl(a * power) lies near a half (Dekker's TwoProduct)."""
+    ah, al = _split(a)
+    ph, pl = _split(power)
+    remainder = ((ah * ph - s) + ah * pl + al * ph) + al * pl
+    whole = np.floor(s)
+    # s - (whole + 0.5) is exact, and a rounded sum keeps the exact sign
+    above = (s - (whole + 0.5)) + remainder
+    return whole + ((above > 0) | (above == 0) & (whole % 2 == 1))
+
+
+def _g6(values: np.ndarray) -> np.ndarray:
+    """The bytes of ``"%.6g" % v`` for each value, one row of ``_CELL``
+    bytes padded with zero bytes; a float32 value prints as its double."""
+    v = np.asarray(values, dtype=np.float64).ravel()
+    a = np.abs(v)
+    direct = (a >= 1e-300) & (a <= 1e300)
+    a = np.where(direct, a, 1.0)
+    e = np.floor(np.log10(a)).astype(np.intp)
+    # log10 can put e one off next to a power of ten
+    s = a * _SCALE.take(e - _E_MIN)
+    e += (s >= 1e6).astype(np.intp) - (s < 1e5)
+    scale = _SCALE.take(e - _E_MIN)
+    s = a * scale
+    digits = np.rint(s)
+    near = np.abs(s - np.floor(s) - 0.5) <= 1e-6
+    exact = near & (e >= -17) & (e <= 5)
+    ties = np.flatnonzero(exact)
+    digits[ties] = _round_ties(a[ties], scale[ties], s[ties])
+    carry = digits >= 1e6
+    e += carry
+    high, low = np.divmod(np.where(carry, 1e5, digits).astype(np.intp), 1000)
+    source = np.empty((v.size, 2), np.dtype("<i8"))
+    source[:, 0] = _ASCII3.take(high) | _ASCII3.take(low) << 24 | _DOT_ZERO
+    source[:, 1] = _TAIL.take(e - _E_MIN)
+    zeros = np.where(low == 0, 3 + _TRAILING.take(high), _TRAILING.take(low))
+    layout = np.where(v == 0, 72, _FIRST.take(e - _E_MIN) + zeros) + 73 * np.signbit(v)
+    columns = _LAYOUTS.take(layout, axis=0) + np.arange(0, 16 * v.size, 16)[:, None]
+    cells = source.view(np.uint8).take(columns)
+    rest = np.flatnonzero(~direct & (v != 0) | near & ~exact)
+    if rest.size:
+        texts = np.array([b"%.6g" % x for x in v[rest].tolist()], f"S{_CELL}")
+        cells[rest] = texts.view(np.uint8).reshape(rest.size, _CELL)
+    return cells
+
+
+# rows written per chunk, so each chunk's arrays stay under about 1 MB
+_CHUNK_ROWS = 1024
 
 
 def _write(table: dict, output_format: str, target: TextIO) -> None:
     """Write a table of columns (name -> sequence, all of one length); an
     array is read as the list of its Python values.
 
-    CSV rows are formatted in chunks by one row template: ``%.6g`` for a
-    float array, which prints exactly what ``_fmt`` does, and ``%s`` for
-    the ``_fmt`` text of any other column. A chunk with text that CSV
-    must quote, or a table of one column, goes to the csv module instead.
-    The template formats a chunk of the nine-column bounds grid in about
-    half the time of ``%.6g`` per float cell and the csv module.
+    CSV goes out in chunks of rows, each built as one block of bytes:
+    ``_g6``'s cells for the float arrays, the ``_fmt`` text of any other
+    column, and the separators, with the pad bytes dropped. ``_g6``
+    prints the ``"%.6g"`` text that ``_fmt`` prints, byte for byte: it
+    rounds with ``rint`` away from halves, settles the values near a half
+    exactly from a TwoProduct remainder where the power of ten is a
+    double, and leaves the rest (non-finite values, magnitudes outside
+    [1e-300, 1e300], the other near-halves) to Python's ``%``. A chunk
+    with text that CSV must quote, a zero byte or non-ASCII text, or a
+    table of one column, goes to the csv module instead.
     """
     names = list(table)
     columns = list(table.values())
@@ -144,17 +288,39 @@ def _write(table: dict, output_format: str, target: TextIO) -> None:
         return
     writer = csv.writer(target, lineterminator="\n")
     writer.writerow(names)
-    template = ",".join(["%.6g" if f else "%s" for f in floats]) + "\n"
     for start in range(0, len(columns[0]), _CHUNK_ROWS):
         chunk = [c[start : start + _CHUNK_ROWS] for c in columns]
-        values = [c.tolist() if isinstance(c, np.ndarray) else c for c in chunk]
-        cells = [v if f else [_fmt(x) for x in v] for v, f in zip(values, floats)]
-        texts = "\0".join(["\0".join(t) for t, f in zip(cells, floats) if not f])
-        if len(columns) > 1 and not any(c in texts for c in ',"\r\n'):
-            target.write("".join([template % row for row in zip(*cells)]))
+        rows = len(chunk[0])
+        numbers = [c for c, f in zip(chunk, floats) if f]
+        if numbers:
+            with np.errstate(invalid="ignore"):  # as tolist, widen a float32 sNaN quietly
+                stacked = np.stack(numbers, axis=1, dtype=np.float64)
+            # one kernel call on the chunk's float cells, then a matrix per column
+            matrices = iter(_g6(stacked).reshape(rows, len(numbers), _CELL).transpose(1, 0, 2))
+        parts = []
+        for c, f in zip(chunk, floats):
+            if f:
+                parts.append(next(matrices))
+            else:
+                parts.append([_fmt(x) for x in (c.tolist() if isinstance(c, np.ndarray) else c)])
+        texts = "".join(["".join(p) for p in parts if isinstance(p, list)])
+        if len(columns) > 1 and texts.isascii() and not any(c in texts for c in ',"\r\n\0'):
+            comma = np.full((rows, 1), ord(","), np.uint8)
+            pieces = []
+            for p in parts:
+                text = isinstance(p, list)
+                pieces += [np.array(p, "S").view(np.uint8).reshape(rows, -1) if text else p, comma]
+            pieces[-1] = np.full((rows, 1), ord("\n"), np.uint8)
+            block = np.concatenate(pieces, axis=1).tobytes()
+            target.write(block.translate(None, b"\0").decode("ascii"))
         else:
-            cells = [["%.6g" % v for v in t] if f else t for t, f in zip(cells, floats)]
-            writer.writerows(zip(*cells))
+            strings = [
+                np.ascontiguousarray(p).view(f"S{_CELL}")[:, 0].astype(str).tolist()
+                if isinstance(p, np.ndarray)
+                else p
+                for p in parts
+            ]
+            writer.writerows(zip(*strings))
 
 
 def _emit(table: dict, output_format: str, output_path: str | None) -> None:

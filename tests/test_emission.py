@@ -3,16 +3,25 @@
 ``row_writer`` formats a list of row dicts one value at a time, with
 ``_fmt`` and ``csv.writer`` for CSV and ``_json_value`` and
 ``json.dumps`` for JSON. ``cli._write`` takes a table of columns; in
-CSV it formats chunks of rows through one row template, ``%.6g`` for a
-float array and ``%s`` for other columns' ``_fmt`` text, and passes a
-chunk whose text CSV must quote to ``csv.writer``. Both must give the
-same bytes.
-"""
+CSV it builds each chunk of rows as one block of bytes, with the float
+arrays printed by the vectorised ``"%.6g"`` kernel ``cli._g6`` and the
+other columns by ``_fmt``, and passes a chunk whose text CSV must quote
+to ``csv.writer``. Both must give the same bytes.
 
+The kernel rounds ``s = |v| * 10**(5 - e)`` with ``rint`` away from
+halves and settles values near a half exactly, from the TwoProduct
+remainder, where the power of ten is a double; what is left (non-finite,
+tiny or huge magnitudes, near-halves with an inexact power) goes through
+Python's ``%``. ``test_kernel_matches_percent_g_on_a_million_doubles``
+checks it against ``"%.6g" % v`` on the values where each of those steps
+decides: every binary exponent, exact decimal halves, the doubles next
+to decimal halves and the decade edges.
+"""
 import csv
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -137,7 +146,7 @@ def test_table_longer_than_two_chunks():
 
 
 def test_float_table_longer_than_two_chunks():
-    # every column a float array, so the row template writes the table
+    # every column a float array, so each chunk is one kernel call
     n = 2 * cli._CHUNK_ROWS + 17
     rng = np.random.default_rng(12)
     scaled = rng.normal(size=n) * 10.0 ** rng.integers(-320, 300, size=n)
@@ -159,7 +168,7 @@ def test_float_table_longer_than_two_chunks():
 
 def test_quoted_text_in_one_chunk_only():
     # the chunk holding text that CSV must quote goes to the csv module,
-    # the chunks around it through the row template
+    # the chunks around it are written as byte blocks
     n = 3 * cli._CHUNK_ROWS
     notes = ["plain"] * n
     notes[cli._CHUNK_ROWS + 5] = 'say "x", then y'
@@ -170,3 +179,82 @@ def test_quoted_text_in_one_chunk_only():
             "region": np.where(np.arange(n) % 3 == 0, "bounded", "trivial"),
         }
     )
+
+
+def test_zero_byte_and_non_ascii_text_go_to_the_csv_module():
+    n = 3 * cli._CHUNK_ROWS
+    notes = ["plain"] * n
+    notes[5] = "nul\0byte"
+    notes[cli._CHUNK_ROWS + 7] = "\u00e9t\u00e9"
+    assert_same_output({"x": np.linspace(-1.0, 1.0, n), "note": notes})
+
+
+def test_one_float_column():
+    assert_same_output({"only": np.array(SPECIAL)})
+
+
+def decimal_halves(rng, count):
+    """The doubles nearest to d.dddddd5 * 10**X, X in -25..25: the values
+    "%.6g" rounds at a decimal half."""
+    digits = rng.integers(100000, 1000000, size=count).tolist()
+    exponents = rng.integers(-31, 20, size=count).tolist()
+    return np.array([float(f"{d}5e{x}") for d, x in zip(digits, exponents)])
+
+
+def hard_doubles(rng):
+    """About 1.1 million doubles where each step of the kernel decides."""
+    # every binary exponent, subnormals included, and both signs
+    biased = np.repeat(np.arange(2047, dtype=np.uint64), 128)
+    mantissas = rng.integers(0, 1 << 52, size=biased.size, dtype=np.uint64)
+    signs = rng.integers(0, 2, size=biased.size, dtype=np.uint64) << np.uint64(63)
+    every_exponent = (signs | biased << np.uint64(52) | mantissas).view(np.float64)
+    # dyadic values k / 2**j, among them exact decimal halves like 123456.5
+    dyadic = rng.integers(1, 1 << 40, size=250_000) / 2.0 ** rng.integers(0, 60, size=250_000)
+    # decimal halves and both neighbours
+    halves = decimal_halves(rng, 60_000)
+    # integers above 1e6 ending in 5, exact halves with an inexact power of ten
+    fives = rng.integers(10**5, 10**16, size=20_000) * 10.0 + 5.0
+    # every decade edge: 10**k, 9.999995 * 10**k (which rounds into the next
+    # decade) and a value just below it, each with its neighbours
+    decades = [float(f"{m}e{k}") for k in range(-310, 309) for m in ("1", "9.999995", "9.9999949")]
+    edges = np.array(decades + [99999.95, 999999.5, 9.999995e-5, 1e-5, 1e16, 1e22, 1e23])
+    pool = np.concatenate(
+        [every_exponent, dyadic, -dyadic, halves, fives, rng.normal(size=50_000) * 1e3]
+        + [np.nextafter(x, t) for x in (halves, edges) for t in (-np.inf, np.inf)]
+        + [edges, -edges]
+    )
+    return rng.permutation(pool)
+
+
+def test_kernel_matches_percent_g_on_a_million_doubles():
+    rng = np.random.default_rng(2024)
+    pool = hard_doubles(rng)
+    rows = pool.size // 8
+    assert 8 * rows >= 10**6
+    columns = pool[: 8 * rows].reshape(8, rows)
+    table = {name: column for name, column in zip("abcdef", columns)}
+    amplitudes = np.empty(rows, dtype=np.complex128)
+    amplitudes.real, amplitudes.imag = columns[6], columns[7]
+    table["re"], table["im"] = amplitudes.real, amplitudes.imag
+    # float32 bit patterns of every kind, NaNs and subnormals among them
+    bits = rng.integers(0, 1 << 32, size=rows, dtype=np.uint64).astype(np.uint32)
+    table["single"] = bits.view(np.float32)
+    with np.errstate(over="ignore"):
+        for column in table.values():
+            for k, value in enumerate(SPECIAL):
+                # specials on both sides of a chunk boundary
+                column[cli._CHUNK_ROWS * (1 + k % 5) - 1 + (k % 2) * (1 + k // 5)] = value
+    cells = [["%.6g" % v for v in column.tolist()] for column in table.values()]
+    expected = ",".join(table) + "\n" + "".join([",".join(row) + "\n" for row in zip(*cells)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert column_writer(table, "csv") == expected
+
+
+def test_power_table_is_exact_where_the_tie_test_reads_it():
+    exponents = range(cli._E_MIN, 1 - cli._E_MIN)
+    rounded = np.array([float(f"1e{5 - e}") for e in exponents])
+    ulps = np.abs(cli._SCALE - rounded) / np.spacing(rounded)
+    assert ulps.max() <= 2
+    exact = [e for e in exponents if 0 <= 5 - e <= 22]
+    assert all(cli._SCALE[e - cli._E_MIN] == 10 ** (5 - e) for e in exact)

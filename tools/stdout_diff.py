@@ -77,6 +77,8 @@ COMMANDS = (
     "lambda0 --range 990:991:0.05",
     "state rect-sinc --L 1 --W 1 --hbar 1e308",
     "state gaussian --sigma 1e300",
+    "state rect-sinc --L 0.1 --W 0.01",
+    "bounds --grid 300",
 )
 
 
