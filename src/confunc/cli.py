@@ -121,15 +121,11 @@ def _columns(rows: list[dict]) -> dict[str, list]:
 # A finite v with 1e-300 <= |v| <= 1e300 prints from s = |v| * 10**(5 - e),
 # e = floor(log10 |v|): its six digits are s rounded to an integer, and
 # its exponent is e, or e + 1 where the digits round up to 10**6. s is one
-# rounded multiply by a power of ten within 2 ulps of 10**(5 - e), so it
-# is within 1e-9 of the exact product, and rint(s) is the correct rounding
-# wherever s lies more than 1e-6 from a half (as it would be for a table
-# thousands of ulps off). Nearer a half, where 10**(5 - e) is a double,
-# the TwoProduct remainder of the multiply tells on which side of the half
-# the exact product lies, and an exact half goes to the even neighbour, as
-# in Python's correctly rounded "%.6g". The other values, zero aside, are
-# printed by Python's "%": non-finite, outside [1e-300, 1e300], or near a
-# half with an inexact power of ten.
+# rounded multiply by a power of ten within a few ulps of 10**(5 - e), so
+# it is within 1e-9 of the exact product, and rint(s) is the correct
+# rounding wherever s lies more than 1e-6 from a half (as it would be for
+# a table thousands of ulps off). Python's "%" prints the other values,
+# zero aside: non-finite, outside [1e-300, 1e300], or near a half.
 #
 # The text is gathered from a 16-byte source row per value, two
 # little-endian words: the six digits, "." and "0", then "e", the
@@ -159,8 +155,6 @@ _DOT_ZERO = ord(".") << 48 | ord("0") << 56
 # and the second source word
 _E_MIN = -303
 _SCALE = np.power(10.0, np.arange(5 - _E_MIN, 4 + _E_MIN, -1))
-# the tie test needs 10**22 .. 10**0 exact, as they are as doubles
-_SCALE[-17 - _E_MIN : 6 - _E_MIN] = [float(10**k) for k in range(22, -1, -1)]
 _FIRST = np.full(1 - 2 * _E_MIN, 66)
 _FIRST[-99 - _E_MIN : 100 - _E_MIN] = 60
 _FIRST[-4 - _E_MIN : 6 - _E_MIN] = range(0, 60, 6)
@@ -202,25 +196,6 @@ def _layouts() -> np.ndarray:
 _LAYOUTS = _layouts()
 
 
-def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Veltkamp's split of x into a high and a low half of 26 bits."""
-    scaled = 134217729.0 * x
-    high = scaled - (scaled - x)
-    return high, x - high
-
-
-def _round_ties(a: np.ndarray, power: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """The exact product a * power rounded to an integer, ties to even,
-    where s = fl(a * power) lies near a half (Dekker's TwoProduct)."""
-    ah, al = _split(a)
-    ph, pl = _split(power)
-    remainder = ((ah * ph - s) + ah * pl + al * ph) + al * pl
-    whole = np.floor(s)
-    # s - (whole + 0.5) is exact, and a rounded sum keeps the exact sign
-    above = (s - (whole + 0.5)) + remainder
-    return whole + ((above > 0) | (above == 0) & (whole % 2 == 1))
-
-
 def _g6(values: np.ndarray) -> np.ndarray:
     """The bytes of ``"%.6g" % v`` for each value, one row of ``_CELL``
     bytes padded with zero bytes; a float32 value prints as its double."""
@@ -232,13 +207,8 @@ def _g6(values: np.ndarray) -> np.ndarray:
     # log10 can put e one off next to a power of ten
     s = a * _SCALE.take(e - _E_MIN)
     e += (s >= 1e6).astype(np.intp) - (s < 1e5)
-    scale = _SCALE.take(e - _E_MIN)
-    s = a * scale
+    s = a * _SCALE.take(e - _E_MIN)
     digits = np.rint(s)
-    near = np.abs(s - np.floor(s) - 0.5) <= 1e-6
-    exact = near & (e >= -17) & (e <= 5)
-    ties = np.flatnonzero(exact)
-    digits[ties] = _round_ties(a[ties], scale[ties], s[ties])
     carry = digits >= 1e6
     e += carry
     high, low = np.divmod(np.where(carry, 1e5, digits).astype(np.intp), 1000)
@@ -249,7 +219,8 @@ def _g6(values: np.ndarray) -> np.ndarray:
     layout = np.where(v == 0, 72, _FIRST.take(e - _E_MIN) + zeros) + 73 * np.signbit(v)
     columns = _LAYOUTS.take(layout, axis=0) + np.arange(0, 16 * v.size, 16)[:, None]
     cells = source.view(np.uint8).take(columns)
-    rest = np.flatnonzero(~direct & (v != 0) | near & ~exact)
+    near = np.abs(s - np.floor(s) - 0.5) <= 1e-6
+    rest = np.flatnonzero(~direct & (v != 0) | near)
     if rest.size:
         texts = np.array([b"%.6g" % x for x in v[rest].tolist()], f"S{_CELL}")
         cells[rest] = texts.view(np.uint8).reshape(rest.size, _CELL)
@@ -268,12 +239,11 @@ def _write(table: dict, output_format: str, target: TextIO) -> None:
     ``_g6``'s cells for the float arrays, the ``_fmt`` text of any other
     column, and the separators, with the pad bytes dropped. ``_g6``
     prints the ``"%.6g"`` text that ``_fmt`` prints, byte for byte: it
-    rounds with ``rint`` away from halves, settles the values near a half
-    exactly from a TwoProduct remainder where the power of ten is a
-    double, and leaves the rest (non-finite values, magnitudes outside
-    [1e-300, 1e300], the other near-halves) to Python's ``%``. A chunk
-    with text that CSV must quote, a zero byte or non-ASCII text, or a
-    table of one column, goes to the csv module instead.
+    rounds with ``rint`` away from halves and leaves the rest (non-finite
+    values, magnitudes outside [1e-300, 1e300], values near a half) to
+    Python's ``%``. A chunk with text that CSV must quote, a zero byte or
+    non-ASCII text, or a table of one column, goes to the csv module
+    instead.
     """
     names = list(table)
     columns = list(table.values())

@@ -9,10 +9,8 @@ other columns by ``_fmt``, and passes a chunk whose text CSV must quote
 to ``csv.writer``. Both must give the same bytes.
 
 The kernel rounds ``s = |v| * 10**(5 - e)`` with ``rint`` away from
-halves and settles values near a half exactly, from the TwoProduct
-remainder, where the power of ten is a double; what is left (non-finite,
-tiny or huge magnitudes, near-halves with an inexact power) goes through
-Python's ``%``. ``test_kernel_matches_percent_g_on_a_million_doubles``
+halves; what is left (non-finite, tiny or huge magnitudes, values near a
+half) goes through Python's ``%``. ``test_kernel_matches_percent_g_on_a_million_doubles``
 checks it against ``"%.6g" % v`` on the values where each of those steps
 decides: every binary exponent, exact decimal halves, the doubles next
 to decimal halves and the decade edges.
@@ -251,10 +249,10 @@ def test_kernel_matches_percent_g_on_a_million_doubles():
         assert column_writer(table, "csv") == expected
 
 
-def test_power_table_is_exact_where_the_tie_test_reads_it():
+def test_power_table_is_close_enough_for_rint():
+    # 1000 ulps put s within 2e-7 of the exact product, inside the 1e-6
+    # margin from a half that the kernel leaves to rint
     exponents = range(cli._E_MIN, 1 - cli._E_MIN)
     rounded = np.array([float(f"1e{5 - e}") for e in exponents])
     ulps = np.abs(cli._SCALE - rounded) / np.spacing(rounded)
-    assert ulps.max() <= 2
-    exact = [e for e in exponents if 0 <= 5 - e <= 22]
-    assert all(cli._SCALE[e - cli._E_MIN] == 10 ** (5 - e) for e in exact)
+    assert ulps.max() <= 1000
