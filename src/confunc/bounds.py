@@ -13,8 +13,8 @@ them all at many pairs; the one-pair functions are its cases.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
-from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -33,7 +33,6 @@ __all__ = [
     "angular_target",
     "lp_measurable_bound",
     "lp_interval_bound",
-    "lp_interval_bounds",
     "log_asymptote",
     "donoho_stark_bound",
     "elementary_bound",
@@ -57,6 +56,14 @@ def _confidences(name: str, values: ArrayLike) -> _Array:
     if outside.any():
         raise DomainError(f"{name} must lie in [0, 1], got {float(levels[outside][0])}")
     return levels
+
+
+def _level(name: str, value: float) -> _Array:
+    """One confidence level, refused unless it is a single real number
+    (a Python or numpy scalar): the one-element array of :func:`_confidences`."""
+    if not isinstance(value, numbers.Real):
+        raise DomainError(f"{name} must be a single level in [0, 1], got {value!r}")
+    return _confidences(name, value)
 
 
 def _scaled(name: str, bounds: _Array, h: float, tx: _Array, tp: _Array) -> _Array:
@@ -90,11 +97,8 @@ class ConfidencePair:
     theta_p: float
 
     def __post_init__(self) -> None:
-        _confidences("theta_x", self.theta_x)
-        _confidences("theta_p", self.theta_p)
-
-    def swapped(self) -> "ConfidencePair":
-        return ConfidencePair(self.theta_p, self.theta_x)
+        _level("theta_x", self.theta_x)
+        _level("theta_p", self.theta_p)
 
 
 _Pair = ConfidencePair | tuple[float, float]
@@ -184,10 +188,9 @@ def _elementary_bounds(tx: _Array, tp: _Array) -> NDArray[np.object_]:
 def _gaussian_products(tx: _Array, tp: _Array, h: float) -> _Array:
     """4*hbar*erf_inverse(tx)*erf_inverse(tp) at each pair, with hbar checked:
     0 where a confidence is 0, +inf where one is 1; one erf_inverse per level."""
-    # a set, not np.unique, which imports numpy.ma: 20 ms of start-up
-    levels = np.array(sorted(set(tx.tolist()) | set(tp.tolist())))
+    levels, where = np.unique(np.concatenate((tx, tp)), return_inverse=True)
     roots = np.array([erf_inverse(v) if v < 1.0 else math.inf for v in levels.tolist()])
-    rx, rp = roots[np.searchsorted(levels, tx)], roots[np.searchsorted(levels, tp)]
+    rx, rp = np.split(roots[where], 2)
     certain = (tx == 1.0) | (tp == 1.0)
     inner = ~certain & (tx > 0.0) & (tp > 0.0)
     products = np.zeros(tx.shape)
@@ -218,26 +221,16 @@ def lp_measurable_bound(pair: _Pair, hbar: float = 1.0) -> float:
     return _one_pair(_measurable_bounds, pair, _check_positive("hbar", hbar))
 
 
-def lp_interval_bounds(pairs: Sequence[_Pair], hbar: float = 1.0) -> _Array:
-    """Tight lower bounds 4*hbar*lambda0_inverse(T), one per pair in input
-    order: the ``lp_interval`` column of :func:`reports` alone. Zero in
-    the trivial region (T = 0) and +inf at (1, 1) (T = 1), where a state
-    supported on one interval cannot be fully band-limited; the other
-    targets are inverted together, by Newton iterations run in lockstep.
-    """
-    h = _check_positive("hbar", hbar)
-    levels = np.array([(p.theta_x, p.theta_p) for p in map(_as_pair, pairs)]).reshape(-1, 2)
-    return _interval_bounds(*levels.T, h)
-
-
 def lp_interval_bound(pair: _Pair, hbar: float = 1.0) -> float:
     """Tight lower bound 4*hbar*lambda0_inverse(T) on the interval product.
 
-    The one-pair case of :func:`lp_interval_bounds`: zero in the trivial
-    region, +inf at (1, 1). Strictly larger than the measurable-set bound
-    in the interior of the bounded region.
+    The ``lp_interval`` column of :func:`reports` at one pair: zero in the
+    trivial region (T = 0) and +inf at (1, 1) (T = 1), where a state
+    supported on one interval cannot be fully band-limited. Strictly
+    larger than the measurable-set bound in the interior of the bounded
+    region.
     """
-    return float(lp_interval_bounds([pair], hbar=hbar)[0])
+    return _one_pair(_interval_bounds, pair, _check_positive("hbar", hbar))
 
 
 def log_asymptote(theta_p: float, hbar: float = 1.0) -> float:
@@ -292,7 +285,7 @@ def gaussian_interval_product(theta: float, hbar: float = 1.0) -> float:
         normal doubles.
     """
     h = _check_positive("hbar", hbar)
-    levels = _confidences("theta", theta)
+    levels = _level("theta", theta)
     return _gaussian_products(levels, levels, h).item()
 
 

@@ -26,13 +26,10 @@ the verification corpus.
 from __future__ import annotations
 
 import math
-import re
 import sys
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
-from typing import TextIO
 
 import numpy as np
 
@@ -60,8 +57,6 @@ __all__ = [
     "random_smooth_state",
     "verify_lenard",
     "verify_lenard_batch",
-    "save_state",
-    "load_state",
 ]
 
 _NORM_TOL = 1e-8
@@ -461,14 +456,12 @@ class RectSincPrediction:
     """Closed-form expectations for the rectangle/sinc superposition.
 
     ``position_mass`` is the probability inside [-L/2, L/2],
-    ``momentum_mass`` the probability inside [-W/2, W/2], and
-    ``normalisation`` the constant C with C^2 = 1 + 2*sqrt(P(1-P))*s.
+    and ``momentum_mass`` the probability inside [-W/2, W/2].
     Both masses exceed 1/2 at P = 1/2 for every L, W > 0.
     """
 
     position_mass: float
     momentum_mass: float
-    normalisation: float
 
 
 def rect_sinc_prediction(
@@ -496,7 +489,7 @@ def rect_sinc_prediction(
     norm_sq = 1.0 + cross
     mass_x = (weight + (1.0 - weight) * m_in + cross) / norm_sq
     mass_p = ((1.0 - weight) + weight * m_in + cross) / norm_sq
-    return RectSincPrediction(mass_x, mass_p, math.sqrt(norm_sq))
+    return RectSincPrediction(mass_x, mass_p)
 
 
 def _centres(grid: Grid, cells: np.ndarray) -> np.ndarray:
@@ -841,59 +834,3 @@ def _lenard_witness(
         holds=margin >= -_LENARD_SLACK,
     )
 
-
-# --------------------------------------------------------------------
-# Plain-text persistence
-# --------------------------------------------------------------------
-
-_HEADER_RE = re.compile(
-    r"#\s*confunc-state\s+n=(\d+)\s+x_min=(\S+)\s+x_max=(\S+)\s+hbar=(\S+)\s*$"
-)
-
-
-def save_state(state: GriddedState, target: str | Path | TextIO) -> None:
-    """Write a state as plain text: a header with n, x_min, x_max, hbar,
-    then one row per cell with columns x, Re(psi), Im(psi).
-
-    Floats are written with 17 significant digits, so a load restores
-    the amplitudes bit for bit.
-    """
-    if isinstance(target, (str, Path)):
-        # opened here, as text: np.savetxt would gzip a path ending in .gz
-        with open(target, "w", encoding="ascii") as handle:
-            return save_state(state, handle)
-    g = state.grid
-    np.savetxt(
-        target,
-        np.column_stack([g.centers, state.amplitudes.real, state.amplitudes.imag]),
-        fmt="%.17g",
-        header=f"confunc-state n={g.n} x_min={g.x_min!r} x_max={g.x_max!r} "
-        f"hbar={state.hbar!r}",
-        comments="# ",
-    )
-
-
-def load_state(source: str | Path | TextIO) -> GriddedState:
-    """Read a state written by :func:`save_state`."""
-    own = isinstance(source, (str, Path))
-    handle = open(source, "r", encoding="ascii") if own else source
-    try:
-        header = handle.readline()
-        match = _HEADER_RE.match(header)
-        if match is None:
-            raise DomainError(
-                "not a state file: expected a '# confunc-state n=... x_min=... "
-                "x_max=... hbar=...' header"
-            )
-        n = int(match.group(1))
-        grid = Grid(float(match.group(2)), float(match.group(3)), n)
-        hbar = float(match.group(4))
-        table = np.loadtxt(handle, ndmin=2)
-    finally:
-        if own:
-            handle.close()
-    if table.shape != (n, 3):
-        raise DomainError(
-            f"state file promises {n} rows of 3 columns, found shape {table.shape}"
-        )
-    return GriddedState(grid, table[:, 1] + 1j * table[:, 2], hbar)

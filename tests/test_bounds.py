@@ -25,7 +25,6 @@ from confunc.bounds import (
     gaussian_interval_product,
     log_asymptote,
     lp_interval_bound,
-    lp_interval_bounds,
     lp_measurable_bound,
     report,
     reports,
@@ -47,14 +46,25 @@ unit = st.floats(min_value=0.0, max_value=1.0)
 
 
 class TestConfidencePair:
-    def test_swapped(self):
-        pair = ConfidencePair(0.3, 0.8)
-        assert pair.swapped() == ConfidencePair(0.8, 0.3)
-
     @pytest.mark.parametrize("bad", [(-0.1, 0.5), (0.5, 1.2), (math.nan, 0.5)])
     def test_rejects_out_of_square(self, bad):
         with pytest.raises(DomainError):
             ConfidencePair(*bad)
+
+    def test_rejects_a_level_that_is_not_one_number(self):
+        # a sequence or a string where one level belongs is a DomainError,
+        # not an IndexError or numpy's own error
+        calls = [
+            lambda: ConfidencePair((0.5, 0.9), 0.7),
+            lambda: lp_measurable_bound(((0.5, 0.9), 0.7)),
+            lambda: angular_target((0.9, [0.8])),
+            lambda: gaussian_interval_product([0.5, 0.6]),
+            lambda: angular_target(("0.9", 0.8)),
+            lambda: ConfidencePair([0.5, [0.6, 0.7]], 0.8),
+        ]
+        for call in calls:
+            with pytest.raises(DomainError, match="must be a single level in"):
+                call()
 
 
 class TestRegionAndTarget:
@@ -265,20 +275,25 @@ class TestLpIntervalBound:
 
 
 class TestLpIntervalBounds:
+    """The ``lp_interval`` column of :func:`reports`."""
+
     def test_matches_one_pair_route_in_input_order(self):
         pairs = [(0.9, 0.9), (0.3, 0.5), (0.8, 0.7), (0.9, 0.9)]
-        values = lp_interval_bounds(pairs)
+        values = reports(*zip(*pairs))["lp_interval"]
         expected = [lp_interval_bound(p) for p in pairs]
         assert list(values) == pytest.approx(expected, rel=1e-9)
         assert values[1] == 0.0
 
     def test_empty(self):
-        assert lp_interval_bounds([]).size == 0
+        table = reports([], [])
+        assert len(table) == 9
+        assert all(column.size == 0 for column in table.values())
 
     def test_divergent_pair_is_inf(self):
         # the divergence at (1, 1) is the value +inf beside finite bounds
-        values = lp_interval_bounds([(0.9, 0.9), (1.0, 1.0)])
+        values = reports([0.9, 1.0], [0.9, 1.0])["lp_interval"]
         assert values[1] == math.inf
+        assert lp_interval_bound((1.0, 1.0)) == math.inf
         assert abs(values[0] - LP_INTERVAL_99) <= 1e-9
 
     def test_high_confidence_edge_not_overstated(self):
@@ -333,8 +348,6 @@ class TestReports:
         }
         for name, values in columns.items():
             assert self.bits(values) == self.bits(table[name].tolist()), name
-        batch = lp_interval_bounds(pairs, hbar=hbar)
-        assert self.bits(batch.tolist()) == self.bits(table["lp_interval"].tolist())
         diagonal = tx == tp
         gaussian = [gaussian_interval_product(t, hbar=hbar) for t in tx[diagonal].tolist()]
         assert self.bits(gaussian) == self.bits(table["gaussian_product"][diagonal].tolist())

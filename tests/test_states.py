@@ -6,7 +6,6 @@ aligned grids); smooth states are checked against continuum formulas
 with grid-scale tolerances.
 """
 
-import io
 import math
 import tracemalloc
 from functools import lru_cache
@@ -30,12 +29,10 @@ from confunc.states import (
     gaussian_state,
     interval_confidence_uncertainty,
     inverse_fourier_transform,
-    load_state,
     probability_in_interval,
     random_smooth_state,
     rect_sinc_prediction,
     rect_sinc_state,
-    save_state,
     slepian_state,
     verify_lenard,
     verify_lenard_batch,
@@ -666,42 +663,3 @@ class TestLenardBatch:
         with pytest.raises(DomainError):
             verify_lenard_batch(state, windows)
         assert transform_calls == []
-
-
-class TestSaveLoad:
-    def test_round_trip_is_exact(self):
-        state = random_smooth_state(Grid.symmetric(3.0, 64), seed=9, hbar=2.5)
-        buffer = io.StringIO()
-        save_state(state, buffer)
-        buffer.seek(0)
-        loaded = load_state(buffer)
-        assert np.array_equal(loaded.amplitudes, state.amplitudes)
-        assert loaded.grid == state.grid
-        assert loaded.hbar == state.hbar
-
-    def test_round_trip_via_file(self, tmp_path):
-        state = gaussian_state(Grid.symmetric(8.0, 128), 1.0)
-        path = tmp_path / "state.txt"
-        save_state(state, path)
-        loaded = load_state(path)
-        assert np.array_equal(loaded.amplitudes, state.amplitudes)
-
-    def test_gz_path_is_plain_text(self, tmp_path):
-        # np.savetxt gzips a path ending in .gz, which load_state cannot read
-        state = gaussian_state(Grid.symmetric(8.0, 128), 1.0)
-        path = tmp_path / "state.txt.gz"
-        save_state(state, path)
-        assert path.read_text(encoding="ascii").startswith("# confunc-state n=128 ")
-        assert np.array_equal(load_state(path).amplitudes, state.amplitudes)
-
-    def test_rejects_foreign_header(self):
-        with pytest.raises(DomainError):
-            load_state(io.StringIO("not a state file\n0 1 0\n"))
-
-    def test_rejects_truncated_body(self):
-        state = uniform_state(Grid(0.0, 1.0, 16))
-        buffer = io.StringIO()
-        save_state(state, buffer)
-        lines = buffer.getvalue().splitlines()
-        with pytest.raises(DomainError):
-            load_state(io.StringIO("\n".join(lines[:-3]) + "\n"))
