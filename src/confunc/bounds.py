@@ -51,7 +51,10 @@ _Array = NDArray[np.float64]
 
 def _confidences(name: str, values: ArrayLike) -> _Array:
     """The one rule for confidence levels: each lies in [0, 1]."""
-    levels = np.array(values, dtype=np.float64, ndmin=1)
+    try:
+        levels = np.array(values, dtype=np.float64, ndmin=1)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"{name} must be an array of levels in [0, 1], got {values!r}") from exc
     outside = ~((levels >= 0.0) & (levels <= 1.0))
     if outside.any():
         raise DomainError(f"{name} must lie in [0, 1], got {float(levels[outside][0])}")

@@ -31,7 +31,6 @@ one is complete. Exit codes: 0 success, 1 a verification check failed,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -85,28 +84,14 @@ class _Scientific(str):
     """A number's CSV text in scientific notation, a number in JSON."""
 
 
-def _fmt(value: object) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, str):
-        return value
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return f"{float(value):.6g}"
-
-
 def _json_value(value: object) -> object:
     if isinstance(value, _Scientific):
         return float(value)
-    if value is None or isinstance(value, (str, bool)):
+    if value is None or isinstance(value, str):
         return value
-    if isinstance(value, (int, np.integer)):
-        return int(value)
     v = float(value)
     if math.isinf(v) or math.isnan(v):
-        return _fmt(v)
+        return f"{v:.6g}"
     # keep the JSON mirror at the same printed precision as the CSV
     return float(f"{v:.6g}")
 
@@ -232,65 +217,55 @@ _CHUNK_ROWS = 1024
 
 
 def _write(table: dict, output_format: str, target: TextIO) -> None:
-    """Write a table of columns (name -> sequence, all of one length); an
-    array is read as the list of its Python values.
+    """Write a table of columns (name -> sequence, all of one length): float
+    arrays, lists of Python floats, text (arrays or lists of str) and object
+    arrays of floats and None, a None being a blank cell. Text cells are the
+    program's own and never quoted: none holds a comma, a quote, a line
+    break, a zero byte or a non-ASCII character.
 
     CSV goes out in chunks of rows, each built as one block of bytes:
-    ``_g6``'s cells for the float arrays, the ``_fmt`` text of any other
-    column, and the separators, with the pad bytes dropped. ``_g6``
-    prints the ``"%.6g"`` text that ``_fmt`` prints, byte for byte: it
-    rounds with ``rint`` away from halves and leaves the rest (non-finite
-    values, magnitudes outside [1e-300, 1e300], values near a half) to
-    Python's ``%``. A chunk with text that CSV must quote, a zero byte or
-    non-ASCII text, or a table of one column, goes to the csv module
-    instead.
+    ``_g6``'s cells for every number in the chunk, the text columns'
+    bytes, and the separators, with the pad bytes dropped. ``_g6``
+    prints ``"%.6g" % v`` byte for byte: it rounds with ``rint`` away
+    from halves and leaves the rest (non-finite values, magnitudes
+    outside [1e-300, 1e300], values near a half) to Python's ``%``.
     """
     names = list(table)
-    columns = list(table.values())
-    floats = [isinstance(c, np.ndarray) and c.dtype.kind == "f" for c in columns]
     if output_format == "json":
-        values = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
+        values = [c.tolist() if isinstance(c, np.ndarray) else c for c in table.values()]
         payload = [
             {name: _json_value(value) for name, value in zip(names, row)}
             for row in zip(*values)
         ]
         target.write(json.dumps(payload, indent=1) + "\n")
         return
-    writer = csv.writer(target, lineterminator="\n")
-    writer.writerow(names)
+    columns = [np.asarray(c) for c in table.values()]
+    # an object column holds floats and None: a float column with blank cells
+    blanks = {k: np.equal(c, None) for k, c in enumerate(columns) if c.dtype == object}
+    for k, blank in blanks.items():
+        columns[k] = np.where(blank, 0.0, columns[k]).astype(np.float64)
+    numbers = [c for c in columns if c.dtype.kind == "f"]
+    target.write(",".join(names) + "\n")
     for start in range(0, len(columns[0]), _CHUNK_ROWS):
-        chunk = [c[start : start + _CHUNK_ROWS] for c in columns]
-        rows = len(chunk[0])
-        numbers = [c for c, f in zip(chunk, floats) if f]
+        chunk = slice(start, start + _CHUNK_ROWS)
+        rows = len(columns[0][chunk])
         if numbers:
             with np.errstate(invalid="ignore"):  # as tolist, widen a float32 sNaN quietly
-                stacked = np.stack(numbers, axis=1, dtype=np.float64)
-            # one kernel call on the chunk's float cells, then a matrix per column
+                stacked = np.stack([c[chunk] for c in numbers], axis=1, dtype=np.float64)
+            # one kernel call on the chunk's numbers, then a matrix per column
             matrices = iter(_g6(stacked).reshape(rows, len(numbers), _CELL).transpose(1, 0, 2))
-        parts = []
-        for c, f in zip(chunk, floats):
-            if f:
-                parts.append(next(matrices))
+        pieces = []
+        for k, c in enumerate(columns):
+            if c.dtype.kind == "f":
+                pieces.append(next(matrices))
+                if k in blanks:
+                    pieces[-1][blanks[k][chunk]] = 0
             else:
-                parts.append([_fmt(x) for x in (c.tolist() if isinstance(c, np.ndarray) else c)])
-        texts = "".join(["".join(p) for p in parts if isinstance(p, list)])
-        if len(columns) > 1 and texts.isascii() and not any(c in texts for c in ',"\r\n\0'):
-            comma = np.full((rows, 1), ord(","), np.uint8)
-            pieces = []
-            for p in parts:
-                text = isinstance(p, list)
-                pieces += [np.array(p, "S").view(np.uint8).reshape(rows, -1) if text else p, comma]
-            pieces[-1] = np.full((rows, 1), ord("\n"), np.uint8)
-            block = np.concatenate(pieces, axis=1).tobytes()
-            target.write(block.translate(None, b"\0").decode("ascii"))
-        else:
-            strings = [
-                np.ascontiguousarray(p).view(f"S{_CELL}")[:, 0].astype(str).tolist()
-                if isinstance(p, np.ndarray)
-                else p
-                for p in parts
-            ]
-            writer.writerows(zip(*strings))
+                pieces.append(c[chunk].astype("S").view(np.uint8).reshape(rows, -1))
+            pieces.append(np.full((rows, 1), ord(","), np.uint8))
+        pieces[-1] = np.full((rows, 1), ord("\n"), np.uint8)
+        block = np.concatenate(pieces, axis=1).tobytes()
+        target.write(block.translate(None, b"\0").decode("ascii"))
 
 
 def _emit(table: dict, output_format: str, output_path: str | None) -> None:

@@ -19,6 +19,7 @@ All functions are pure and deterministic; returned arrays are read-only.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -37,8 +38,9 @@ __all__ = [
 
 
 def _check_positive(name: str, value: float) -> float:
-    """The one rule for inputs that must be positive and finite."""
-    if not (math.isfinite(value) and value > 0):
+    """The one rule for inputs that must be positive and finite: a real
+    number (numpy scalars are), not a string, a list or None."""
+    if not (isinstance(value, numbers.Real) and math.isfinite(value) and value > 0):
         raise DomainError(f"{name} must be positive and finite, got {value}")
     return float(value)
 

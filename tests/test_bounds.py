@@ -375,6 +375,11 @@ class TestReports:
         with pytest.raises(DomainError, match="two arrays of one length"):
             reports([0.5, 0.9], [0.9])
 
+    @pytest.mark.parametrize("theta_x", [[0.5, [1, 2]], ["a"]], ids=["ragged", "text"])
+    def test_levels_that_are_not_an_array_of_numbers(self, theta_x):
+        with pytest.raises(DomainError, match=r"^theta_x must be an array of levels in \[0, 1\]"):
+            reports(theta_x, [0.6, 0.7][: len(theta_x)])
+
     def test_every_row_is_checked(self, monkeypatch):
         # an interval bound below the measurable one in any row is refused
         def low(tx, tp, h):

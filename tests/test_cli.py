@@ -480,6 +480,33 @@ class TestOutputPlumbing:
         _, second, _ = run(capsys, ["bounds", "--grid", "5"])
         assert first == second
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["lambda0", "--c", "1", "--range", "0:2:0.5"],
+            ["bounds", "--tx", "0.9", "--tp", "0.9"],
+            # 8 of the 9 pairs have no elementary bound: blank cells
+            ["bounds", "--grid", "3"],
+            ["compare"],
+            ["verify", "all"],
+            ["state", "slepian", "--c", "1.5"],
+            ["state", "rect-sinc", "--L", "1", "--W", "1"],
+            ["state", "gaussian"],
+        ],
+    )
+    def test_csv_fields_need_no_quoting(self, capsys, argv):
+        # the writer never quotes, so no field may hold what CSV quotes
+        _, out, _ = run(capsys, argv)
+        head, *rows = csv.reader(io.StringIO(out))
+        assert rows and all(len(row) == len(head) for row in rows)
+        for field in head + [field for row in rows for field in row]:
+            assert not set(field) & set(',"\r\n')
+        _, out, _ = run(capsys, [*argv, "--format", "json"])
+        records = json.loads(out)
+        assert len(records) == len(rows)
+        # a blank CSV cell is a JSON null and nothing else is
+        nulls = [[value is None for value in record.values()] for record in records]
+        assert nulls == [[field == "" for field in row] for row in rows]
 
     def test_out_writes_through_a_symlink(self, capsys, tmp_path):
         real = tmp_path / "real.csv"

@@ -13,7 +13,7 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from confunc import numerics
+from confunc import bounds, numerics, states
 from confunc.errors import ConvergenceError, DomainError
 from confunc.numerics import (
     QuadratureRule,
@@ -235,3 +235,19 @@ class TestQuadratureRuleType:
     def test_direct_construction_validates(self):
         with pytest.raises(DomainError):
             QuadratureRule(nodes=np.array([0.0]), weights=np.array([1.0, 1.0]), order=1)
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: bounds.lp_interval_bound((0.9, 0.9), hbar="1"), "hbar"),
+        (lambda: bounds.reports([0.5], [0.6], hbar=[1.0]), "hbar"),
+        (lambda: bounds.reports([0.5], [0.6], hbar=None), "hbar"),
+        (lambda: states.gaussian_state(states.Grid.symmetric(8.0, 256), sigma="1"), "sigma"),
+    ],
+    ids=["str_hbar", "list_hbar", "none_hbar", "str_sigma"],
+)
+def test_a_positive_input_that_is_not_a_real_number(call, name):
+    # the string "1" is refused, not read as the number 1
+    with pytest.raises(DomainError, match=f"^{name} must be positive and finite"):
+        call()

@@ -79,6 +79,7 @@ COMMANDS = (
     "state gaussian --sigma 1e300",
     "state rect-sinc --L 0.1 --W 0.01",
     "bounds --grid 300",
+    "verify all --format json",
 )
 
 
