@@ -6,7 +6,8 @@ and the bound evaluators are built from:
 * Gauss-Legendre quadrature rules of arbitrary order, computed from
   scratch by Newton iteration on the Legendre polynomials, so that the
   spectral discretisation downstream does not depend on any external
-  special-function library.
+  special-function library. A rule is the pair (nodes, weights) of
+  read-only arrays; the integral of f is ``weights @ f(nodes)``.
 * The sine integral Si(y), needed by the closed-form normalisation of the
   rectangle-plus-sinc state family.
 * The inverse error function, needed for Gaussian interval confidence
@@ -20,7 +21,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -29,7 +29,6 @@ from numpy.typing import NDArray
 from .errors import ConvergenceError, DomainError
 
 __all__ = [
-    "QuadratureRule",
     "gauss_legendre",
     "sine_integral",
     "erf_inverse",
@@ -37,50 +36,18 @@ __all__ = [
 ]
 
 
+def _shown(value) -> str:
+    """A refused value as a message shows it: a real number by str, so a
+    numpy -1.0 reads -1.0, anything else by repr, so "1" reads '1'."""
+    return str(value) if isinstance(value, numbers.Real) else repr(value)
+
+
 def _check_positive(name: str, value: float) -> float:
     """The one rule for inputs that must be positive and finite: a real
     number (numpy scalars are), not a string, a list or None."""
     if not (isinstance(value, numbers.Real) and math.isfinite(value) and value > 0):
-        raise DomainError(f"{name} must be positive and finite, got {value}")
+        raise DomainError(f"{name} must be positive and finite, got {_shown(value)}")
     return float(value)
-
-
-@dataclass(frozen=True, eq=False)
-class QuadratureRule:
-    """Nodes and weights for Gauss-Legendre integration on [-1, 1].
-
-    Attributes
-    ----------
-    nodes :
-        Strictly increasing abscissae in (-1, 1), symmetric about 0.
-    weights :
-        Positive weights summing to 2, mirror-symmetric like the nodes.
-    order :
-        Number of nodes N; the rule integrates polynomials of degree
-        up to 2N - 1 exactly.
-    """
-
-    nodes: NDArray[np.float64]
-    weights: NDArray[np.float64]
-    order: int
-
-    def __post_init__(self) -> None:
-        if self.nodes.shape != (self.order,) or self.weights.shape != (self.order,):
-            raise DomainError(
-                f"rule of order {self.order} needs {self.order} nodes and weights, "
-                f"got {self.nodes.shape} and {self.weights.shape}"
-            )
-        self.nodes.setflags(write=False)
-        self.weights.setflags(write=False)
-
-    def integrate(self, values: NDArray[np.float64]) -> float:
-        """Weighted sum of integrand values sampled on the nodes."""
-        values = np.asarray(values)
-        if values.shape != self.nodes.shape:
-            raise DomainError(
-                f"expected {self.order} integrand values, got shape {values.shape}"
-            )
-        return float(np.dot(self.weights, values))
 
 
 def _legendre_and_derivative(
@@ -96,8 +63,9 @@ def _legendre_and_derivative(
     return p, dp
 
 
-@lru_cache(maxsize=64)
-def gauss_legendre(order: int) -> QuadratureRule:
+# typed, so that 40.0 cannot hit the entry of 40 without being checked
+@lru_cache(maxsize=64, typed=True)
+def gauss_legendre(order: int) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
     """Compute the Gauss-Legendre rule of the given order.
 
     Roots of the Legendre polynomial are found by Newton iteration from
@@ -109,22 +77,26 @@ def gauss_legendre(order: int) -> QuadratureRule:
     Parameters
     ----------
     order :
-        Number of nodes, at least 2.
+        Number of nodes N, an integer (numpy integers are) of at least 2.
 
     Returns
     -------
-    QuadratureRule
+    nodes, weights :
+        Read-only arrays of length N. The nodes increase strictly in
+        (-1, 1), symmetric about 0; the weights are positive, sum to 2
+        and are mirror-symmetric like the nodes. ``weights @ f(nodes)``
+        is exact for polynomials f of degree up to 2N - 1.
 
     Raises
     ------
     DomainError
-        If ``order`` is less than 2.
+        If ``order`` is not an integer of at least 2.
     ConvergenceError
         If a Newton iterate fails to settle, which does not happen for
         any practical order.
     """
-    if order < 2:
-        raise DomainError(f"quadrature order must be >= 2, got {order}")
+    if not (isinstance(order, numbers.Integral) and order >= 2):
+        raise DomainError(f"quadrature order must be an integer >= 2, got {_shown(order)}")
     n = int(order)
     m = n // 2
     k = np.arange(1, m + 1, dtype=np.float64)
@@ -149,7 +121,9 @@ def gauss_legendre(order: int) -> QuadratureRule:
     else:
         nodes = np.concatenate([-x, x[::-1]])
         weights = np.concatenate([w_half, w_half[::-1]])
-    return QuadratureRule(nodes=nodes, weights=weights, order=n)
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
 
 
 _PANEL_RULE_ORDER = 32
@@ -163,15 +137,15 @@ def _panel_rule(breaks, width: float) -> tuple[NDArray[np.float64], NDArray[np.f
     rule; panel by panel, the nodes are mid + half * node and the
     weights half * weight.
     """
-    rule = gauss_legendre(_PANEL_RULE_ORDER)
+    rule_nodes, rule_weights = gauss_legendre(_PANEL_RULE_ORDER)
     gaps = zip(breaks[:-1], breaks[1:])
     # linspace ends exactly on each break, so adjacent gaps share it
     cuts = [np.linspace(a, b, max(1, math.ceil((b - a) / width)) + 1)[:-1] for a, b in gaps]
     edges = np.concatenate([*cuts, breaks[-1:]])
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[1:] + edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * rule.nodes[None, :]).ravel()
-    weights = (half[:, None] * rule.weights[None, :]).ravel()
+    nodes = (mid[:, None] + half[:, None] * rule_nodes[None, :]).ravel()
+    weights = (half[:, None] * rule_weights[None, :]).ravel()
     return nodes, weights
 
 

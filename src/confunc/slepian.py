@@ -41,13 +41,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import ConvergenceError, DomainError
-from .numerics import (
-    QuadratureRule,
-    _check_positive,
-    _panel_rule,
-    gauss_legendre,
-    largest_eigenpair,
-)
+from .numerics import _check_positive, _panel_rule, gauss_legendre, largest_eigenpair
 
 __all__ = [
     "ProlateSolution",
@@ -136,15 +130,20 @@ def _sinc(c: float, u: NDArray[np.float64], v: NDArray[np.float64]) -> NDArray[n
     return kern
 
 
-def kernel_matrix(c: float, rule: QuadratureRule) -> NDArray[np.float64]:
-    """Symmetrised Nystrom matrix of the sinc kernel on the rule's nodes.
+def kernel_matrix(c: float, nodes, weights) -> NDArray[np.float64]:
+    """Symmetrised Nystrom matrix of the sinc kernel on the nodes u and
+    weights w of a quadrature rule, 1-D arrays of one length (else a
+    DomainError), as :func:`confunc.numerics.gauss_legendre` returns.
 
     Entries are sqrt(w_i w_j) * sin(c (u_i - u_j)) / (pi (u_i - u_j));
     the diagonal takes the kernel's limit value, giving w_i * c / pi.
     Its largest eigenvalue converges spectrally to lambda0(c).
     """
-    kern = _sinc(_as_c(c), rule.nodes, rule.nodes)
-    sw = np.sqrt(rule.weights)
+    u, w = np.asarray(nodes, dtype=np.float64), np.asarray(weights, dtype=np.float64)
+    if u.ndim != 1 or w.shape != u.shape:
+        raise DomainError(f"nodes and weights must be 1-D of one length, got {u.shape}, {w.shape}")
+    kern = _sinc(_as_c(c), u, u)
+    sw = np.sqrt(w)
     return sw[:, None] * kern * sw[None, :]
 
 
@@ -450,7 +449,7 @@ def principal_slepian(c: float, order: int = DEFAULT_ORDER) -> ProlateSolution:
         If c is 0, where psi0 is undefined, or outside [0, 1000].
     """
     cc = _as_c(c)
-    value, samples = _principal_values(cc, gauss_legendre(order).nodes)
+    value, samples = _principal_values(cc, gauss_legendre(order)[0])
     return ProlateSolution(cc, value, samples, order)
 
 
@@ -466,6 +465,6 @@ def evaluate_principal(solution: ProlateSolution, points) -> NDArray[np.float64]
     sums that series.
     """
     u = np.atleast_1d(np.asarray(points, dtype=np.float64))
-    rule = gauss_legendre(solution.quadrature_order)
-    kern = _sinc(solution.c, u, rule.nodes)
-    return (kern @ (rule.weights * solution.principal_function)) / solution.lambda0
+    nodes, weights = gauss_legendre(solution.quadrature_order)
+    kern = _sinc(solution.c, u, nodes)
+    return (kern @ (weights * solution.principal_function)) / solution.lambda0

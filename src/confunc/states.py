@@ -686,7 +686,8 @@ def slepian_state(
     window edges fall on cell edges, so the window is filled, and the
     band holds about 81*c momentum cells, so its mass is within 1e-5 of
     lambda0(c) at c = 0.5, 1.5 and 4. A supplied grid must put at least
-    64 cells inside the window.
+    64 cells inside the window, and a length that takes the state out of
+    floating-point range is a DomainError.
     """
     h = _check_positive("hbar", hbar)
     _check_positive("length", length)
@@ -699,8 +700,15 @@ def slepian_state(
         )
     _, psi0 = _principal_values(c, 2.0 * _centres(grid, inside) / length)
     raw = np.zeros(grid.n, dtype=np.complex128)
-    raw[inside] = math.sqrt(2.0 / length) * psi0
-    return _normalised(grid, raw, h)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            # numpy arithmetic, so that 2/L overflowing raises as well
+            raw[inside] = np.sqrt(2.0 / np.float64(length)) * psi0
+            return _normalised(grid, raw, h)
+    except FloatingPointError:
+        raise DomainError(
+            f"length = {length:g} takes the state out of floating-point range"
+        ) from None
 
 
 def random_smooth_state(grid: Grid, seed: int, hbar: float = 1.0) -> GriddedState:

@@ -630,6 +630,16 @@ class TestHbarAndSeedOptions:
         assert len(err.splitlines()) == 1
         assert err.startswith("error: sigma = ")
 
+    @pytest.mark.parametrize("length", ["1e-306", "3e-308", "5e-309"])
+    def test_extreme_slepian_length_is_one_error_line(self, capsys, length):
+        # sqrt(2/L) or the state's norm leaves floating-point range
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, ["state", "slepian", "--c", "1", "--L", length])
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error:") and "length" in err
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -15,13 +15,7 @@ from hypothesis import strategies as st
 
 from confunc import bounds, numerics, states
 from confunc.errors import ConvergenceError, DomainError
-from confunc.numerics import (
-    QuadratureRule,
-    erf_inverse,
-    gauss_legendre,
-    largest_eigenpair,
-    sine_integral,
-)
+from confunc.numerics import erf_inverse, gauss_legendre, largest_eigenpair, sine_integral
 
 # value of Si(pi), the maximum of the sine integral (Gibbs constant
 # scaled by pi); reference: scipy.special.sici and mpmath agree
@@ -31,46 +25,67 @@ SI_PI = 1.8519370519824662
 class TestGaussLegendre:
     @pytest.mark.parametrize("order", [2, 3, 5, 16, 64, 400])
     def test_matches_numpy_tables(self, order):
-        rule = gauss_legendre(order)
-        nodes, weights = np.polynomial.legendre.leggauss(order)
-        assert np.max(np.abs(rule.nodes - nodes)) <= 1e-13
-        assert np.max(np.abs(rule.weights - weights)) <= 1e-13
+        nodes, weights = gauss_legendre(order)
+        ref_nodes, ref_weights = np.polynomial.legendre.leggauss(order)
+        assert np.max(np.abs(nodes - ref_nodes)) <= 1e-13
+        assert np.max(np.abs(weights - ref_weights)) <= 1e-13
 
     @pytest.mark.parametrize("order", [2, 7, 32, 101])
     def test_rule_invariants(self, order):
-        rule = gauss_legendre(order)
-        assert rule.order == order
-        assert np.max(np.abs(rule.nodes + rule.nodes[::-1])) <= 1e-14
-        assert abs(float(np.sum(rule.weights)) - 2.0) <= 1e-13
-        assert np.all(rule.weights > 0)
-        assert np.all(np.diff(rule.nodes) > 0)
+        nodes, weights = gauss_legendre(order)
+        assert nodes.shape == weights.shape == (order,)
+        assert np.max(np.abs(nodes + nodes[::-1])) <= 1e-14
+        assert abs(float(np.sum(weights)) - 2.0) <= 1e-13
+        assert np.all(weights > 0)
+        assert np.all(np.diff(nodes) > 0)
 
     @pytest.mark.parametrize("order", [2, 5, 12])
     def test_monomial_exactness_to_degree_2n_minus_1(self, order):
-        rule = gauss_legendre(order)
+        nodes, weights = gauss_legendre(order)
         for k in range(2 * order):
             exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
-            assert abs(rule.integrate(rule.nodes**k) - exact) <= 1e-12
+            assert abs(weights @ nodes**k - exact) <= 1e-12
 
     def test_rejects_tiny_order(self):
         with pytest.raises(DomainError):
             gauss_legendre(1)
 
+    @pytest.mark.parametrize(
+        "order, shown",
+        [(2.5, "2.5"), (40.0, "40.0"), (True, "True"), ("3", "'3'")],
+        ids=["fraction", "integral_float", "bool", "str"],
+    )
+    def test_rejects_an_order_that_is_not_an_integer_of_at_least_2(self, order, shown):
+        gauss_legendre(40)  # a cached 40 must not answer for 40.0
+        with pytest.raises(DomainError, match=f"quadrature order .*, got {shown}$"):
+            gauss_legendre(order)
+
+    def test_accepts_numpy_integers(self):
+        nodes, weights = gauss_legendre(np.int64(8))
+        assert np.array_equal(nodes, gauss_legendre(8)[0])
+        assert np.array_equal(weights, gauss_legendre(8)[1])
+
     def test_arrays_read_only(self):
-        rule = gauss_legendre(8)
+        nodes, weights = gauss_legendre(8)
         with pytest.raises(ValueError):
-            rule.nodes[0] = 0.0
+            nodes[0] = 0.0
         with pytest.raises(ValueError):
-            rule.weights[0] = 0.0
+            weights[0] = 0.0
+
+    def test_cache_returns_the_same_read_only_arrays(self):
+        # sharing the cached arrays is safe only because writes raise
+        first, second = gauss_legendre(9), gauss_legendre(9)
+        assert first[0] is second[0] and first[1] is second[1]
+        assert not first[0].flags.writeable and not first[1].flags.writeable
 
     @given(st.lists(st.floats(-2, 2), min_size=1, max_size=9))
     def test_integrates_random_polynomials_exactly(self, coeffs):
         # degree <= 8 < 2*order - 1 for order 5... use order 5 only up
         # to degree 9, so cap at order sufficient for the list
-        rule = gauss_legendre(5)
+        nodes, weights = gauss_legendre(5)
         poly = np.polynomial.Polynomial(coeffs)
         exact = (poly.integ()(1.0)) - (poly.integ()(-1.0))
-        assert abs(rule.integrate(poly(rule.nodes)) - exact) <= 1e-10 * (
+        assert abs(weights @ poly(nodes) - exact) <= 1e-10 * (
             1 + abs(exact)
         )
 
@@ -226,28 +241,24 @@ class TestLargestEigenpair:
             largest_eigenpair(np.zeros((3, 2, 3)))
 
 
-class TestQuadratureRuleType:
-    def test_integrate_shape_mismatch(self):
-        rule = gauss_legendre(4)
-        with pytest.raises(DomainError):
-            rule.integrate(np.ones(5))
-
-    def test_direct_construction_validates(self):
-        with pytest.raises(DomainError):
-            QuadratureRule(nodes=np.array([0.0]), weights=np.array([1.0, 1.0]), order=1)
-
-
 @pytest.mark.parametrize(
-    "call, name",
+    "call, name, shown",
     [
-        (lambda: bounds.lp_interval_bound((0.9, 0.9), hbar="1"), "hbar"),
-        (lambda: bounds.reports([0.5], [0.6], hbar=[1.0]), "hbar"),
-        (lambda: bounds.reports([0.5], [0.6], hbar=None), "hbar"),
-        (lambda: states.gaussian_state(states.Grid.symmetric(8.0, 256), sigma="1"), "sigma"),
+        (lambda: bounds.lp_interval_bound((0.9, 0.9), hbar="1"), "hbar", "'1'"),
+        (lambda: bounds.reports([0.5], [0.6], hbar=[1.0]), "hbar", "[1.0]"),
+        (lambda: bounds.reports([0.5], [0.6], hbar=None), "hbar", "None"),
+        (
+            lambda: states.gaussian_state(states.Grid.symmetric(8.0, 256), sigma="1"),
+            "sigma",
+            "'1'",
+        ),
+        (lambda: bounds.reports([0.5], [0.6], hbar=np.float64(-1.0)), "hbar", "-1.0"),
     ],
-    ids=["str_hbar", "list_hbar", "none_hbar", "str_sigma"],
+    ids=["str_hbar", "list_hbar", "none_hbar", "str_sigma", "numpy_hbar"],
 )
-def test_a_positive_input_that_is_not_a_real_number(call, name):
-    # the string "1" is refused, not read as the number 1
-    with pytest.raises(DomainError, match=f"^{name} must be positive and finite"):
+def test_a_positive_input_that_is_not_a_real_number(call, name, shown):
+    # the string "1" is refused, not read as the number 1, and shown
+    # quoted; a refused numpy scalar reads as a plain number
+    with pytest.raises(DomainError, match=f"^{name} must be positive and finite") as caught:
         call()
+    assert str(caught.value).endswith(f", got {shown}")

@@ -79,23 +79,32 @@ class TestLambda0:
 
 class TestKernelMatrix:
     def test_symmetric_and_diagonal(self):
-        rule = gauss_legendre(60)
+        nodes, weights = gauss_legendre(60)
         c = 1.3
-        m = kernel_matrix(c, rule)
+        m = kernel_matrix(c, nodes, weights)
         assert np.max(np.abs(m - m.T)) <= 1e-16
-        assert np.max(np.abs(np.diag(m) - rule.weights * c / math.pi)) <= 1e-15
+        assert np.max(np.abs(np.diag(m) - weights * c / math.pi)) <= 1e-15
+
+    @pytest.mark.parametrize(
+        "nodes, weights",
+        [(np.zeros(4), np.ones(5)), (np.zeros((2, 2)), np.ones((2, 2)))],
+        ids=["lengths_differ", "two_dimensional"],
+    )
+    def test_rejects_nodes_and_weights_that_are_not_one_rule(self, nodes, weights):
+        with pytest.raises(DomainError, match="nodes and weights must be 1-D"):
+            kernel_matrix(1.0, nodes, weights)
 
     def test_eigenvalue_against_independent_quadrature(self):
         # integrate the kernel against the eigenfunction on a finer rule
         c = 1.0
         solution = principal_slepian(c, order=240)
-        fine = gauss_legendre(600)
-        psi_fine = evaluate_principal(solution, fine.nodes)
-        du = fine.nodes[:, None] - fine.nodes[None, :]
+        fine_nodes, fine_weights = gauss_legendre(600)
+        psi_fine = evaluate_principal(solution, fine_nodes)
+        du = fine_nodes[:, None] - fine_nodes[None, :]
         with np.errstate(invalid="ignore", divide="ignore"):
             kern = np.sin(c * du) / (math.pi * du)
         np.fill_diagonal(kern, c / math.pi)
-        applied = kern @ (fine.weights * psi_fine)
+        applied = kern @ (fine_weights * psi_fine)
         assert np.max(np.abs(applied - solution.lambda0 * psi_fine)) <= 1e-8
 
 
@@ -162,8 +171,8 @@ class TestAMatrix:
 class TestPrincipalFunction:
     def test_unit_norm_on_interval(self):
         solution = principal_slepian(1.5)
-        rule = gauss_legendre(solution.quadrature_order)
-        norm = rule.integrate(solution.principal_function**2)
+        _, weights = gauss_legendre(solution.quadrature_order)
+        norm = weights @ solution.principal_function**2
         assert abs(norm - 1.0) <= 1e-10
 
     def test_even_and_positive_at_origin(self):
@@ -176,8 +185,8 @@ class TestPrincipalFunction:
 
     def test_extension_reproduces_samples(self):
         solution = principal_slepian(1.0, order=180)
-        rule = gauss_legendre(180)
-        again = evaluate_principal(solution, rule.nodes)
+        nodes, _ = gauss_legendre(180)
+        again = evaluate_principal(solution, nodes)
         assert np.max(np.abs(again - solution.principal_function)) <= 1e-9
 
     def test_concentration_decreases_off_interval(self):
@@ -190,6 +199,11 @@ class TestPrincipalFunction:
     def test_rejects_zero_c(self):
         with pytest.raises(DomainError):
             principal_slepian(0.0)
+
+    def test_rejects_an_order_that_is_not_an_integer(self):
+        # once truncated to 40 nodes and then refused for its sample count
+        with pytest.raises(DomainError, match="quadrature order must be an integer"):
+            principal_slepian(1.0, order=40.5)
 
 
 @given(st.floats(min_value=0.01, max_value=6.0), st.floats(min_value=0.01, max_value=6.0))
@@ -255,7 +269,7 @@ class TestProlateEngine:
 
     @pytest.mark.parametrize("c", [0.01, 0.5, 1.0, 3.0, 8.0])
     def test_matches_dense_nystrom_route(self, c):
-        dense, _ = largest_eigenpair(kernel_matrix(c, gauss_legendre(400)))
+        dense, _ = largest_eigenpair(kernel_matrix(c, *gauss_legendre(400)))
         assert abs(lambda0(c) - dense) <= 1e-14
 
     @pytest.mark.parametrize("c", [0.5, 1.0, 3.0, 8.0, 40.0])
@@ -276,9 +290,9 @@ class TestProlateEngine:
 
     def test_samples_match_nystrom_eigenvector(self):
         c, order = 2.5, 200
-        rule = gauss_legendre(order)
-        _, vector = largest_eigenpair(kernel_matrix(c, rule))
-        samples = vector / np.sqrt(rule.weights)
+        nodes, weights = gauss_legendre(order)
+        _, vector = largest_eigenpair(kernel_matrix(c, nodes, weights))
+        samples = vector / np.sqrt(weights)
         if samples[order // 2] < 0:
             samples = -samples
         solution = principal_slepian(c, order=order)

@@ -89,6 +89,7 @@ def test_columns_are_matched_by_name():
     assert tool.compare(base, change) == [
         "stdout columns added: note, scale",
         "stdout columns removed: re_psi",
+        "stdout columns reordered",
         "stdout differs in 1 of 3 rows",
         "  status: 1 values, max |diff| not numeric",
     ]
@@ -101,7 +102,27 @@ def test_json_records_are_compared_as_columns():
     assert tool.column_diff(base, change) == {
         "added": ["region"],
         "removed": [],
+        "reordered": False,
         "rows": 0,
         "of": 1,
         "columns": {},
     }
+
+
+def test_a_reordered_header_is_named():
+    # the same cells under a permuted CSV header, and the same records
+    # with their JSON keys in another order
+    tool = load_tool()
+    base = subprocess.CompletedProcess([], 0, TABLE, "")
+    moved = "status,x,re_psi\npass,-1,0.25\npass,0,0.5\npass,1,0.25\n"
+    change = subprocess.CompletedProcess([], 0, moved, "")
+    assert tool.compare(base, change) == [
+        "stdout columns reordered",
+        "stdout differs in 0 of 3 rows",
+    ]
+    records = '[\n {\n  "x": 1.0,\n  "region": "bounded"\n }\n]\n'
+    swapped = '[\n {\n  "region": "bounded",\n  "x": 1.0\n }\n]\n'
+    assert tool.compare(
+        subprocess.CompletedProcess([], 0, records, ""),
+        subprocess.CompletedProcess([], 0, swapped, ""),
+    ) == ["stdout columns reordered", "stdout differs in 0 of 1 rows"]

@@ -10,7 +10,8 @@ each command the report says either that stdout, stderr and the exit
 code are identical, or what differs: the exit codes, the number of
 differing stderr lines, and for stdout (read as CSV with one header
 row, or as a JSON array of records) the columns one side adds or
-removes, the number of rows that differ in the columns both sides share
+removes, whether the shared columns come in another order, the number
+of rows that differ in the columns both sides share
 and, per shared column, how many values differ and the largest absolute
 difference where both sides are numbers.
 Exit code 0 means every command was identical, 1 that at least one
@@ -80,6 +81,7 @@ COMMANDS = (
     "state rect-sinc --L 0.1 --W 0.01",
     "bounds --grid 300",
     "verify all --format json",
+    "state slepian --c 1 --L 1e-306",
 )
 
 
@@ -111,9 +113,11 @@ def column_diff(base: str, change: str) -> dict:
 
     Returns ``{"layout": reason}`` when one side printed nothing or the
     row counts differ. Otherwise returns the columns only the change has
-    (``added``) and only the base has (``removed``), the count of rows
-    that differ in the shared columns, and, per shared column with a
-    difference, ``{"values": count, "max_abs": float or None}``;
+    (``added``) and only the base has (``removed``), whether the shared
+    columns come in another order on the change (``reordered``), the
+    count of rows that differ in the shared columns, and, per shared
+    column with a difference, ``{"values": count, "max_abs": float or
+    None}``;
     ``max_abs`` is None when some differing value is not a number on
     both sides. Shared columns are matched by name.
     """
@@ -149,6 +153,7 @@ def column_diff(base: str, change: str) -> dict:
     return {
         "added": [name for name in head_c if name not in head_b],
         "removed": [name for name in head_b if name not in head_c],
+        "reordered": shared != [name for name in head_c if name in head_b],
         "rows": rows,
         "of": len(rows_b),
         "columns": columns,
@@ -179,6 +184,8 @@ def compare(base: subprocess.CompletedProcess, change: subprocess.CompletedProce
             for change in ("added", "removed"):
                 if diff[change]:
                     lines.append(f"stdout columns {change}: {', '.join(diff[change])}")
+            if diff["reordered"]:
+                lines.append("stdout columns reordered")
             lines.append(f"stdout differs in {diff['rows']} of {diff['of']} rows")
             for name, col in diff["columns"].items():
                 largest = "not numeric" if col["max_abs"] is None else f"{col['max_abs']:.3g}"
