@@ -7,7 +7,9 @@ simultaneously, so every bound is zero there (the trivial region); above
 it the products are bounded away from zero. The tight interval bound is
 implicit through the inverse concentration eigenvalue; the remaining
 bounds are closed forms used for comparison. :func:`reports` tabulates
-them all at many pairs; the one-pair functions are its cases.
+them all at many pairs as a dict of columns (``region`` is "trivial" or
+"bounded"); each one-pair function, given the pair as a tuple, is its
+column there, and :func:`report` is one row as a dict.
 """
 
 from __future__ import annotations
@@ -15,8 +17,6 @@ from __future__ import annotations
 import math
 import numbers
 import sys
-from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
@@ -26,9 +26,6 @@ from .numerics import _check_positive, erf_inverse
 from .slepian import lambda0_inverse_batch
 
 __all__ = [
-    "Region",
-    "ConfidencePair",
-    "BoundReport",
     "classify_region",
     "angular_target",
     "lp_measurable_bound",
@@ -85,46 +82,29 @@ def _scaled(name: str, bounds: _Array, h: float, tx: _Array, tp: _Array) -> _Arr
     return bounds
 
 
-class Region(Enum):
-    """Classification of a confidence pair."""
-
-    TRIVIAL = "trivial"
-    BOUNDED = "bounded"
-
-
-@dataclass(frozen=True)
-class ConfidencePair:
-    """Confidence levels (theta_x, theta_p), each in [0, 1]."""
-
-    theta_x: float
-    theta_p: float
-
-    def __post_init__(self) -> None:
-        _level("theta_x", self.theta_x)
-        _level("theta_p", self.theta_p)
+def _levels(pair: tuple[float, float]) -> tuple[_Array, _Array]:
+    """The two levels of one pair (theta_x, theta_p), each checked by
+    :func:`_level`; anything that is not two values is a DomainError."""
+    try:
+        tx, tp = pair
+    except (TypeError, ValueError):
+        raise DomainError(f"a pair must be two levels (theta_x, theta_p), got {pair!r}") from None
+    return _level("theta_x", tx), _level("theta_p", tp)
 
 
-_Pair = ConfidencePair | tuple[float, float]
-
-
-def _as_pair(pair: _Pair) -> ConfidencePair:
-    return pair if isinstance(pair, ConfidencePair) else ConfidencePair(*pair)
-
-
-def _one_pair(form, pair: _Pair, *args):
+def _one_pair(form, pair: tuple[float, float], *args):
     """One of the array forms below at a single pair, as a Python value."""
-    p = _as_pair(pair)
-    return form(np.array([p.theta_x]), np.array([p.theta_p]), *args).item()
+    return form(*_levels(pair), *args).item()
 
 
 def _regions(tx: _Array, tp: _Array) -> NDArray[np.str_]:
-    """The :class:`Region` value of each pair."""
-    return np.where(tx + tp > 1.0, Region.BOUNDED.value, Region.TRIVIAL.value)
+    """The :func:`classify_region` of each pair."""
+    return np.where(tx + tp > 1.0, "bounded", "trivial")
 
 
-def classify_region(pair: _Pair) -> Region:
-    """Trivial iff theta_x + theta_p <= 1, bounded otherwise."""
-    return Region(_one_pair(_regions, pair))
+def classify_region(pair: tuple[float, float]) -> str:
+    """The region of one pair: "trivial" iff theta_x + theta_p <= 1, else "bounded"."""
+    return _one_pair(_regions, pair)
 
 
 def _angular_targets(tx: _Array, tp: _Array) -> _Array:
@@ -204,7 +184,7 @@ def _gaussian_products(tx: _Array, tp: _Array, h: float) -> _Array:
     return products
 
 
-def angular_target(pair: _Pair) -> float:
+def angular_target(pair: tuple[float, float]) -> float:
     """Squared-cosine target T = (sqrt(tx*tp) - sqrt((1-tx)(1-tp)))^2.
 
     T is the squared cosine of the minimal angle budget left by the two
@@ -215,7 +195,7 @@ def angular_target(pair: _Pair) -> float:
     return _one_pair(_angular_targets, pair)
 
 
-def lp_measurable_bound(pair: _Pair, hbar: float = 1.0) -> float:
+def lp_measurable_bound(pair: tuple[float, float], hbar: float = 1.0) -> float:
     """Lower bound 2*pi*hbar*T on the measurable-set uncertainty product.
 
     Applies to confidence uncertainties over arbitrary measurable sets;
@@ -224,7 +204,7 @@ def lp_measurable_bound(pair: _Pair, hbar: float = 1.0) -> float:
     return _one_pair(_measurable_bounds, pair, _check_positive("hbar", hbar))
 
 
-def lp_interval_bound(pair: _Pair, hbar: float = 1.0) -> float:
+def lp_interval_bound(pair: tuple[float, float], hbar: float = 1.0) -> float:
     """Tight lower bound 4*hbar*lambda0_inverse(T) on the interval product.
 
     The ``lp_interval`` column of :func:`reports` at one pair: zero in the
@@ -253,7 +233,7 @@ def log_asymptote(theta_p: float, hbar: float = 1.0) -> float:
     return -2.0 * h * math.log1p(-theta_p)
 
 
-def donoho_stark_bound(pair: _Pair, hbar: float = 1.0) -> float:
+def donoho_stark_bound(pair: tuple[float, float], hbar: float = 1.0) -> float:
     """Hilbert-Schmidt bound 2*pi*hbar*(1 - sqrt(1-tx) - sqrt(1-tp))^2_+.
 
     Valid for arbitrary measurable sets but never larger than the
@@ -263,7 +243,7 @@ def donoho_stark_bound(pair: _Pair, hbar: float = 1.0) -> float:
     return _one_pair(_donoho_stark_bounds, pair, _check_positive("hbar", hbar))
 
 
-def elementary_bound(pair: _Pair) -> float | None:
+def elementary_bound(pair: tuple[float, float]) -> float | None:
     """Elementary floor on the coefficient-matrix norm, where it applies.
 
     Returns (pi/tx) * (tp - 2*sqrt((tx+tp-1)(1-tx))) when
@@ -298,13 +278,13 @@ def bbm_reference(hbar: float = 1.0) -> float:
 
 
 def _check_records(record: dict) -> None:
-    """The one check of bound records, a :func:`reports` table or one row:
+    """The one check of a :func:`reports` table, row by row:
     the region tag, 0 measurable bound in the trivial region, and
     interval >= measurable >= Donoho-Stark within _ORDER_SLACK."""
     region, measurable = record["region"], record["lp_measurable"]
     if np.any(region != _regions(record["theta_x"], record["theta_p"])):
         raise DomainError("region tag contradicts theta_x + theta_p")
-    if np.any((region == Region.TRIVIAL.value) & (measurable != 0.0)):
+    if np.any((region == "trivial") & (measurable != 0.0)):
         raise DomainError("the measurable bound must vanish in the trivial region")
     slack = _ORDER_SLACK * np.maximum(1.0, measurable)
     if np.any(measurable < record["donoho_stark"] - slack):
@@ -313,57 +293,17 @@ def _check_records(record: dict) -> None:
         raise DomainError("bound ordering violated: interval < measurable")
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    """All applicable bounds at one confidence pair: a row of :func:`reports`.
-
-    Each field is the value of its one-pair function: ``lp_interval`` is 0
-    in the trivial region and +inf at (1, 1), and ``elementary`` is None
-    outside its validity domain 2*theta_x + theta_p > 2. All products are
-    in units of hbar as passed to :func:`report`.
-    """
-
-    pair: ConfidencePair
-    region: Region
-    angular_target: float
-    lp_measurable: float
-    lp_interval: float
-    donoho_stark: float
-    elementary: float | None
-    gaussian_product: float
-
-    def __post_init__(self) -> None:
-        pair = {"theta_x": self.pair.theta_x, "theta_p": self.pair.theta_p}
-        _check_records({**vars(self), **pair, "region": self.region.value})
-
-
-def _table(tx: _Array, tp: _Array, h: float) -> dict[str, NDArray]:
-    """The :func:`reports` table at checked confidences, itself unchecked.
-    A bound out of range is named in the order interval, Gaussian,
-    measurable, Donoho-Stark."""
-    interval, gaussian = _interval_bounds(tx, tp, h), _gaussian_products(tx, tp, h)
-    return {
-        "theta_x": tx,
-        "theta_p": tp,
-        "region": _regions(tx, tp),
-        "angular_target": _angular_targets(tx, tp),
-        "lp_measurable": _measurable_bounds(tx, tp, h),
-        "lp_interval": interval,
-        "donoho_stark": _donoho_stark_bounds(tx, tp, h),
-        "elementary": _elementary_bounds(tx, tp),
-        "gaussian_product": gaussian,
-    }
-
-
 def reports(theta_x: ArrayLike, theta_p: ArrayLike, hbar: float = 1.0) -> dict[str, NDArray]:
     """Every bound at each pair (theta_x[k], theta_p[k]) of [0, 1]^2: a
-    table of columns theta_x, theta_p, region (the :class:`Region` value)
-    and the fields of :class:`BoundReport`, ``elementary`` None where it
-    does not apply. The bounded targets are inverted together, and every
-    row is checked as a BoundReport is. The Gaussian product generalises
-    the equal-confidence formula to 4*hbar*erf_inverse(tx)*erf_inverse(tp)
-    and is +inf when either confidence is 1 (a Gaussian needs an infinite
-    window for certainty).
+    table of columns theta_x, theta_p, region ("trivial" or "bounded"),
+    angular_target, lp_measurable, lp_interval, donoho_stark, elementary
+    and gaussian_product. Each bound column is its one-pair function at
+    every pair, in units of hbar: ``lp_interval`` is +inf at (1, 1), and
+    ``elementary`` None where it does not apply. The bounded targets are
+    inverted together, and every row is checked. The Gaussian product
+    generalises the equal-confidence formula to
+    4*hbar*erf_inverse(tx)*erf_inverse(tp) and is +inf when either
+    confidence is 1 (a Gaussian needs an infinite window for certainty).
 
     Raises
     ------
@@ -375,23 +315,34 @@ def reports(theta_x: ArrayLike, theta_p: ArrayLike, hbar: float = 1.0) -> dict[s
     tx, tp = _confidences("theta_x", theta_x), _confidences("theta_p", theta_p)
     if tx.ndim != 1 or tx.shape != tp.shape:
         raise DomainError("theta_x and theta_p must be two arrays of one length")
-    table = _table(tx, tp, _check_positive("hbar", hbar))
+    h = _check_positive("hbar", hbar)
+    # a bound out of range is named in the order interval, Gaussian,
+    # measurable, Donoho-Stark
+    interval, gaussian = _interval_bounds(tx, tp, h), _gaussian_products(tx, tp, h)
+    table = {
+        "theta_x": tx,
+        "theta_p": tp,
+        "region": _regions(tx, tp),
+        "angular_target": _angular_targets(tx, tp),
+        "lp_measurable": _measurable_bounds(tx, tp, h),
+        "lp_interval": interval,
+        "donoho_stark": _donoho_stark_bounds(tx, tp, h),
+        "elementary": _elementary_bounds(tx, tp),
+        "gaussian_product": gaussian,
+    }
     _check_records(table)
     return table
 
 
-def report(pair: _Pair, hbar: float = 1.0) -> BoundReport:
-    """Every bound at one pair of [0, 1]^2: the one-row case of :func:`reports`,
-    checked once, as a BoundReport.
+def report(pair: tuple[float, float], hbar: float = 1.0) -> dict[str, object]:
+    """Every bound at one pair of [0, 1]^2: the one-row case of
+    :func:`reports`, its nine columns in order as a dict of Python values.
 
     Raises
     ------
     DomainError
-        If hbar is not positive and finite, or takes a bound out of the
-        normal doubles.
+        If the pair is not two levels in [0, 1], hbar is not positive and
+        finite, or hbar takes a bound out of the normal doubles.
     """
-    p = _as_pair(pair)
-    table = _table(np.array([p.theta_x]), np.array([p.theta_p]), _check_positive("hbar", hbar))
-    row = {name: column.item() for name, column in table.items()}
-    del row["theta_x"], row["theta_p"]
-    return BoundReport(pair=p, region=Region(row.pop("region")), **row)
+    tx, tp = _levels(pair)
+    return {name: column.item() for name, column in reports(tx, tp, hbar).items()}

@@ -502,7 +502,7 @@ def _cmd_state(args: argparse.Namespace) -> tuple[dict, int]:
         )
     else:  # rect-sinc
         # the prediction validates L, W and P before a grid is sized on them
-        predicted = rect_sinc_prediction(args.L, args.W, args.P, hbar=h)
+        continuum_x, continuum_p = rect_sinc_prediction(args.L, args.W, args.P, hbar=h)
         grid = _rect_sinc_grid(args.L, args.W, h)
         state = rect_sinc_state(grid, args.L, args.W, args.P, hbar=h)
         momentum = fourier_transform(state)
@@ -510,8 +510,8 @@ def _cmd_state(args: argparse.Namespace) -> tuple[dict, int]:
         mass_p = probability_in_interval(momentum, -0.5 * args.W, 0.5 * args.W)
         _note(
             f"rect-sinc L={args.L}, W={args.W}, P={args.P}: "
-            f"position mass={mass_x:.6f} (continuum {predicted.position_mass:.6f}), "
-            f"momentum mass={mass_p:.6f} (continuum {predicted.momentum_mass:.6f})"
+            f"position mass={mass_x:.6f} (continuum {continuum_x:.6f}), "
+            f"momentum mass={mass_p:.6f} (continuum {continuum_p:.6f})"
         )
     table = {
         "x": state.grid.centers,

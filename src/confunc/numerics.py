@@ -63,8 +63,6 @@ def _legendre_and_derivative(
     return p, dp
 
 
-# typed, so that 40.0 cannot hit the entry of 40 without being checked
-@lru_cache(maxsize=64, typed=True)
 def gauss_legendre(order: int) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
     """Compute the Gauss-Legendre rule of the given order.
 
@@ -97,7 +95,13 @@ def gauss_legendre(order: int) -> tuple[NDArray[np.float64], NDArray[np.float64]
     """
     if not (isinstance(order, numbers.Integral) and order >= 2):
         raise DomainError(f"quadrature order must be an integer >= 2, got {_shown(order)}")
-    n = int(order)
+    return _gauss_legendre_rule(int(order))
+
+
+# behind the order check, so the cache sees only Python ints
+@lru_cache(maxsize=64)
+def _gauss_legendre_rule(n: int) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """The read-only rule of :func:`gauss_legendre` for a checked order n."""
     m = n // 2
     k = np.arange(1, m + 1, dtype=np.float64)
     x = np.cos(np.pi * (4 * k - 1) / (4 * n + 2))

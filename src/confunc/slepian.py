@@ -132,8 +132,9 @@ def _sinc(c: float, u: NDArray[np.float64], v: NDArray[np.float64]) -> NDArray[n
 
 def kernel_matrix(c: float, nodes, weights) -> NDArray[np.float64]:
     """Symmetrised Nystrom matrix of the sinc kernel on the nodes u and
-    weights w of a quadrature rule, 1-D arrays of one length (else a
-    DomainError), as :func:`confunc.numerics.gauss_legendre` returns.
+    weights w of a quadrature rule, 1-D arrays of one length with finite
+    nodes and finite positive weights (else a DomainError), as
+    :func:`confunc.numerics.gauss_legendre` returns.
 
     Entries are sqrt(w_i w_j) * sin(c (u_i - u_j)) / (pi (u_i - u_j));
     the diagonal takes the kernel's limit value, giving w_i * c / pi.
@@ -142,6 +143,8 @@ def kernel_matrix(c: float, nodes, weights) -> NDArray[np.float64]:
     u, w = np.asarray(nodes, dtype=np.float64), np.asarray(weights, dtype=np.float64)
     if u.ndim != 1 or w.shape != u.shape:
         raise DomainError(f"nodes and weights must be 1-D of one length, got {u.shape}, {w.shape}")
+    if not (np.isfinite(u).all() and (np.isfinite(w) & (w > 0.0)).all()):
+        raise DomainError("nodes must be finite and weights finite and positive")
     kern = _sinc(_as_c(c), u, u)
     sw = np.sqrt(w)
     return sw[:, None] * kern * sw[None, :]

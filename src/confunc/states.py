@@ -7,7 +7,7 @@ piecewise-constant density. Probability in an interval is then exact
 between position and momentum cells is exactly unitary, so position and
 momentum probabilities live on the same footing.
 
-The two confidence uncertainties implemented here:
+The two confidence uncertainties implemented here, each a ``ConfidenceEstimate``:
 
 * ``confidence_uncertainty`` -- smallest measure of any set holding
   probability theta (solved by a greedy superlevel set, with the last
@@ -29,7 +29,6 @@ import math
 import sys
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -40,10 +39,8 @@ from .slepian import _eigenpairs, _principal_values
 __all__ = [
     "Grid",
     "GriddedState",
-    "SupportKind",
     "ConfidenceEstimate",
     "LenardWitness",
-    "RectSincPrediction",
     "fourier_transform",
     "inverse_fourier_transform",
     "probability_in_interval",
@@ -168,26 +165,18 @@ def _normalised(grid: Grid, raw: np.ndarray, hbar: float) -> GriddedState:
     return GriddedState(grid, np.divide(raw, norm, out=raw), hbar)
 
 
-class SupportKind(Enum):
-    """Family of sets a confidence uncertainty was minimised over."""
-
-    MEASURABLE_SET = "measurable_set"
-    SINGLE_INTERVAL = "single_interval"
-
-
 @dataclass(frozen=True)
 class ConfidenceEstimate:
     """Result of a confidence-uncertainty minimisation.
 
-    ``measure`` is the optimal set measure (length). For single
-    intervals ``support`` is the optimal window (x1, x2); for measurable
-    sets it is the density threshold whose superlevel set was taken, as
-    a one-element tuple.
+    ``measure`` is the optimal set measure (length). ``support`` is the
+    optimal window (x1, x2) from :func:`interval_confidence_uncertainty`,
+    and from :func:`confidence_uncertainty` the density threshold whose
+    superlevel set was taken, as a one-element tuple.
     """
 
     theta: float
     measure: float
-    kind: SupportKind
     support: tuple[float, ...]
 
 
@@ -225,7 +214,8 @@ def _centred_dft(state: GriddedState, target: Grid, sign: int) -> GriddedState:
     n-cell complex arrays and one real one are alive at once.
     The operand order of each complex product is fixed: swapped operands
     change the last bits of numpy's complex product. A phase that an
-    extreme hbar puts out of floating-point range raises DomainError.
+    extreme hbar or source cell width puts out of floating-point range
+    raises DomainError, naming both.
     """
     source, h = state.grid, state.hbar
     ds, dt = source.dx, target.dx
@@ -242,7 +232,9 @@ def _centred_dft(state: GriddedState, target: Grid, sign: int) -> GriddedState:
             np.multiply(np.exp(sign * 1j * t0 * s0 / h), post, out=post)
             np.multiply(ds / math.sqrt(2.0 * math.pi * h), post, out=post)
     except FloatingPointError:
-        raise DomainError(f"hbar = {h:g} overflows the transform phases") from None
+        raise DomainError(
+            f"hbar = {h:g} with cells {ds:g} wide overflows the transform phases"
+        ) from None
     np.multiply(post, out, out=out)
     del post
     return GriddedState(target, out, h)
@@ -345,7 +337,6 @@ def confidence_uncertainty(state: GriddedState, theta: float) -> ConfidenceEstim
     return ConfidenceEstimate(
         theta=theta,
         measure=float(measure),
-        kind=SupportKind.MEASURABLE_SET,
         support=(level,),
     )
 
@@ -391,7 +382,6 @@ def interval_confidence_uncertainty(
     return ConfidenceEstimate(
         theta=theta,
         measure=width,
-        kind=SupportKind.SINGLE_INTERVAL,
         support=(x1, x2),
     )
 
@@ -451,23 +441,13 @@ def _check_rect_sinc(length: float, width: float, weight: float) -> None:
         raise DomainError(f"weight must lie in [0, 1], got {weight}")
 
 
-@dataclass(frozen=True)
-class RectSincPrediction:
-    """Closed-form expectations for the rectangle/sinc superposition.
-
-    ``position_mass`` is the probability inside [-L/2, L/2],
-    and ``momentum_mass`` the probability inside [-W/2, W/2].
-    Both masses exceed 1/2 at P = 1/2 for every L, W > 0.
-    """
-
-    position_mass: float
-    momentum_mass: float
-
-
 def rect_sinc_prediction(
     length: float, width: float, weight: float, hbar: float = 1.0
-) -> RectSincPrediction:
-    """Continuum masses of the rectangle/sinc superposition.
+) -> tuple[float, float]:
+    """Continuum masses (position_mass, momentum_mass) of the
+    rectangle/sinc superposition: the probability inside [-L/2, L/2] and
+    inside [-W/2, W/2], the pair that :func:`_rect_sinc_masses` reads on
+    a grid. Both exceed 1/2 at P = 1/2 for every L, W > 0.
 
     With c = L*W/(4*hbar), the cross term is s = sqrt(2/(pi*c)) * Si(c)
     and the sinc mass inside the rectangle is
@@ -489,7 +469,7 @@ def rect_sinc_prediction(
     norm_sq = 1.0 + cross
     mass_x = (weight + (1.0 - weight) * m_in + cross) / norm_sq
     mass_p = ((1.0 - weight) + weight * m_in + cross) / norm_sq
-    return RectSincPrediction(mass_x, mass_p)
+    return mass_x, mass_p
 
 
 def _centres(grid: Grid, cells: np.ndarray) -> np.ndarray:

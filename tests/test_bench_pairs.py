@@ -11,6 +11,8 @@ import json
 import subprocess
 from pathlib import Path
 
+import pytest
+
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
 
 
@@ -30,7 +32,7 @@ def test_failed_run_is_recorded_and_left_out(tmp_path, monkeypatch):
             return subprocess.CompletedProcess(argv, 3, "", "Traceback\nValueError: boom\n")
         # the change is faster in every pair, by a margin that grows
         value = 2.0 + seed - 1000 if cwd.name == "base" else 1.0
-        metrics = {name: {"value": value, "unit": "s"} for name in tool.END_TO_END}
+        metrics = {name: {"value": value, "unit": "s"} for name in tool.declared()[1]}
         line = json.dumps({"correct": True, "attempted": 1, "failed": 0, "metrics": metrics})
         return subprocess.CompletedProcess(argv, 0, line + "\n", "")
 
@@ -51,3 +53,22 @@ def test_failed_run_is_recorded_and_left_out(tmp_path, monkeypatch):
     assert wall["pairs_won_by_change"] == 3
     assert wall["base"]["median"] == 3.5
     assert wall["change"]["median"] == 1.0
+
+
+def test_workloads_and_metrics_are_the_benchmark_files():
+    tool = load_tool()
+    spec = json.loads((TOOL.parents[1] / "BENCHMARK.json").read_text(encoding="utf-8"))
+    workloads, end_to_end = tool.declared()
+    assert workloads == [w["name"] for w in spec["workloads"]]
+    assert end_to_end == [m["name"] for m in spec["end_to_end"]]
+    assert "queries" in workloads and "wall_s" in end_to_end
+
+
+def test_a_workload_the_file_does_not_declare_is_refused(tmp_path, monkeypatch):
+    tool = load_tool()
+    spec = {"workloads": [{"name": "solo"}], "end_to_end": [{"name": "wall_s"}]}
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(spec), encoding="utf-8")
+    monkeypatch.setattr(tool, "BENCHMARK", tmp_path / "BENCHMARK.json")
+    argv = ["--base", str(tmp_path), "--change", str(tmp_path), "--out", str(tmp_path / "o")]
+    with pytest.raises(SystemExit):
+        tool.main([*argv, "--workload", "landscape:2"])

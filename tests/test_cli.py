@@ -284,7 +284,7 @@ class TestCompareCommand:
         assert calls == [len(thetas)]
         rows = parse_csv(out)
         for row, theta in zip(rows, thetas):
-            assert row["slepian"] == f"{report((theta, theta)).lp_interval:.6g}"
+            assert row["slepian"] == f"{report((theta, theta))['lp_interval']:.6g}"
 
     def test_rejects_boundary_theta(self, capsys):
         code, _, err = run(capsys, ["compare", "--theta", "1.0"])
@@ -639,6 +639,17 @@ class TestHbarAndSeedOptions:
         assert (code, out) == (2, "")
         assert len(err.splitlines()) == 1
         assert err.startswith("error:") and "length" in err
+
+    def test_slepian_length_that_overflows_the_phases_names_the_cells(self, capsys):
+        # the state fits, but x*p/hbar overflows on cells L/256 wide: the
+        # error names that width beside hbar = 1, which alone is harmless
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, ["state", "slepian", "--c", "1", "--L", "1e-305"])
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: hbar = 1 with cells ")
+        assert f"{1e-305 / 256:g}" in err
 
     @pytest.mark.parametrize(
         "argv",

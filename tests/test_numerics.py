@@ -52,8 +52,8 @@ class TestGaussLegendre:
 
     @pytest.mark.parametrize(
         "order, shown",
-        [(2.5, "2.5"), (40.0, "40.0"), (True, "True"), ("3", "'3'")],
-        ids=["fraction", "integral_float", "bool", "str"],
+        [(2.5, "2.5"), (40.0, "40.0"), (True, "True"), ("3", "'3'"), ([3], r"\[3\]")],
+        ids=["fraction", "integral_float", "bool", "str", "list"],
     )
     def test_rejects_an_order_that_is_not_an_integer_of_at_least_2(self, order, shown):
         gauss_legendre(40)  # a cached 40 must not answer for 40.0

@@ -10,6 +10,7 @@ series the saturating state is sampled from.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -86,13 +87,23 @@ class TestKernelMatrix:
         assert np.max(np.abs(np.diag(m) - weights * c / math.pi)) <= 1e-15
 
     @pytest.mark.parametrize(
-        "nodes, weights",
-        [(np.zeros(4), np.ones(5)), (np.zeros((2, 2)), np.ones((2, 2)))],
-        ids=["lengths_differ", "two_dimensional"],
+        "nodes, weights, message",
+        [
+            (np.zeros(4), np.ones(5), "nodes and weights must be 1-D"),
+            (np.zeros((2, 2)), np.ones((2, 2)), "nodes and weights must be 1-D"),
+            ([0.0, 0.5], [1.0, math.nan], "weights finite and positive"),
+            ([0.0, 0.5], [1.0, -1.0], "weights finite and positive"),
+            ([0.0, math.inf], [1.0, 1.0], "nodes must be finite"),
+        ],
+        ids=["lengths_differ", "two_dimensional", "nan_weight", "negative_weight", "inf_node"],
     )
-    def test_rejects_nodes_and_weights_that_are_not_one_rule(self, nodes, weights):
-        with pytest.raises(DomainError, match="nodes and weights must be 1-D"):
-            kernel_matrix(1.0, nodes, weights)
+    def test_rejects_nodes_and_weights_that_are_not_one_rule(self, nodes, weights, message):
+        # a bad value would pass through to NaN entries (and a numpy
+        # warning for the square root of a negative weight)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=message):
+                kernel_matrix(1.0, nodes, weights)
 
     def test_eigenvalue_against_independent_quadrature(self):
         # integrate the kernel against the eigenfunction on a finer rule

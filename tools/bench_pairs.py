@@ -10,7 +10,9 @@ side is measured with the program it contains. ``--workload NAME:PAIRS``
 untraced runs; a pair is one run of each side with the same seed, and the
 side that goes first alternates from pair to pair, so a slow drift of the
 host's speed falls on both sides alike. ``--trace`` adds one traced run
-per side of every workload, for the per-layer metrics.
+per side of every workload, for the per-layer metrics. The workloads and
+end-to-end metrics are those that ``BENCHMARK.json`` at the root of the
+tool's own checkout declares.
 
 The output records every run's result line and environment record and,
 per workload and end-to-end metric, each side's median and quartiles,
@@ -30,10 +32,17 @@ import sys
 import time
 from pathlib import Path
 
-WORKLOADS = ("landscape", "selfcheck", "statedump", "queries")
-END_TO_END = ("wall_s", "setup_s", "cpu_s", "peak_rss_mb", "latency_p50_s", "latency_tail_s")
+# the benchmark declaration at the root of this tool's checkout
+BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 # stderr lines kept from a run that exits nonzero
 STDERR_TAIL = 20
+
+
+def declared() -> tuple[list[str], list[str]]:
+    """The workload names and end-to-end metric names that ``BENCHMARK``
+    declares, in its order."""
+    spec = json.loads(BENCHMARK.read_text(encoding="utf-8"))
+    return [w["name"] for w in spec["workloads"]], [m["name"] for m in spec["end_to_end"]]
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: float, trace: bool) -> dict:
@@ -61,14 +70,14 @@ def summary(values: list[float]) -> dict | None:
     return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1}
 
 
-def compare(base_runs: list[dict], change_runs: list[dict]) -> dict:
-    """Per metric: both sides' quartiles, the median ratio, pairs won.
+def compare(base_runs: list[dict], change_runs: list[dict], metrics: list[str]) -> dict:
+    """Per metric named: both sides' quartiles, the median ratio, pairs won.
 
     The two lists hold one run per pair, in pair order; failed runs are
     left out, and so is every pair with a failed side.
     """
     out = {}
-    for name in END_TO_END:
+    for name in metrics:
         base = [r["metrics"][name]["value"] for r in base_runs if r["exit_code"] == 0]
         change = [r["metrics"][name]["value"] for r in change_runs if r["exit_code"] == 0]
         paired = [
@@ -98,10 +107,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--trace", action="store_true")
     args = parser.parse_args(argv)
     sides = {"base": args.base.resolve(), "change": args.change.resolve()}
+    workloads, end_to_end = declared()
     record: dict = {"seconds": args.seconds, "pairs": {}, "traced": {}}
     for spec in args.workload or ["landscape:10"]:
         workload, _, count = spec.partition(":")
-        if workload not in WORKLOADS or not count.isdigit() or int(count) < 2:
+        if workload not in workloads or not count.isdigit() or int(count) < 2:
             parser.error(f"expected NAME:PAIRS, a known workload and PAIRS >= 2, got {spec!r}")
         runs: dict[str, list[dict]] = {"base": [], "change": []}
         for i in range(int(count)):
@@ -120,10 +130,10 @@ def main(argv: list[str] | None = None) -> int:
         record["pairs"][workload] = {
             "runs": runs,
             "failed_runs": failed,
-            "summary": compare(runs["base"], runs["change"]),
+            "summary": compare(runs["base"], runs["change"], end_to_end),
         }
     if args.trace:
-        for workload in WORKLOADS:
+        for workload in workloads:
             record["traced"][workload] = {
                 side: run_once(root, workload, args.seed, args.seconds, True)
                 for side, root in sides.items()

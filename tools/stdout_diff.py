@@ -82,6 +82,7 @@ COMMANDS = (
     "bounds --grid 300",
     "verify all --format json",
     "state slepian --c 1 --L 1e-306",
+    "state slepian --c 1 --L 1e-305",
 )
 
 
