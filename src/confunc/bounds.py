@@ -22,7 +22,7 @@ import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
 from .errors import DomainError
-from .numerics import _check_positive, erf_inverse
+from .numerics import _check_positive, _shown, erf_inverse
 from .slepian import lambda0_inverse_batch
 
 __all__ = [
@@ -228,8 +228,8 @@ def log_asymptote(theta_p: float, hbar: float = 1.0) -> float:
     while 4*hbar*c from the two-term law is within 0.4% of it.
     """
     h = _check_positive("hbar", hbar)
-    if not 0.0 < theta_p < 1.0:
-        raise DomainError(f"log_asymptote requires 0 < theta_p < 1, got {theta_p}")
+    if not (isinstance(theta_p, numbers.Real) and 0.0 < theta_p < 1.0):
+        raise DomainError(f"log_asymptote requires 0 < theta_p < 1, got {_shown(theta_p)}")
     return -2.0 * h * math.log1p(-theta_p)
 
 

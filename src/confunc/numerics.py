@@ -165,8 +165,8 @@ def sine_integral(y: float) -> float:
     and the asymptotic auxiliary-function expansion beyond, keeping the
     absolute error below 1e-12 everywhere. Odd in y.
     """
-    if not math.isfinite(y):
-        raise DomainError(f"sine_integral requires finite input, got {y}")
+    if not (isinstance(y, numbers.Real) and math.isfinite(y)):
+        raise DomainError(f"sine_integral requires finite input, got {_shown(y)}")
     if y == 0.0:
         return 0.0
     sign, ay = (1.0, y) if y > 0 else (-1.0, -y)
@@ -206,8 +206,8 @@ def erf_inverse(theta: float) -> float:
     DomainError
         If ``theta`` is outside [0, 1).
     """
-    if not 0.0 <= theta < 1.0:
-        raise DomainError(f"erf_inverse requires 0 <= theta < 1, got {theta}")
+    if not (isinstance(theta, numbers.Real) and 0.0 <= theta < 1.0):
+        raise DomainError(f"erf_inverse requires 0 <= theta < 1, got {_shown(theta)}")
     if theta == 0.0:
         return 0.0
     lo, hi, x = 0.0, 6.0, 3.0

@@ -34,6 +34,7 @@ per round.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 
@@ -41,7 +42,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import ConvergenceError, DomainError
-from .numerics import _check_positive, _panel_rule, gauss_legendre, largest_eigenpair
+from .numerics import _check_positive, _panel_rule, _shown, gauss_legendre, largest_eigenpair
 
 __all__ = [
     "ProlateSolution",
@@ -90,6 +91,10 @@ _MAX_SOLVE_WORK = 1e11
 
 
 def _as_c(c: float) -> float:
+    """The one rule for a concentration: a single real number (numpy
+    scalars are), finite and >= 0."""
+    if not isinstance(c, numbers.Real):
+        raise DomainError(f"concentration parameter must be a real number, got {_shown(c)}")
     value = float(c)
     if not math.isfinite(value) or value < 0:
         raise DomainError(
@@ -280,9 +285,10 @@ def lambda0(c: float) -> float:
     Raises
     ------
     DomainError
-        If c is negative, not finite, or above the supported 1000.
+        If c is not a single real number, is negative, not finite, or
+        above the supported 1000.
     """
-    return float(_eigenpairs([c])[0][0])
+    return float(_eigenpairs([_as_c(c)])[0][0])
 
 
 def lambda0_small_c(c: float) -> float:

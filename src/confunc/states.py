@@ -20,27 +20,30 @@ State constructors: a minimum-uncertainty Gaussian, a rectangle/sinc
 superposition that beats 50/50 confidence in both variables at once,
 and the grid restriction of the principal prolate function, which
 saturates the interval bound. A seeded smoothed-noise generator feeds
-the verification corpus.
+the verification corpus, and the witness of Lenard's projection
+inequality is a table with one row per window, as ``bounds.reports`` is:
+``verify_lenard_batch``, with ``verify_lenard`` its one-row dict.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import sys
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from itertools import filterfalse
 
 import numpy as np
 
 from .errors import DomainError, GridError
-from .numerics import _check_positive, sine_integral
+from .numerics import _check_positive, _shown, sine_integral
 from .slepian import _eigenpairs, _principal_values
 
 __all__ = [
     "Grid",
     "GriddedState",
     "ConfidenceEstimate",
-    "LenardWitness",
     "fourier_transform",
     "inverse_fourier_transform",
     "probability_in_interval",
@@ -57,8 +60,8 @@ __all__ = [
 ]
 
 _NORM_TOL = 1e-8
-# margin below zero that a Lenard witness still counts as holding, for
-# grid effects
+# margin below zero at which the Lenard check still holds, for grid
+# effects
 _LENARD_SLACK = 1e-6
 
 
@@ -77,12 +80,15 @@ class Grid:
     n: int
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.x_min) and math.isfinite(self.x_max)):
+        ends = (self.x_min, self.x_max)
+        if not all(isinstance(v, numbers.Real) and math.isfinite(v) for v in ends):
             raise GridError("grid endpoints must be finite")
         if not self.x_min < self.x_max:
             raise GridError(
                 f"grid requires x_min < x_max, got [{self.x_min}, {self.x_max}]"
             )
+        if not isinstance(self.n, numbers.Integral):
+            raise GridError(f"grid requires an integer cell count, got {_shown(self.n)}")
         if self.n < 16:
             raise GridError(f"grid requires at least 16 cells, got {self.n}")
 
@@ -289,11 +295,11 @@ def _cumulative(state: GriddedState) -> np.ndarray:
     return cum
 
 
-def _masses(state: GriddedState, intervals: Sequence[tuple[float, float]]) -> list[float]:
+def _masses(state: GriddedState, intervals: Sequence[tuple[float, float]]) -> np.ndarray:
     """Mass in each interval (a, b), all read from one cumulative; the
     intervals are taken as checked."""
     ends = np.interp(np.ravel(intervals), state.grid.edges, _cumulative(state))
-    return [float(max(hi - lo, 0.0)) for lo, hi in ends.reshape(-1, 2)]
+    return np.maximum(ends[1::2] - ends[::2], 0.0)
 
 
 def probability_in_interval(state: GriddedState, a: float, b: float) -> float:
@@ -303,16 +309,16 @@ def probability_in_interval(state: GriddedState, a: float, b: float) -> float:
     endpoints inside a cell contribute the covered fraction of that
     cell. Endpoints outside the grid clamp to its boundary.
     """
-    if not (math.isfinite(a) and math.isfinite(b)):
+    if not all(isinstance(v, numbers.Real) and math.isfinite(v) for v in (a, b)):
         raise DomainError("interval endpoints must be finite")
     if a > b:
         raise DomainError(f"interval requires a <= b, got [{a}, {b}]")
-    return _masses(state, [(a, b)])[0]
+    return float(_masses(state, [(a, b)])[0])
 
 
 def _clamp_theta(theta: float, total: float) -> float:
-    if not 0.0 < theta <= 1.0:
-        raise DomainError(f"theta must lie in (0, 1], got {theta}")
+    if not (isinstance(theta, numbers.Real) and 0.0 < theta <= 1.0):
+        raise DomainError(f"theta must lie in (0, 1], got {_shown(theta)}")
     return min(theta, total)
 
 
@@ -437,8 +443,8 @@ def gaussian_state(grid: Grid, sigma: float, hbar: float = 1.0) -> GriddedState:
 def _check_rect_sinc(length: float, width: float, weight: float) -> None:
     _check_positive("length", length)
     _check_positive("width", width)
-    if not 0.0 <= weight <= 1.0:
-        raise DomainError(f"weight must lie in [0, 1], got {weight}")
+    if not (isinstance(weight, numbers.Real) and 0.0 <= weight <= 1.0):
+        raise DomainError(f"weight must lie in [0, 1], got {_shown(weight)}")
 
 
 def rect_sinc_prediction(
@@ -711,114 +717,80 @@ def random_smooth_state(grid: Grid, seed: int, hbar: float = 1.0) -> GriddedStat
 # --------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LenardWitness:
-    """One evaluation of the two-projection angle inequality.
-
-    For any state, arccos of the position overlap plus arccos of the
-    momentum overlap is at least arccos of the largest two-projection
-    cosine, which is sqrt(lambda0(|X| |P| / (4*hbar))). ``margin`` is
-    lhs - rhs; ``holds`` allows ``slack``, a fixed 1e-6, for grid effects.
-    """
-
-    x_interval: tuple[float, float]
-    p_interval: tuple[float, float]
-    position_probability: float
-    momentum_probability: float
-    angle_sum: float
-    minimal_angle: float
-    concentration: float
-    margin: float
-    slack: float
-    holds: bool
-
-
 def verify_lenard(
     state: GriddedState,
     x_interval: tuple[float, float],
     p_interval: tuple[float, float],
-) -> LenardWitness:
-    """Check the angle inequality for one state and one interval pair.
-
-    Probabilities are clipped into [0, 1] before taking arccos of their
-    square roots; the momentum probability is evaluated on the unitary
-    transform of the state. The one-window case of
-    :func:`verify_lenard_batch`.
-    """
-    return verify_lenard_batch(state, [(x_interval, p_interval)])[0]
+) -> dict[str, object]:
+    """Check the angle inequality for one state and one interval pair: the
+    one-row case of :func:`verify_lenard_batch`, its eleven columns in
+    order as a dict of Python values."""
+    table = verify_lenard_batch(state, [(x_interval, p_interval)])
+    return {name: column.item() for name, column in table.items()}
 
 
 def verify_lenard_batch(
     state: GriddedState,
     windows: Sequence[tuple[tuple[float, float], tuple[float, float]]],
-) -> list[LenardWitness]:
-    """:func:`verify_lenard` for each ``(x_interval, p_interval)`` in
-    ``windows``, in order, from one transform of the state.
-
-    Every window is checked before any work is done; the position masses
-    come from one cumulative of the state and the momentum masses from
-    one cumulative of its transform, and lambda0 of every window's
-    concentration from the stacked eigensolver. The one-state case of
-    :func:`_verify_lenard_states`.
-    """
-    return next(_verify_lenard_states([(state, windows)]))
+) -> dict[str, np.ndarray]:
+    """Lenard's angle inequality at each ``(x_interval, p_interval)`` of
+    ``windows``, one row each: arccos of the root of the position mass plus
+    that of the momentum mass is at least arccos(sqrt(lambda0(c))), c =
+    |X| |P| / (4*hbar). The one-state case of :func:`_verify_lenard_states`."""
+    return _verify_lenard_states([(state, windows)])
 
 
-def _verify_lenard_states(
-    items: Iterable[
-        tuple[GriddedState, Sequence[tuple[tuple[float, float], tuple[float, float]]]]
-    ],
-) -> Iterator[list[LenardWitness]]:
-    """:func:`verify_lenard_batch` for each ``(state, windows)`` in
-    ``items``, yielded in order.
+def _two_pairs(window) -> bool:
+    try:
+        return np.array(window, dtype=np.float64).shape == (2, 2)
+    except (TypeError, ValueError):
+        return False
 
-    Each state's windows are checked and its masses read as it arrives,
-    so no state is held past that; lambda0 of every window of every
-    state then comes from one call of the stacked eigensolver, before the
-    first list is yielded. Only the window ends, masses and
-    concentrations are kept until then.
-    """
+
+def _window_ends(windows: Sequence) -> np.ndarray:
+    """The windows as a (k, 4) array of x1, x2, p1, p2, checked in one pass:
+    two intervals of two numbers each (read as ``reports`` reads levels),
+    else a DomainError naming the window; finite ends; x1 < x2, p1 < p2."""
+    try:
+        ends = np.array(windows, dtype=np.float64)
+    except (TypeError, ValueError):
+        ends = None
+    if ends is None or ends.shape[1:] != (2, 2) and ends.shape != (0,):
+        listed = windows if isinstance(windows, Iterable) else ()
+        bad = next(filterfalse(_two_pairs, listed), windows)
+        raise DomainError(f"a window must be two intervals of two numbers, got {bad!r}")
+    ends = ends.reshape(-1, 4)
+    if not np.isfinite(ends).all():
+        raise DomainError("interval endpoints must be finite")
+    if not ((ends[:, 0] < ends[:, 1]) & (ends[:, 2] < ends[:, 3])).all():
+        raise DomainError("intervals must have positive length")
+    return ends
+
+
+def _verify_lenard_states(items: Iterable[tuple[GriddedState, Sequence]]) -> dict[str, np.ndarray]:
+    """The Lenard check at every window of every ``(state, windows)`` in
+    ``items``, in order, as a table of columns: the window ends, the two
+    probabilities clipped into [0, 1], the concentration c, the angle sum,
+    the minimal angle arccos(sqrt(lambda0(c))), ``margin`` (their
+    difference) and ``holds`` (margin >= -_LENARD_SLACK, for grid effects).
+
+    ``items`` is read once. Each state's windows are checked before its
+    transform and its masses read as it arrives, so no state is held past
+    that; lambda0 of every window then comes from one eigensolver call."""
     read = []
     for state, windows in items:
-        for (x1, x2), (p1, p2) in windows:
-            if not (x1 < x2 and p1 < p2):
-                raise DomainError("intervals must have positive length")
-            if not all(math.isfinite(v) for v in (x1, x2, p1, p2)):
-                raise DomainError("interval endpoints must be finite")
-        ends = np.array(windows, dtype=np.float64).reshape(-1, 4)
+        ends = _window_ends(windows)
         position = _masses(state, ends[:, :2])
         momentum = _masses(fourier_transform(state), ends[:, 2:])
         cs = (ends[:, 1] - ends[:, 0]) * (ends[:, 3] - ends[:, 2]) / (4.0 * state.hbar)
         read.append((ends, position, momentum, cs))
-    eigenvalues = iter(_eigenpairs(np.concatenate([cs for *_, cs in read]))[0].tolist())
-    for ends, position, momentum, cs in read:
-        yield [
-            _lenard_witness(window, mass_x, mass_p, c, next(eigenvalues))
-            for window, mass_x, mass_p, c in zip(ends.tolist(), position, momentum, cs.tolist())
-        ]
-
-
-def _lenard_witness(
-    window: list[float], mass_x: float, mass_p: float, c: float, value: float
-) -> LenardWitness:
-    """The witness of one window, given as x1, x2, p1, p2, from its two
-    masses, its concentration c and lambda0(c)."""
-    x1, x2, p1, p2 = window
-    px = min(max(mass_x, 0.0), 1.0)
-    pp = min(max(mass_p, 0.0), 1.0)
-    lhs = math.acos(math.sqrt(px)) + math.acos(math.sqrt(pp))
-    rhs = math.acos(math.sqrt(value))
-    margin = lhs - rhs
-    return LenardWitness(
-        x_interval=(x1, x2),
-        p_interval=(p1, p2),
-        position_probability=px,
-        momentum_probability=pp,
-        angle_sum=lhs,
-        minimal_angle=rhs,
-        concentration=c,
-        margin=margin,
-        slack=_LENARD_SLACK,
-        holds=margin >= -_LENARD_SLACK,
-    )
-
+    ends, position, momentum, cs = (np.concatenate(part) for part in zip(*read))
+    table = dict(zip(("x1", "x2", "p1", "p2"), ends.T))
+    table["position_probability"] = px = np.clip(position, 0.0, 1.0)
+    table["momentum_probability"] = pp = np.clip(momentum, 0.0, 1.0)
+    table["concentration"] = cs
+    table["angle_sum"] = np.arccos(np.sqrt(px)) + np.arccos(np.sqrt(pp))
+    table["minimal_angle"] = np.arccos(np.sqrt(_eigenpairs(cs)[0]))
+    table["margin"] = margin = table["angle_sum"] - table["minimal_angle"]
+    table["holds"] = margin >= -_LENARD_SLACK
+    return table

@@ -261,8 +261,8 @@ class TestCorpusInvariants:
                     (xc - 0.5 * xw, xc + 0.5 * xw),
                     (pc - 0.5 * pw, pc + 0.5 * pw),
                 )
-                worst = min(worst, witness.margin)
-                assert witness.holds
+                worst = min(worst, witness["margin"])
+                assert witness["holds"]
         assert worst >= -1e-6
 
     def test_entropy_sum_above_floor(self, corpus):

@@ -369,6 +369,16 @@ class TestStateCommand:
         match = re.search(r"in-band momentum mass=([0-9.]+)", err)
         assert abs(float(match.group(1)) - 0.572582) <= 2e-3
 
+    def test_slepian_names_the_band_excess_as_grid_error(self, capsys):
+        # at c = 4 the gridded in-band mass reads above lambda0, which no
+        # state can hold; the note gives the signed difference and why
+        code, _, err = run(capsys, ["state", "slepian", "--c", "4"])
+        assert code == 0
+        assert err.splitlines() == [
+            "slepian c=4.0, L=2.0, W=8: in-band momentum mass=0.995887, lambda0=0.995885, "
+            "difference=+1.40e-06 (grid error; no state holds more than lambda0)"
+        ]
+
     def test_rect_sinc_reports_masses(self, capsys):
         code, out, err = run(capsys, ["state", "rect-sinc", "--L", "1", "--W", "1"])
         assert code == 0

@@ -67,6 +67,10 @@ class TestLambda0:
         with pytest.raises(DomainError):
             lambda0(bad)
 
+    def test_integer_and_numpy_c_keep_their_bits(self):
+        assert lambda0(1) == lambda0(np.float64(1.0)) == lambda0(1.0)
+        assert type(lambda0(np.float64(1.0))) is float
+
     def test_small_c_asymptote(self):
         c = 0.02
         assert abs(lambda0(c) / lambda0_small_c(c) - 1.0) <= 0.01
@@ -215,6 +219,31 @@ class TestPrincipalFunction:
         # once truncated to 40 nodes and then refused for its sample count
         with pytest.raises(DomainError, match="quadrature order must be an integer"):
             principal_slepian(1.0, order=40.5)
+
+
+@pytest.mark.parametrize(
+    "function",
+    [
+        lambda0,
+        lambda0_small_c,
+        lambda0_large_c,
+        lambda c: kernel_matrix(c, *gauss_legendre(8)),
+        principal_slepian,
+        lambda c: slepian_state(c, 2.0),
+    ],
+    ids=["lambda0", "small_c", "large_c", "kernel_matrix", "principal_slepian", "slepian_state"],
+)
+@pytest.mark.parametrize(
+    "c, shown",
+    [([1, 2], "[1, 2]"), ([], "[]"), ("1", "'1'"), (None, "None")],
+    ids=["list", "empty", "text", "none"],
+)
+def test_a_concentration_that_is_not_one_real_number(function, c, shown):
+    # a list was read as its first value or failed bare, and text as its
+    # number; each is refused and shown as given
+    with pytest.raises(DomainError, match="^concentration parameter must be a real number") as caught:
+        function(c)
+    assert str(caught.value).endswith(f", got {shown}")
 
 
 @given(st.floats(min_value=0.01, max_value=6.0), st.floats(min_value=0.01, max_value=6.0))

@@ -7,6 +7,7 @@ with grid-scale tolerances.
 """
 
 import math
+import re
 import tracemalloc
 from functools import lru_cache
 
@@ -16,7 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from confunc.errors import DomainError, GridError
-from confunc.numerics import erf_inverse
+from confunc.bounds import log_asymptote
+from confunc.numerics import erf_inverse, sine_integral
 from confunc.slepian import _eigenpairs, _rows, lambda0
 from confunc.states import (
     ConfidenceEstimate,
@@ -84,16 +86,59 @@ class TestGrid:
         assert abs(dual.x_min + dual.x_max) <= 1e-12
 
     @pytest.mark.parametrize(
-        "args", [(1.0, 0.0, 64), (0.0, 1.0, 8), (math.nan, 1.0, 64)]
+        "args",
+        [
+            (1.0, 0.0, 64),
+            (0.0, 1.0, 8),
+            (math.nan, 1.0, 64),
+            # 16.5 cells gave 17 centres, and text failed bare
+            (-1.0, 1.0, 16.5),
+            ("a", 1.0, 32),
+            (0.0, 1.0, "32"),
+        ],
     )
     def test_rejects_bad_construction(self, args):
         with pytest.raises(GridError):
             Grid(*args)
 
+    def test_numpy_integers_are_cell_counts(self):
+        assert Grid(0.0, 1.0, np.int64(32)).centers.shape == (32,)
+
     def test_centers_read_only(self):
         grid = Grid.symmetric(1.0, 16)
         with pytest.raises(ValueError):
             grid.centers[0] = 0.0
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda state: confidence_uncertainty(state, "0.5"),
+        lambda state: interval_confidence_uncertainty(state, "0.5"),
+        lambda state: probability_in_interval(state, "0", 0.5),
+        lambda state: probability_in_interval(state, 0.0, "0.5"),
+        lambda state: rect_sinc_prediction(1.0, 1.0, "0.5"),
+        lambda state: rect_sinc_state(state.grid, 1.0, 1.0, "0.5"),
+        lambda state: erf_inverse("0.5"),
+        lambda state: sine_integral("1"),
+        lambda state: log_asymptote("0.5"),
+    ],
+    ids=[
+        "confidence_theta",
+        "interval_theta",
+        "interval_start",
+        "interval_end",
+        "prediction_weight",
+        "state_weight",
+        "erf_inverse",
+        "sine_integral",
+        "log_asymptote",
+    ],
+)
+def test_a_scalar_that_is_not_a_real_number(call):
+    # each raised a bare TypeError from comparing text with a number
+    with pytest.raises(DomainError):
+        call(uniform_state(Grid(0.0, 1.0, 64)))
 
 
 class TestGriddedState:
@@ -555,19 +600,36 @@ class TestRandomSmooth:
         assert not np.array_equal(a.amplitudes, b.amplitudes)
 
 
+LENARD_COLUMNS = [
+    "x1",
+    "x2",
+    "p1",
+    "p2",
+    "position_probability",
+    "momentum_probability",
+    "concentration",
+    "angle_sum",
+    "minimal_angle",
+    "margin",
+    "holds",
+]
+
+
 class TestLenardWitness:
     def test_gaussian_holds_with_margin(self):
         state = gaussian_state(Grid.symmetric(10.0, 1024), 1.0)
         witness = verify_lenard(state, (-2.0, 2.0), (-1.0, 1.0))
-        assert witness.holds
-        assert witness.margin > 0.05
+        assert list(witness) == LENARD_COLUMNS
+        assert (witness["x1"], witness["x2"], witness["p1"], witness["p2"]) == (-2, 2, -1, 1)
+        assert witness["holds"] is True
+        assert witness["margin"] > 0.05
 
     def test_saturating_state_sits_on_the_edge(self):
         state = aligned_slepian()
         witness = verify_lenard(state, (-1.0, 1.0), (-1.0, 1.0))
-        assert witness.holds
-        assert abs(witness.margin) <= 1e-4
-        assert abs(witness.concentration - 1.0) <= 1e-12
+        assert witness["holds"]
+        assert abs(witness["margin"]) <= 1e-4
+        assert abs(witness["concentration"] - 1.0) <= 1e-12
 
     def test_rejects_empty_interval(self):
         state = gaussian_state(Grid.symmetric(10.0, 1024), 1.0)
@@ -606,9 +668,14 @@ class TestLenardBatch:
         assert len(transform_calls) == 1
         single = [verify_lenard(state, x, p) for x, p in windows]
         assert len(transform_calls) == 1 + len(windows)
-        assert len(batch) == len(windows)
-        for got, expected in zip(batch, single):
-            assert got == expected
+        assert list(batch) == LENARD_COLUMNS
+        assert all(column.shape == (len(windows),) for column in batch.values())
+        # each one-row dict is its batch row, key for key and bit for bit
+        for k, row in enumerate(single):
+            assert list(row) == LENARD_COLUMNS
+            for name, value in row.items():
+                assert type(value) is type(batch[name][k].item())
+                assert np.asarray(value).tobytes() == batch[name][k].tobytes()
 
     def test_one_eigensolve_per_row_count(self, monkeypatch):
         eigh = np.linalg.eigh
@@ -622,15 +689,15 @@ class TestLenardBatch:
         hbar = 0.2
         state = random_smooth_state(Grid.symmetric(20.0, 4096), 4, hbar=hbar)
         windows = corpus_windows(5, hbar)
-        witnesses = verify_lenard_batch(state, windows)
-        row_counts = {_rows(w.concentration) for w in witnesses}
+        table = verify_lenard_batch(state, windows)
+        row_counts = set(_rows(table["concentration"]).tolist())
         assert len(row_counts) > 1
         assert len(calls) <= len(row_counts)
         assert sum(shape[0] for shape in calls) == len(windows)
 
     def test_many_states_equal_each_state_alone(self, monkeypatch):
         # lambda0 of every window of every state in one solve, and each
-        # witness == the one-state batch's
+        # column the concatenation of the one-state tables'
         grid = Grid.symmetric(20.0, 4096)
         items = [
             (random_smooth_state(grid, seed, hbar=hbar), corpus_windows(seed + 1, hbar))
@@ -645,9 +712,33 @@ class TestLenardBatch:
             return eigenpairs(cs)
 
         monkeypatch.setattr("confunc.states._eigenpairs", counted)
-        together = list(_verify_lenard_states(iter(items)))
+        together = _verify_lenard_states(iter(items))
         assert calls == [60]
-        assert together == alone
+        assert list(together) == LENARD_COLUMNS
+        for name, column in together.items():
+            expected = np.concatenate([table[name] for table in alone])
+            assert column.dtype == expected.dtype
+            assert column.tobytes() == expected.tobytes(), name
+
+    def test_angles_agree_with_scalar_arccos(self):
+        # np.arccos need not round as math.acos does; on the same masses
+        # and lambda0 the two stay within 4 ulps
+        grid = Grid.symmetric(20.0, 4096)
+        items = [(random_smooth_state(grid, seed), corpus_windows(seed + 1, 1.0)) for seed in (3, 8)]
+        table = _verify_lenard_states(items)
+        values = _eigenpairs(table["concentration"])[0].tolist()
+        masses = zip(table["position_probability"].tolist(), table["momentum_probability"].tolist())
+        for k, ((px, pp), value) in enumerate(zip(masses, values)):
+            angle_sum = math.acos(math.sqrt(px)) + math.acos(math.sqrt(pp))
+            margin = angle_sum - math.acos(math.sqrt(value))
+            for name, expected in (("angle_sum", angle_sum), ("margin", margin)):
+                assert abs(table[name][k] - expected) <= 4 * math.ulp(expected), (name, k)
+
+    def test_no_windows_give_empty_columns(self):
+        state = random_smooth_state(Grid.symmetric(20.0, 4096), 5)
+        table = verify_lenard_batch(state, [])
+        assert list(table) == LENARD_COLUMNS
+        assert all(column.shape == (0,) for column in table.values())
 
     @pytest.mark.parametrize(
         "bad",
@@ -658,5 +749,22 @@ class TestLenardBatch:
         state = random_smooth_state(Grid.symmetric(20.0, 4096), 5)
         windows = corpus_windows(6, 1.0) + [bad]
         with pytest.raises(DomainError):
+            verify_lenard_batch(state, windows)
+        assert transform_calls == []
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (((0.0, 1.0, 2.0), (0.0, 1.0)), "two intervals of two numbers, got {}$"),
+            # the finite check comes before the order check, which NaN fails too
+            (((-1.0, 1.0), (math.nan, 1.0)), "^interval endpoints must be finite$"),
+            ((("a", 1.0), (0.0, 1.0)), "two intervals of two numbers, got {}$"),
+        ],
+        ids=["three_values", "nan_endpoint", "text"],
+    )
+    def test_window_refusals(self, bad, message, transform_calls):
+        state = random_smooth_state(Grid.symmetric(20.0, 4096), 5)
+        windows = corpus_windows(6, 1.0) + [bad]
+        with pytest.raises(DomainError, match=message.format(re.escape(repr(bad)))):
             verify_lenard_batch(state, windows)
         assert transform_calls == []

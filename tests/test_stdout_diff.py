@@ -2,8 +2,9 @@
 
 The CLI runs are replaced by canned processes, so these tests check only
 the report: identical commands are called identical, and a differing one
-gives its exit codes, stderr lines, differing rows and, per column, the
-count of differing values and their largest absolute difference.
+gives its exit codes, the count and first of its differing stderr lines,
+its differing rows and, per column, the count of differing values and
+their largest absolute difference.
 """
 
 import importlib.util
@@ -46,8 +47,9 @@ def test_report_names_identical_and_differing_commands(tmp_path, monkeypatch, ca
     lines = capsys.readouterr().out.splitlines()
     assert "bounds --grid 40: identical" in lines
     start = lines.index("compare: exit code 0 -> 2")
-    assert lines[start + 1 : start + 5] == [
+    assert lines[start + 1 : start + 6] == [
         "  stderr differs in 1 lines",
+        "    + error: boom",
         "  stdout differs in 2 of 3 rows",
         "    re_psi: 2 values, max |diff| 2e-06",
         "    status: 1 values, max |diff| not numeric",
@@ -126,3 +128,19 @@ def test_a_reordered_header_is_named():
         subprocess.CompletedProcess([], 0, records, ""),
         subprocess.CompletedProcess([], 0, swapped, ""),
     ) == ["stdout columns reordered", "stdout differs in 0 of 1 rows"]
+
+
+def test_first_differing_stderr_line_of_each_side():
+    # a changed note: the count, then the first differing line of each
+    # side, so a deliberate change of wording can be read off the report
+    tool = load_tool()
+    base = subprocess.CompletedProcess([], 0, TABLE, "note\nmass=0.5\nend\n")
+    change = subprocess.CompletedProcess([], 0, TABLE, "note\nmass=0.5, difference=+1e-6\nend 2\n")
+    assert tool.compare(base, change) == [
+        "stderr differs in 2 lines",
+        "  - mass=0.5",
+        "  + mass=0.5, difference=+1e-6",
+    ]
+    # a side that runs out of lines shows only the other side's
+    shorter = subprocess.CompletedProcess([], 0, TABLE, "note\n")
+    assert tool.compare(base, shorter) == ["stderr differs in 2 lines", "  - mass=0.5"]

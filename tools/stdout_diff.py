@@ -8,7 +8,8 @@ Each command in ``COMMANDS`` runs once per checkout as
 ``PYTHONPATH=DIR/src``, so each side runs the program it contains. For
 each command the report says either that stdout, stderr and the exit
 code are identical, or what differs: the exit codes, the number of
-differing stderr lines, and for stdout (read as CSV with one header
+differing stderr lines and the first of them on each side (``- base``,
+``+ change``), and for stdout (read as CSV with one header
 row, or as a JSON array of records) the columns one side adds or
 removes, whether the shared columns come in another order, the number
 of rows that differ in the columns both sides share
@@ -28,6 +29,7 @@ import os
 import shlex
 import subprocess
 import sys
+from itertools import zip_longest
 from pathlib import Path
 
 COMMANDS = (
@@ -83,6 +85,7 @@ COMMANDS = (
     "verify all --format json",
     "state slepian --c 1 --L 1e-306",
     "state slepian --c 1 --L 1e-305",
+    "state slepian --c 4",
 )
 
 
@@ -173,18 +176,19 @@ def compare(base: subprocess.CompletedProcess, change: subprocess.CompletedProce
     if base.returncode != change.returncode:
         lines.append(f"exit code {base.returncode} -> {change.returncode}")
     if base.stderr != change.stderr:
-        pairs = zip(base.stderr.splitlines(), change.stderr.splitlines())
-        differing = sum(b != c for b, c in pairs)
-        differing += abs(len(base.stderr.splitlines()) - len(change.stderr.splitlines()))
-        lines.append(f"stderr differs in {differing} lines")
+        pairs = list(zip_longest(base.stderr.splitlines(), change.stderr.splitlines()))
+        lines.append(f"stderr differs in {sum(b != c for b, c in pairs)} lines")
+        # the first differing line of each side, where that side has one
+        first = next(((b, c) for b, c in pairs if b != c), (None, None))
+        lines.extend(f"  {sign} {line}" for sign, line in zip("-+", first) if line is not None)
     if base.stdout != change.stdout:
         diff = column_diff(base.stdout, change.stdout)
         if "layout" in diff:
             lines.append(f"stdout layout differs: {diff['layout']}")
         else:
-            for change in ("added", "removed"):
-                if diff[change]:
-                    lines.append(f"stdout columns {change}: {', '.join(diff[change])}")
+            for kind in ("added", "removed"):
+                if diff[kind]:
+                    lines.append(f"stdout columns {kind}: {', '.join(diff[kind])}")
             if diff["reordered"]:
                 lines.append("stdout columns reordered")
             lines.append(f"stdout differs in {diff['rows']} of {diff['of']} rows")
