@@ -15,14 +15,13 @@ column there, and :func:`report` is one row as a dict.
 from __future__ import annotations
 
 import math
-import numbers
 import sys
 
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
 from .errors import DomainError
-from .numerics import _check_positive, _shown, erf_inverse
+from .numerics import _real, _reals, erf_inverse
 from .slepian import lambda0_inverse_batch
 
 __all__ = [
@@ -46,24 +45,9 @@ _ORDER_SLACK = 1e-8
 _Array = NDArray[np.float64]
 
 
-def _confidences(name: str, values: ArrayLike) -> _Array:
-    """The one rule for confidence levels: each lies in [0, 1]."""
-    try:
-        levels = np.array(values, dtype=np.float64, ndmin=1)
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"{name} must be an array of levels in [0, 1], got {values!r}") from exc
-    outside = ~((levels >= 0.0) & (levels <= 1.0))
-    if outside.any():
-        raise DomainError(f"{name} must lie in [0, 1], got {float(levels[outside][0])}")
-    return levels
-
-
 def _level(name: str, value: float) -> _Array:
-    """One confidence level, refused unless it is a single real number
-    (a Python or numpy scalar): the one-element array of :func:`_confidences`."""
-    if not isinstance(value, numbers.Real):
-        raise DomainError(f"{name} must be a single level in [0, 1], got {value!r}")
-    return _confidences(name, value)
+    """One confidence level in [0, 1], as a one-element array."""
+    return np.array([_real(name, value, "[0, 1]")])
 
 
 def _scaled(name: str, bounds: _Array, h: float, tx: _Array, tp: _Array) -> _Array:
@@ -201,7 +185,7 @@ def lp_measurable_bound(pair: tuple[float, float], hbar: float = 1.0) -> float:
     Applies to confidence uncertainties over arbitrary measurable sets;
     zero in the trivial region.
     """
-    return _one_pair(_measurable_bounds, pair, _check_positive("hbar", hbar))
+    return _one_pair(_measurable_bounds, pair, _real("hbar", hbar, "(0, inf)"))
 
 
 def lp_interval_bound(pair: tuple[float, float], hbar: float = 1.0) -> float:
@@ -213,7 +197,7 @@ def lp_interval_bound(pair: tuple[float, float], hbar: float = 1.0) -> float:
     larger than the measurable-set bound in the interior of the bounded
     region.
     """
-    return _one_pair(_interval_bounds, pair, _check_positive("hbar", hbar))
+    return _one_pair(_interval_bounds, pair, _real("hbar", hbar, "(0, inf)"))
 
 
 def log_asymptote(theta_p: float, hbar: float = 1.0) -> float:
@@ -227,10 +211,8 @@ def log_asymptote(theta_p: float, hbar: float = 1.0) -> float:
     the exact bound is still 21% above this leading term (ratio 1.2146),
     while 4*hbar*c from the two-term law is within 0.4% of it.
     """
-    h = _check_positive("hbar", hbar)
-    if not (isinstance(theta_p, numbers.Real) and 0.0 < theta_p < 1.0):
-        raise DomainError(f"log_asymptote requires 0 < theta_p < 1, got {_shown(theta_p)}")
-    return -2.0 * h * math.log1p(-theta_p)
+    h = _real("hbar", hbar, "(0, inf)")
+    return -2.0 * h * math.log1p(-_real("theta_p", theta_p, "(0, 1)"))
 
 
 def donoho_stark_bound(pair: tuple[float, float], hbar: float = 1.0) -> float:
@@ -240,7 +222,7 @@ def donoho_stark_bound(pair: tuple[float, float], hbar: float = 1.0) -> float:
     measurable-set bound above; clamps to zero where the bracket goes
     negative.
     """
-    return _one_pair(_donoho_stark_bounds, pair, _check_positive("hbar", hbar))
+    return _one_pair(_donoho_stark_bounds, pair, _real("hbar", hbar, "(0, inf)"))
 
 
 def elementary_bound(pair: tuple[float, float]) -> float | None:
@@ -267,14 +249,14 @@ def gaussian_interval_product(theta: float, hbar: float = 1.0) -> float:
         If theta is outside [0, 1], or hbar takes the product out of the
         normal doubles.
     """
-    h = _check_positive("hbar", hbar)
+    h = _real("hbar", hbar, "(0, inf)")
     levels = _level("theta", theta)
     return _gaussian_products(levels, levels, h).item()
 
 
 def bbm_reference(hbar: float = 1.0) -> float:
     """Entropic floor ln(pi * e * hbar) on h(x) + h(p)."""
-    return math.log(math.pi * math.e * _check_positive("hbar", hbar))
+    return math.log(math.pi * math.e * _real("hbar", hbar, "(0, inf)"))
 
 
 def _check_records(record: dict) -> None:
@@ -308,14 +290,15 @@ def reports(theta_x: ArrayLike, theta_p: ArrayLike, hbar: float = 1.0) -> dict[s
     Raises
     ------
     DomainError
-        If the confidences are not two arrays of one length in [0, 1],
-        hbar is not positive and finite, or a bound leaves the normal
+        If the confidences are not two arrays of one length of real
+        numbers in [0, 1] (text, complex numbers and None are not), hbar
+        is not a real number in (0, inf), or a bound leaves the normal
         doubles.
     """
-    tx, tp = _confidences("theta_x", theta_x), _confidences("theta_p", theta_p)
+    tx, tp = _reals("theta_x", theta_x, "[0, 1]"), _reals("theta_p", theta_p, "[0, 1]")
     if tx.ndim != 1 or tx.shape != tp.shape:
         raise DomainError("theta_x and theta_p must be two arrays of one length")
-    h = _check_positive("hbar", hbar)
+    h = _real("hbar", hbar, "(0, inf)")
     # a bound out of range is named in the order interval, Gaussian,
     # measurable, Donoho-Stark
     interval, gaussian = _interval_bounds(tx, tp, h), _gaussian_products(tx, tp, h)

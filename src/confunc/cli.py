@@ -48,7 +48,7 @@ from .bounds import (
     reports,
 )
 from .errors import ConfuncError, DomainError
-from .numerics import largest_eigenpair
+from .numerics import _reals, largest_eigenpair
 from .slepian import _eigenpairs, a_matrix, lambda0, lambda0_large_c, lambda0_small_c
 from .states import (
     _LENARD_SLACK,
@@ -367,10 +367,7 @@ def _cmd_bounds(args: argparse.Namespace) -> tuple[dict, int]:
 
 
 def _cmd_compare(args: argparse.Namespace) -> tuple[dict, int]:
-    thetas = list(args.theta) if args.theta else list(_COMPARE_DEFAULT)
-    for theta in thetas:
-        if not 0.0 < theta < 1.0:
-            raise DomainError(f"compare requires 0 < theta < 1, got {theta}")
+    thetas = _reals("theta", args.theta or _COMPARE_DEFAULT, "(0, 1)")
     table = reports(thetas, thetas, hbar=args.hbar)
     gaussian, product = table["gaussian_product"], table["lp_interval"]
     ratio = np.divide(gaussian, product, out=np.full(product.shape, math.inf), where=product > 0)

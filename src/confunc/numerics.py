@@ -14,6 +14,12 @@ and the bound evaluators are built from:
   products.
 * A dominant-eigenpair solver, behind the concentration eigenvalue.
 
+Beside them sits the one input rule of the package: ``_real`` reads a
+single number and ``_reals`` an array of them, each against a domain
+written as text, such as "(0, 1]", that the error message prints. Text,
+complex numbers and None are never read as numbers, nor is a sequence
+where one number is due.
+
 All functions are pure and deterministic; returned arrays are read-only.
 """
 
@@ -42,12 +48,40 @@ def _shown(value) -> str:
     return str(value) if isinstance(value, numbers.Real) else repr(value)
 
 
-def _check_positive(name: str, value: float) -> float:
-    """The one rule for inputs that must be positive and finite: a real
-    number (numpy scalars are), not a string, a list or None."""
-    if not (isinstance(value, numbers.Real) and math.isfinite(value) and value > 0):
-        raise DomainError(f"{name} must be positive and finite, got {_shown(value)}")
-    return float(value)
+def _inside(values, domain: str):
+    """Whether each value lies in a domain written "(lo, hi]", "[0, inf)"
+    and the like; an infinite end is open, and NaN lies in no domain."""
+    lo, hi = (float(end) for end in domain[1:-1].split(","))
+    above = values >= lo if domain[0] == "[" else values > lo
+    return above & (values <= hi if domain[-1] == "]" else values < hi)
+
+
+def _real(name: str, value: float, domain: str) -> float:
+    """The one rule for a single number: a real number (numpy scalars and
+    bool are; text, complex, None and sequences are not) in ``domain``,
+    returned as a float."""
+    number = float(value) if isinstance(value, numbers.Real) else math.nan
+    if not _inside(number, domain):
+        raise DomainError(f"{name} must lie in {domain}, got {_shown(value)}")
+    return number
+
+
+def _reals(name: str, values, domain: str) -> NDArray[np.float64]:
+    """The one rule for numbers in an array: bool, integer or float values
+    (text, complex, None, objects and ragged nests are not), each in
+    ``domain``, returned as a new float64 array of at least one dimension.
+    The message names the first value outside the domain."""
+    try:
+        array = np.array(values, ndmin=1)
+    except (TypeError, ValueError):
+        array = None
+    if array is None or array.dtype.kind not in "biuf":
+        raise DomainError(f"{name} must be real numbers in {domain}, got {_shown(values)}")
+    array = array.astype(np.float64, copy=False)
+    outside = array[~_inside(array, domain)]
+    if outside.size:
+        raise DomainError(f"{name} must lie in {domain}, got {float(outside[0])}")
+    return array
 
 
 def _legendre_and_derivative(
@@ -165,8 +199,7 @@ def sine_integral(y: float) -> float:
     and the asymptotic auxiliary-function expansion beyond, keeping the
     absolute error below 1e-12 everywhere. Odd in y.
     """
-    if not (isinstance(y, numbers.Real) and math.isfinite(y)):
-        raise DomainError(f"sine_integral requires finite input, got {_shown(y)}")
+    y = _real("y", y, "(-inf, inf)")
     if y == 0.0:
         return 0.0
     sign, ay = (1.0, y) if y > 0 else (-1.0, -y)
@@ -204,10 +237,10 @@ def erf_inverse(theta: float) -> float:
     Raises
     ------
     DomainError
-        If ``theta`` is outside [0, 1).
+        If ``theta`` is not a real number in [0, 1), such as text,
+        a complex number, None or a sequence.
     """
-    if not (isinstance(theta, numbers.Real) and 0.0 <= theta < 1.0):
-        raise DomainError(f"erf_inverse requires 0 <= theta < 1, got {_shown(theta)}")
+    theta = _real("theta", theta, "[0, 1)")
     if theta == 0.0:
         return 0.0
     lo, hi, x = 0.0, 6.0, 3.0

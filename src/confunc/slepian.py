@@ -34,7 +34,6 @@ per round.
 from __future__ import annotations
 
 import math
-import numbers
 import sys
 from dataclasses import dataclass
 
@@ -42,7 +41,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import ConvergenceError, DomainError
-from .numerics import _check_positive, _panel_rule, _shown, gauss_legendre, largest_eigenpair
+from .numerics import _panel_rule, _real, _reals, gauss_legendre, largest_eigenpair
 
 __all__ = [
     "ProlateSolution",
@@ -90,19 +89,6 @@ _STACK_ENTRIES = 64 * 23 * 23
 _MAX_SOLVE_WORK = 1e11
 
 
-def _as_c(c: float) -> float:
-    """The one rule for a concentration: a single real number (numpy
-    scalars are), finite and >= 0."""
-    if not isinstance(c, numbers.Real):
-        raise DomainError(f"concentration parameter must be a real number, got {_shown(c)}")
-    value = float(c)
-    if not math.isfinite(value) or value < 0:
-        raise DomainError(
-            f"concentration parameter must be finite and >= 0, got {value}"
-        )
-    return value
-
-
 @dataclass(frozen=True, eq=False)
 class ProlateSolution:
     """Principal eigenpair of the sinc kernel at one concentration c.
@@ -138,19 +124,25 @@ def _sinc(c: float, u: NDArray[np.float64], v: NDArray[np.float64]) -> NDArray[n
 def kernel_matrix(c: float, nodes, weights) -> NDArray[np.float64]:
     """Symmetrised Nystrom matrix of the sinc kernel on the nodes u and
     weights w of a quadrature rule, 1-D arrays of one length with finite
-    nodes and finite positive weights (else a DomainError), as
+    nodes and finite positive weights, as
     :func:`confunc.numerics.gauss_legendre` returns.
 
     Entries are sqrt(w_i w_j) * sin(c (u_i - u_j)) / (pi (u_i - u_j));
     the diagonal takes the kernel's limit value, giving w_i * c / pi.
     Its largest eigenvalue converges spectrally to lambda0(c).
+
+    Raises
+    ------
+    DomainError
+        If c is not a real number in [0, inf), the nodes or weights hold
+        anything but real numbers (text, complex numbers, None), a node is
+        not finite, a weight is not in (0, inf), or the two are not 1-D
+        of one length.
     """
-    u, w = np.asarray(nodes, dtype=np.float64), np.asarray(weights, dtype=np.float64)
+    u, w = _reals("nodes", nodes, "(-inf, inf)"), _reals("weights", weights, "(0, inf)")
     if u.ndim != 1 or w.shape != u.shape:
         raise DomainError(f"nodes and weights must be 1-D of one length, got {u.shape}, {w.shape}")
-    if not (np.isfinite(u).all() and (np.isfinite(w) & (w > 0.0)).all()):
-        raise DomainError("nodes must be finite and weights finite and positive")
-    kern = _sinc(_as_c(c), u, u)
+    kern = _sinc(_real("c", c, "[0, inf)"), u, u)
     sw = np.sqrt(w)
     return sw[:, None] * kern * sw[None, :]
 
@@ -213,13 +205,10 @@ def _eigenpairs(cs) -> tuple[NDArray[np.float64], NDArray[np.float64], list]:
         If a c is negative, not finite, or above the supported 1000, or
         the batch needs over _MAX_SOLVE_WORK rows^3; no matrix is built.
     """
-    cs = np.asarray(cs, dtype=np.float64).reshape(-1)
-    outside = cs[~((cs >= 0.0) & (cs <= _C_MAX))]
-    if outside.size:
-        # a negative or non-finite c gets _as_c's message
-        c = _as_c(outside[0])
+    cs = _reals("c", cs, "[0, inf)").reshape(-1)
+    if cs.max(initial=0.0) > _C_MAX:
         raise DomainError(
-            f"c = {c:.6g} is outside the supported range [0, {_C_MAX:g}] "
+            f"c = {cs[cs > _C_MAX][0]:.6g} is outside the supported range [0, {_C_MAX:g}] "
             "of the eigenvalue engine"
         )
     sizes = _rows(cs)
@@ -266,7 +255,7 @@ def _principal_values(c: float, u: NDArray[np.float64]) -> tuple[float, NDArray[
     Raises DomainError at c = 0, where psi0 is undefined, and for a c
     outside [0, 1000].
     """
-    cc = _as_c(c)
+    cc = _real("c", c, "[0, inf)")
     if cc == 0.0:
         raise DomainError("the principal eigenfunction is undefined at c = 0")
     values, _, rows = _eigenpairs([cc])
@@ -288,17 +277,17 @@ def lambda0(c: float) -> float:
         If c is not a single real number, is negative, not finite, or
         above the supported 1000.
     """
-    return float(_eigenpairs([_as_c(c)])[0][0])
+    return float(_eigenpairs([_real("c", c, "[0, inf)")])[0][0])
 
 
 def lambda0_small_c(c: float) -> float:
     """Leading small-c approximant 2c/pi of lambda0(c)."""
-    return 2.0 * _as_c(c) / math.pi
+    return 2.0 * _real("c", c, "[0, inf)") / math.pi
 
 
 def lambda0_large_c(c: float) -> float:
     """Leading large-c approximant 1 - 4*sqrt(pi*c)*exp(-2c) of lambda0(c)."""
-    cc = _as_c(c)
+    cc = _real("c", c, "[0, inf)")
     return 1.0 - 4.0 * math.sqrt(math.pi * cc) * math.exp(-2.0 * cc)
 
 
@@ -315,11 +304,12 @@ def lambda0_inverse(theta: float) -> float:
     Raises
     ------
     DomainError
-        If theta is outside (0, 1), below the smallest normal double, or
-        so close to 1 that 1 - theta is below the double-precision
-        resolution of the eigenvalues.
+        If theta is not a real number in (0, 1) (text, a complex number,
+        None and a sequence are not), is below the smallest normal
+        double, or is so close to 1 that 1 - theta is below the
+        double-precision resolution of the eigenvalues.
     """
-    return float(lambda0_inverse_batch([theta])[0])
+    return float(lambda0_inverse_batch([_real("theta", theta, "(0, 1)")])[0])
 
 
 def lambda0_inverse_batch(thetas) -> NDArray[np.float64]:
@@ -344,19 +334,17 @@ def lambda0_inverse_batch(thetas) -> NDArray[np.float64]:
     Raises
     ------
     DomainError
-        If a target is outside (0, 1), below the smallest normal double,
-        where the relative tolerance underflows, or so close to 1 that
-        1 - theta is below the double-precision resolution of the
-        eigenvalues.
+        If the targets are not a one-dimensional sequence of real numbers
+        (text, complex numbers and None are not), or a target is outside
+        (0, 1), below the smallest normal double, where the relative
+        tolerance underflows, or so close to 1 that 1 - theta is below
+        the double-precision resolution of the eigenvalues.
     ConvergenceError
         If a target meets neither test within 200 rounds.
     """
-    t = np.asarray(thetas, dtype=np.float64)
-    if t.ndim != 1:
+    t = _reals("theta", thetas, "(0, 1)")
+    if np.ndim(thetas) != 1:
         raise DomainError("expected a one-dimensional sequence of targets")
-    outside = t[~((t > 0.0) & (t < 1.0))]
-    if outside.size:
-        raise DomainError(f"lambda0_inverse requires 0 < theta < 1, got {outside[0]}")
     subnormal = t[t < sys.float_info.min]
     if subnormal.size:
         raise DomainError(
@@ -425,8 +413,7 @@ def a_matrix(lw_over_hbar: float) -> NDArray[np.float64]:
     panel Gauss-Legendre quadrature split at those points is exact to
     machine accuracy. Indices run over -64 .. 64.
     """
-    _check_positive("window product", lw_over_hbar)
-    half = lw_over_hbar / 2.0
+    half = _real("window product", lw_over_hbar, "(0, inf)") / 2.0
     splits = {0.0, half, -half}
     k = 1
     while 2 * math.pi * k < half:
@@ -457,7 +444,7 @@ def principal_slepian(c: float, order: int = DEFAULT_ORDER) -> ProlateSolution:
     DomainError
         If c is 0, where psi0 is undefined, or outside [0, 1000].
     """
-    cc = _as_c(c)
+    cc = _real("c", c, "[0, inf)")
     value, samples = _principal_values(cc, gauss_legendre(order)[0])
     return ProlateSolution(cc, value, samples, order)
 
@@ -473,7 +460,7 @@ def evaluate_principal(solution: ProlateSolution, points) -> NDArray[np.float64]
     cross-checks them and :func:`confunc.states.slepian_state`, which
     sums that series.
     """
-    u = np.atleast_1d(np.asarray(points, dtype=np.float64))
+    u = _reals("points", points, "(-inf, inf)")
     nodes, weights = gauss_legendre(solution.quadrature_order)
     kern = _sinc(solution.c, u, nodes)
     return (kern @ (weights * solution.principal_function)) / solution.lambda0

@@ -32,12 +32,11 @@ import numbers
 import sys
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from itertools import filterfalse
 
 import numpy as np
 
 from .errors import DomainError, GridError
-from .numerics import _check_positive, _shown, sine_integral
+from .numerics import _real, _reals, _shown, sine_integral
 from .slepian import _eigenpairs, _principal_values
 
 __all__ = [
@@ -110,14 +109,16 @@ class Grid:
 
     @classmethod
     def symmetric(cls, half_width: float, n: int) -> "Grid":
-        return cls(-half_width, half_width, n)
+        # only a real number is negated; the endpoint check refuses the rest
+        low = -half_width if isinstance(half_width, numbers.Real) else half_width
+        return cls(low, half_width, n)
 
     def momentum_dual(self, hbar: float = 1.0) -> "Grid":
         """Momentum grid of the unitary transform: n cells of width
         dp = 2*pi*hbar/(n*dx) spanning [-pi*hbar/dx, pi*hbar/dx). The
         relation is symmetric: the dual of a momentum grid is the position
         grid of the inverse transform."""
-        h = _check_positive("hbar", hbar)
+        h = _real("hbar", hbar, "(0, inf)")
         dp = 2.0 * math.pi * h / (self.n * self.dx)
         half = 0.5 * self.n * dp
         return Grid(-half, half, self.n)
@@ -145,7 +146,7 @@ class GriddedState:
             )
         if not np.all(np.isfinite(amps.view(np.float64))):
             raise DomainError("amplitudes must be finite")
-        _check_positive("hbar", self.hbar)
+        _real("hbar", self.hbar, "(0, inf)")
         norm = float(np.sum(np.abs(amps) ** 2)) * self.grid.dx
         if abs(norm - 1.0) > _NORM_TOL:
             raise DomainError(
@@ -309,17 +310,21 @@ def probability_in_interval(state: GriddedState, a: float, b: float) -> float:
     endpoints inside a cell contribute the covered fraction of that
     cell. Endpoints outside the grid clamp to its boundary.
     """
-    if not all(isinstance(v, numbers.Real) and math.isfinite(v) for v in (a, b)):
-        raise DomainError("interval endpoints must be finite")
+    a, b = _real("a", a, "(-inf, inf)"), _real("b", b, "(-inf, inf)")
     if a > b:
         raise DomainError(f"interval requires a <= b, got [{a}, {b}]")
     return float(_masses(state, [(a, b)])[0])
 
 
-def _clamp_theta(theta: float, total: float) -> float:
-    if not (isinstance(theta, numbers.Real) and 0.0 < theta <= 1.0):
-        raise DomainError(f"theta must lie in (0, 1], got {_shown(theta)}")
-    return min(theta, total)
+def _clamp_theta(theta: float, masses: np.ndarray) -> tuple[float, float]:
+    """theta checked and capped at the total of the cell masses, and the
+    mass ``gap`` a set holding it leaves out. Sums run from the side where
+    they are small: over the mass taken in up to half the total, over the
+    mass left out above, so that neither a small theta nor a small gap is
+    lost in the rounding of sums near the total."""
+    total = float(masses.sum())
+    theta = min(_real("theta", theta, "(0, 1]"), total)
+    return theta, total - theta
 
 
 def confidence_uncertainty(state: GriddedState, theta: float) -> ConfidenceEstimate:
@@ -331,19 +336,22 @@ def confidence_uncertainty(state: GriddedState, theta: float) -> ConfidenceEstim
     holds the density of that final cell (the level of the optimal set).
     """
     masses = state.density * state.grid.dx
-    ranking = np.argsort(masses)[::-1]
-    sorted_masses = masses[ranking]
-    cum = np.cumsum(sorted_masses)
-    theta = _clamp_theta(theta, float(cum[-1]))
-    k = int(np.searchsorted(cum, theta, side="left"))
-    previous = cum[k - 1] if k > 0 else 0.0
-    fraction = 0.0 if sorted_masses[k] == 0.0 else (theta - previous) / sorted_masses[k]
-    measure = (k + fraction) * state.grid.dx
-    level = float(sorted_masses[k] / state.grid.dx)
+    theta, gap = _clamp_theta(theta, masses)
+    ranked = np.sort(masses)[::-1]
+    if theta <= gap:
+        # the mass of the k largest cells
+        taken = np.concatenate(([0.0], np.cumsum(ranked)))
+        k = int(np.searchsorted(taken, theta, side="left")) - 1
+        part = theta - taken[k]
+    else:
+        # the mass of the cells from the k-th largest on
+        rest = np.cumsum(ranked[::-1])[::-1]
+        k = int(np.searchsorted(-rest, -gap, side="left")) - 1
+        part = rest[k] - gap
     return ConfidenceEstimate(
         theta=theta,
-        measure=float(measure),
-        support=(level,),
+        measure=float((k + part / ranked[k]) * state.grid.dx),
+        support=(float(ranked[k] / state.grid.dx),),
     )
 
 
@@ -361,28 +369,38 @@ def interval_confidence_uncertainty(
     to the left-edge window. Plateaus of the cumulative (runs of empty
     cells) are resolved towards the shorter window.
     """
-    edges = state.grid.edges
-    cum = _cumulative(state)
     masses = state.density * state.grid.dx
+    theta, gap = _clamp_theta(theta, masses)
+    # the mass left of each cell edge, and right of it
+    before = _cumulative(state)
+    after = np.append(np.cumsum(masses[::-1])[::-1], 0.0)
     dx = state.grid.dx
-    theta = _clamp_theta(theta, float(cum[-1]))
 
-    def sweep(edges, cum, masses) -> tuple[float, float, float]:
-        # shortest (width, x1, x2) with x1 a cell edge and x2 the smallest
-        # x whose cumulative reaches cum(x1) + theta; x1 = edges[0]
-        # always qualifies, since theta is at most the total mass
-        ok = cum + theta <= cum[-1] + 1e-15
-        x1 = edges[ok]
-        targets = cum[ok] + theta
-        j = np.clip(np.searchsorted(cum, targets, side="left"), 1, len(cum) - 1)
+    def sweep(edges, before, after, masses) -> tuple[float, float, float]:
+        # shortest (width, x1, x2) with x1 = edges[s] a cell edge that
+        # leaves out no more than gap, and x2 where the window has taken in
+        # theta; s = 0 always qualifies. The window ends in cell j - 1 >= s,
+        # even where theta is lost in before[s] + theta, and its width
+        # counts whole cells from s, then the fraction of cell j - 1 that
+        # it still needs, so no two positions are subtracted
+        start = np.flatnonzero(before[:-1] <= gap)
+        if theta <= gap:
+            found = np.searchsorted(before, before[start] + theta, side="left")
+            j = np.clip(found, start + 1, masses.size)
+            need = theta - (before[j - 1] - before[start])
+        else:
+            found = np.searchsorted(-after, before[start] - gap, side="left")
+            j = np.clip(found, start + 1, masses.size)
+            need = before[start] + after[j - 1] - gap
         step = masses[j - 1]
-        frac = np.where(step > 0.0, (targets - cum[j - 1]) / np.where(step > 0, step, 1.0), 1.0)
-        x2 = edges[j - 1] + np.clip(frac, 0.0, 1.0) * dx
-        i = int(np.argmin(x2 - x1))
-        return float(x2[i] - x1[i]), float(x1[i]), float(x2[i])
+        frac = np.clip(np.where(step > 0.0, need / np.where(step > 0, step, 1.0), 1.0), 0.0, 1.0)
+        widths = (j - 1 - start + frac) * dx
+        i = int(np.argmin(widths))
+        return float(widths[i]), float(edges[start[i]]), float(edges[j[i] - 1] + frac[i] * dx)
 
-    width, x1, x2 = sweep(edges, cum, masses)
-    mirrored = sweep(-edges[::-1], cum[-1] - cum[::-1], masses[::-1])
+    edges = state.grid.edges
+    width, x1, x2 = sweep(edges, before, after, masses)
+    mirrored = sweep(-edges[::-1], after[::-1], before[::-1], masses[::-1])
     if mirrored[0] < width:
         width, x1, x2 = mirrored[0], -mirrored[2], -mirrored[1]
     return ConfidenceEstimate(
@@ -420,8 +438,8 @@ def gaussian_state(grid: Grid, sigma: float, hbar: float = 1.0) -> GriddedState:
     a sigma that takes the state out of floating-point range is a
     DomainError.
     """
-    h = _check_positive("hbar", hbar)
-    _check_positive("sigma", sigma)
+    h = _real("hbar", hbar, "(0, inf)")
+    _real("sigma", sigma, "(0, inf)")
     # mass of the Gaussian beyond each end of the grid
     scale = sigma * math.sqrt(2)
     tail = 0.5 * (math.erfc(-grid.x_min / scale) + math.erfc(grid.x_max / scale))
@@ -441,10 +459,9 @@ def gaussian_state(grid: Grid, sigma: float, hbar: float = 1.0) -> GriddedState:
 
 
 def _check_rect_sinc(length: float, width: float, weight: float) -> None:
-    _check_positive("length", length)
-    _check_positive("width", width)
-    if not (isinstance(weight, numbers.Real) and 0.0 <= weight <= 1.0):
-        raise DomainError(f"weight must lie in [0, 1], got {_shown(weight)}")
+    _real("length", length, "(0, inf)")
+    _real("width", width, "(0, inf)")
+    _real("weight", weight, "[0, 1]")
 
 
 def rect_sinc_prediction(
@@ -461,7 +478,7 @@ def rect_sinc_prediction(
     the same formulas under (L, W, P) -> (W, L, 1-P). A c outside the
     normal doubles is a DomainError.
     """
-    h = _check_positive("hbar", hbar)
+    h = _real("hbar", hbar, "(0, inf)")
     _check_rect_sinc(length, width, weight)
     c = length * width / (4.0 * h)
     if not sys.float_info.min <= c <= sys.float_info.max:
@@ -552,7 +569,7 @@ def _rect_sinc_grid(length: float, width: float, hbar: float) -> Grid:
 def _gaussian_grid(sigma: float) -> Grid:
     """4096 cells over [-16*sigma, 16*sigma]: the truncated tail is far
     below the 1e-6 that ``gaussian_state`` accepts."""
-    _check_positive("sigma", sigma)
+    _real("sigma", sigma, "(0, inf)")
     return Grid.symmetric(16.0 * sigma, 4096)
 
 
@@ -577,7 +594,7 @@ def rect_sinc_state(
     below 1e-2 needs both grid ends at least 2*hbar/(pi*W*1e-2) from the
     origin; narrower grids raise GridError rather than silently aliasing.
     """
-    h = _check_positive("hbar", hbar)
+    h = _real("hbar", hbar, "(0, inf)")
     _check_rect_sinc(length, width, weight)
 
     if weight < 1.0:
@@ -619,7 +636,7 @@ def _rect_sinc_masses(
     x*(p/hbar) so that no angle overflows at any hbar. The validation is
     that of ``rect_sinc_state``.
     """
-    h = _check_positive("hbar", hbar)
+    h = _real("hbar", hbar, "(0, inf)")
     _check_rect_sinc(length, width, weight)
     dual = grid.momentum_dual(h)
     # amplitudes in q = p/hbar, where the kernel is (2*pi)^(-1/2)*e^(ixq)
@@ -675,8 +692,8 @@ def slepian_state(
     64 cells inside the window, and a length that takes the state out of
     floating-point range is a DomainError.
     """
-    h = _check_positive("hbar", hbar)
-    _check_positive("length", length)
+    h = _real("hbar", hbar, "(0, inf)")
+    _real("length", length, "(0, inf)")
     if grid is None:
         grid = Grid.symmetric(64.0 * length, 1 << 15)
     inside, _ = _window_cells(grid, length, "position")
@@ -702,7 +719,9 @@ def random_smooth_state(grid: Grid, seed: int, hbar: float = 1.0) -> GriddedStat
     average, normalised. Used as an adversarial corpus for inequality
     checks; smoothing keeps the momentum density away from the Nyquist
     edge so the cell model stays a faithful discretisation."""
-    h = _check_positive("hbar", hbar)
+    h = _real("hbar", hbar, "(0, inf)")
+    if not (isinstance(seed, numbers.Integral) and seed >= 0):
+        raise DomainError(f"seed must be an integer >= 0, got {_shown(seed)}")
     rng = np.random.default_rng(seed)
     raw = rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n)
     window = np.ones(5) / 5.0
@@ -740,28 +759,24 @@ def verify_lenard_batch(
     return _verify_lenard_states([(state, windows)])
 
 
-def _two_pairs(window) -> bool:
+def _shape(value) -> tuple[int, ...] | None:
+    """The shape of ``value`` read as an array, None if it is ragged."""
     try:
-        return np.array(window, dtype=np.float64).shape == (2, 2)
-    except (TypeError, ValueError):
-        return False
+        return np.shape(value)
+    except ValueError:
+        return None
 
 
 def _window_ends(windows: Sequence) -> np.ndarray:
     """The windows as a (k, 4) array of x1, x2, p1, p2, checked in one pass:
-    two intervals of two numbers each (read as ``reports`` reads levels),
-    else a DomainError naming the window; finite ends; x1 < x2, p1 < p2."""
-    try:
-        ends = np.array(windows, dtype=np.float64)
-    except (TypeError, ValueError):
-        ends = None
-    if ends is None or ends.shape[1:] != (2, 2) and ends.shape != (0,):
+    two intervals of two ends each, else a DomainError naming the window;
+    ends that are real numbers and finite; x1 < x2, p1 < p2."""
+    shape = _shape(windows)
+    if shape is None or shape[1:] != (2, 2) and shape != (0,):
         listed = windows if isinstance(windows, Iterable) else ()
-        bad = next(filterfalse(_two_pairs, listed), windows)
+        bad = next((window for window in listed if _shape(window) != (2, 2)), windows)
         raise DomainError(f"a window must be two intervals of two numbers, got {bad!r}")
-    ends = ends.reshape(-1, 4)
-    if not np.isfinite(ends).all():
-        raise DomainError("interval endpoints must be finite")
+    ends = _reals("interval endpoints", windows, "(-inf, inf)").reshape(-1, 4)
     if not ((ends[:, 0] < ends[:, 1]) & (ends[:, 2] < ends[:, 3])).all():
         raise DomainError("intervals must have positive length")
     return ends
@@ -777,7 +792,8 @@ def _verify_lenard_states(items: Iterable[tuple[GriddedState, Sequence]]) -> dic
     ``items`` is read once. Each state's windows are checked before its
     transform and its masses read as it arrives, so no state is held past
     that; lambda0 of every window then comes from one eigensolver call."""
-    read = []
+    # an empty first block, so that no items give the empty columns
+    read = [(np.empty((0, 4)), np.empty(0), np.empty(0), np.empty(0))]
     for state, windows in items:
         ends = _window_ends(windows)
         position = _masses(state, ends[:, :2])

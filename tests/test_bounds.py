@@ -65,7 +65,7 @@ class TestConfidencePair:
             lambda: elementary_bound(([0.5, [0.6, 0.7]], 0.8)),
         ]
         for call in calls:
-            with pytest.raises(DomainError, match="must be a single level in"):
+            with pytest.raises(DomainError, match=r"must lie in \[0, 1\], got "):
                 call()
 
     @pytest.mark.parametrize(
@@ -395,7 +395,7 @@ class TestReports:
 
     @pytest.mark.parametrize("theta_x", [[0.5, [1, 2]], ["a"]], ids=["ragged", "text"])
     def test_levels_that_are_not_an_array_of_numbers(self, theta_x):
-        with pytest.raises(DomainError, match=r"^theta_x must be an array of levels in \[0, 1\]"):
+        with pytest.raises(DomainError, match=r"^theta_x must be real numbers in \[0, 1\], got "):
             reports(theta_x, [0.6, 0.7][: len(theta_x)])
 
     def test_every_row_is_checked(self, monkeypatch):

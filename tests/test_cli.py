@@ -407,7 +407,7 @@ class TestStateCommand:
         code, out, err = run(capsys, ["state", "gaussian", "--sigma", sigma])
         assert code == 2
         assert out == ""
-        assert err == f"error: sigma must be positive and finite, got {float(sigma)}\n"
+        assert err == f"error: sigma must lie in (0, inf), got {float(sigma)}\n"
 
     def test_rect_sinc_requires_window(self, capsys):
         code, _, err = run(capsys, ["state", "rect-sinc", "--L", "1"])
@@ -421,10 +421,10 @@ class TestStateCommand:
     @pytest.mark.parametrize(
         "length, width, message",
         [
-            ("1", "inf", "width must be positive and finite, got inf"),
-            ("inf", "1", "length must be positive and finite, got inf"),
+            ("1", "inf", "width must lie in (0, inf), got inf"),
+            ("inf", "1", "length must lie in (0, inf), got inf"),
             # checked before the grid is sized: on L < 0 that runs to the 2^24 cap
-            ("-1", "1", "length must be positive and finite, got -1.0"),
+            ("-1", "1", "length must lie in (0, inf), got -1.0"),
         ],
     )
     def test_rect_sinc_names_a_bad_window_or_band(self, capsys, length, width, message):
@@ -607,7 +607,7 @@ class TestHbarAndSeedOptions:
         code, out, err = run(capsys, [*argv, "--hbar", "-1"])
         assert code == 2
         assert out == ""
-        assert err == "error: hbar must be positive and finite, got -1.0\n"
+        assert err == "error: hbar must lie in (0, inf), got -1.0\n"
 
     @pytest.mark.parametrize(
         "argv",

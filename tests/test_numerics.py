@@ -259,6 +259,6 @@ class TestLargestEigenpair:
 def test_a_positive_input_that_is_not_a_real_number(call, name, shown):
     # the string "1" is refused, not read as the number 1, and shown
     # quoted; a refused numpy scalar reads as a plain number
-    with pytest.raises(DomainError, match=f"^{name} must be positive and finite") as caught:
+    with pytest.raises(DomainError, match=rf"^{name} must lie in \(0, inf\)") as caught:
         call()
     assert str(caught.value).endswith(f", got {shown}")

@@ -95,9 +95,9 @@ class TestKernelMatrix:
         [
             (np.zeros(4), np.ones(5), "nodes and weights must be 1-D"),
             (np.zeros((2, 2)), np.ones((2, 2)), "nodes and weights must be 1-D"),
-            ([0.0, 0.5], [1.0, math.nan], "weights finite and positive"),
-            ([0.0, 0.5], [1.0, -1.0], "weights finite and positive"),
-            ([0.0, math.inf], [1.0, 1.0], "nodes must be finite"),
+            ([0.0, 0.5], [1.0, math.nan], r"^weights must lie in \(0, inf\), got nan$"),
+            ([0.0, 0.5], [1.0, -1.0], r"^weights must lie in \(0, inf\), got -1.0$"),
+            ([0.0, math.inf], [1.0, 1.0], r"^nodes must lie in \(-inf, inf\), got inf$"),
         ],
         ids=["lengths_differ", "two_dimensional", "nan_weight", "negative_weight", "inf_node"],
     )
@@ -241,7 +241,7 @@ class TestPrincipalFunction:
 def test_a_concentration_that_is_not_one_real_number(function, c, shown):
     # a list was read as its first value or failed bare, and text as its
     # number; each is refused and shown as given
-    with pytest.raises(DomainError, match="^concentration parameter must be a real number") as caught:
+    with pytest.raises(DomainError, match=r"^c must lie in \[0, inf\)") as caught:
         function(c)
     assert str(caught.value).endswith(f", got {shown}")
 

@@ -101,6 +101,12 @@ class TestGrid:
         with pytest.raises(GridError):
             Grid(*args)
 
+    @pytest.mark.parametrize("half_width", ["1", [1.0], None, math.inf])
+    def test_symmetric_refuses_a_half_width_that_is_not_a_real_number(self, half_width):
+        # text failed bare at its unary minus
+        with pytest.raises(GridError, match="^grid endpoints must be finite$"):
+            Grid.symmetric(half_width, 32)
+
     def test_numpy_integers_are_cell_counts(self):
         assert Grid(0.0, 1.0, np.int64(32)).centers.shape == (32,)
 
@@ -279,6 +285,11 @@ class TestConfidenceUncertainty:
             confidence_uncertainty(state, bad)
 
 
+# a Gaussian on a coarse and a fine grid; its tail cells hold masses far
+# below one ulp of 1
+LEVEL_GAUSSIANS = [gaussian_state(Grid.symmetric(16.0, n), 1.0) for n in (256, 4096)]
+
+
 class TestIntervalConfidenceUncertainty:
     def test_uniform(self):
         est = interval_confidence_uncertainty(uniform_state(Grid(0.0, 1.0, 64)), 0.5)
@@ -349,6 +360,28 @@ class TestIntervalConfidenceUncertainty:
         x1, x2 = est.support
         assert abs(mirror.support[0] + x2) <= 1e-12
         assert abs(mirror.support[1] + x1) <= 1e-12
+
+    @given(
+        state=st.one_of(
+            st.sampled_from(LEVEL_GAUSSIANS),
+            st.integers(0, 10_000).map(
+                lambda seed: random_smooth_state(Grid.symmetric(20.0, 512), seed)
+            ),
+        ),
+        exponent=st.floats(min_value=-300.0, max_value=0.0),
+    )
+    @settings(deadline=None, max_examples=60)
+    def test_a_window_at_any_level(self, state, exponent):
+        # theta = 1e-20 gave a window of negative width, and 1e-14 one
+        # narrower than the measurable set: the slack of the start test let
+        # a window end left of its start, theta was lost in cum + theta,
+        # and nearby cumulatives cancelled
+        theta = 10.0**exponent
+        loose = confidence_uncertainty(state, theta).measure
+        tight = interval_confidence_uncertainty(state, theta)
+        x1, x2 = tight.support
+        assert x1 <= x2
+        assert loose <= tight.measure * (1.0 + 1e-12)
 
     def test_never_below_measurable_set(self):
         for seed in range(6):
@@ -422,7 +455,7 @@ class TestRectSinc:
         "length, width, name", [(math.inf, 1.0, "length"), (1.0, math.inf, "width")]
     )
     def test_rejects_infinite_window_or_band(self, length, width, name):
-        with pytest.raises(DomainError, match=f"{name} must be positive and finite"):
+        with pytest.raises(DomainError, match=rf"^{name} must lie in \(0, inf\), got inf$"):
             rect_sinc_state(Grid.symmetric(64.0, 1024), length, width, 0.5)
 
     def test_grid_ending_at_the_origin_is_too_narrow(self):
@@ -599,6 +632,12 @@ class TestRandomSmooth:
         b = random_smooth_state(grid, seed=43)
         assert not np.array_equal(a.amplitudes, b.amplitudes)
 
+    @pytest.mark.parametrize("seed, shown", [(1.5, "1.5"), ("a", "'a'"), (-1, "-1")])
+    def test_a_seed_is_an_integer_of_at_least_zero(self, seed, shown):
+        # numpy's generator raised its own TypeError or ValueError
+        with pytest.raises(DomainError, match=f"^seed must be an integer >= 0, got {shown}$"):
+            random_smooth_state(Grid.symmetric(4.0, 128), seed)
+
 
 LENARD_COLUMNS = [
     "x1",
@@ -740,6 +779,12 @@ class TestLenardBatch:
         assert list(table) == LENARD_COLUMNS
         assert all(column.shape == (0,) for column in table.values())
 
+    def test_no_states_give_empty_columns(self):
+        # an empty corpus failed to unpack its columns
+        table = _verify_lenard_states([])
+        assert list(table) == LENARD_COLUMNS
+        assert all(column.shape == (0,) for column in table.values())
+
     @pytest.mark.parametrize(
         "bad",
         [((1.0, -1.0), (-1.0, 1.0)), ((-1.0, 1.0), (2.0, 2.0)), ((-math.inf, 1.0), (0.0, 1.0))],
@@ -757,8 +802,12 @@ class TestLenardBatch:
         [
             (((0.0, 1.0, 2.0), (0.0, 1.0)), "two intervals of two numbers, got {}$"),
             # the finite check comes before the order check, which NaN fails too
-            (((-1.0, 1.0), (math.nan, 1.0)), "^interval endpoints must be finite$"),
-            ((("a", 1.0), (0.0, 1.0)), "two intervals of two numbers, got {}$"),
+            (
+                ((-1.0, 1.0), (math.nan, 1.0)),
+                r"^interval endpoints must lie in \(-inf, inf\), got nan$",
+            ),
+            # text nests as two pairs, so the number rule refuses it
+            ((("a", 1.0), (0.0, 1.0)), r"^interval endpoints must be real numbers in .*, {}\]$"),
         ],
         ids=["three_values", "nan_endpoint", "text"],
     )

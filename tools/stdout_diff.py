@@ -86,6 +86,11 @@ COMMANDS = (
     "state slepian --c 1 --L 1e-306",
     "state slepian --c 1 --L 1e-305",
     "state slepian --c 4",
+    "lambda0 --c -1",
+    "compare --theta 1.5",
+    "state gaussian --sigma 0",
+    "state rect-sinc --L 1 --W 1 --P 2",
+    "bounds --tx 2 --tp 0.5",
 )
 
 
